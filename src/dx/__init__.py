@@ -16,7 +16,6 @@ from dx.chase import (
 )
 from dx.certain import certain_answers, eliminate, eliminate_mapping, unfold
 from dx.evaluator import eval_formula, ground_answers
-from dx.kernel import KERNEL_BACKEND
 from dx.laconify import (
     BlockType,
     generate_block_types,
@@ -70,7 +69,6 @@ __all__ = [
     "Formula",
     "FreshNull",
     "Instance",
-    "KERNEL_BACKEND",
     "MappingError",
     "ParseError",
     "Schema",

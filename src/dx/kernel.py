@@ -1,56 +1,111 @@
-"""Kernel backend selection and shared search helpers.
+"""Fact-matching kernel.
 
-The compiled extension `dx._kernel_c` is preferred when it has been
-built; `dx._kernel` is the pure-Python fallback.  Setting the
-environment variable DX_PURE_PYTHON=1 forces the fallback, which is
-useful for benchmarking and debugging.
+This is the hot inner loop of the whole engine: a backtracking search
+that maps a pattern (a set of facts whose arguments are integer codes,
+negative codes standing for variables) into a target fact set.  Every
+homomorphism, retraction, core and isomorphism question reduces to calls
+into `find_hom`.
+
+Encoding convention: argument codes >= 0 are fixed values and must match
+target codes exactly; a code a < 0 denotes variable number (-1 - a).
 """
 
 from __future__ import annotations
 
-import os
-
-from dx import _kernel as _py_kernel
-
-try:
-    from dx import _kernel_c as _c_kernel
-except ImportError:
-    _c_kernel = None
-
-if _c_kernel is not None and not os.environ.get("DX_PURE_PYTHON"):
-    _active = _c_kernel
-    KERNEL_BACKEND = "c"
-else:
-    _active = _py_kernel
-    KERNEL_BACKEND = "python"
-
-
-def backends():
-    """Name -> find_hom for every importable backend."""
-    out = {"python": _py_kernel.find_hom}
-    if _c_kernel is not None:
-        out["c"] = _c_kernel.find_hom
-    return out
-
-
-def set_backend(name):
-    """Switch the active backend ('python' or 'c'); returns previous name."""
-    global _active, KERNEL_BACKEND
-    prev = KERNEL_BACKEND
-    if name == "python":
-        _active = _py_kernel
-    elif name == "c":
-        if _c_kernel is None:
-            raise ValueError("compiled kernel is not available")
-        _active = _c_kernel
-    else:
-        raise ValueError(f"unknown kernel backend: {name!r}")
-    KERNEL_BACKEND = name
-    return prev
-
 
 def find_hom(pattern, target, nvars, injective=False, allowed=None):
-    return _active.find_hom(pattern, target, nvars, injective, allowed)
+    """Search for an assignment of the pattern variables into the target.
+
+    pattern: sequence of (relation, args) with int args, negatives = vars.
+    target:  sequence of (relation, args) with args >= 0.
+    nvars:   number of distinct variables in the pattern.
+    injective: require pairwise-distinct variable values.
+    allowed: optional set of codes variables may take.
+
+    All facts of one relation must have the same arity (callers encode
+    schema-checked instances, so this holds by construction).
+
+    Returns the assignment as a list of length nvars, or None.  The
+    search is deterministic: pattern facts are matched in the given
+    order, candidate target facts are tried in the given order.
+    """
+    index = {}
+    for rel, args in target:
+        index.setdefault(rel, []).append(args)
+    n = len(pattern)
+    cands = []
+    for rel, _args in pattern:
+        lst = index.get(rel)
+        if not lst:
+            return None
+        cands.append(lst)
+    if n == 0:
+        return [-1] * nvars
+
+    asn = [-1] * nvars
+    used = set()
+    pos = [0] * n
+    trail = [()] * n
+    i = 0
+    while True:
+        lst = cands[i]
+        args = pattern[i][1]
+        k = len(args)
+        ci = pos[i]
+        advanced = False
+        while ci < len(lst):
+            cand = lst[ci]
+            ci += 1
+            bound = []
+            ok = True
+            for j in range(k):
+                a = args[j]
+                c = cand[j]
+                if a >= 0:
+                    if a != c:
+                        ok = False
+                        break
+                else:
+                    v = -1 - a
+                    cur = asn[v]
+                    if cur < 0:
+                        if allowed is not None and c not in allowed:
+                            ok = False
+                            break
+                        if injective and c in used:
+                            ok = False
+                            break
+                        asn[v] = c
+                        if injective:
+                            used.add(c)
+                        bound.append(v)
+                    elif cur != c:
+                        ok = False
+                        break
+            if not ok:
+                for v in bound:
+                    if injective:
+                        used.discard(asn[v])
+                    asn[v] = -1
+                continue
+            pos[i] = ci
+            trail[i] = tuple(bound)
+            advanced = True
+            break
+        if advanced:
+            i += 1
+            if i == n:
+                return list(asn)
+            pos[i] = 0
+            continue
+        # frame exhausted: undo the previous frame's bindings and retry it
+        i -= 1
+        if i < 0:
+            return None
+        for v in trail[i]:
+            if injective:
+                used.discard(asn[v])
+            asn[v] = -1
 
 
 def order_pattern(pattern):

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from dx.model import Const, MappingError, Schema
+from dx.model import Const, MappingError, Schema, quote
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,7 +447,7 @@ def decompose(m: SchemaMapping) -> SchemaMapping:
 def format_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    return "'" + t.text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    return quote(t.text)
 
 
 def format_formula(f: Formula, prec: int = 0) -> str:

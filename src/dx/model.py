@@ -545,27 +545,102 @@ def instances_isomorphic(i: Instance, j: Instance) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Tokens and quoted constants, shared by the fact-file and mapping readers.
+
+class Lexer:
+    """Splits text into (kind, text, line, col) tokens.
+
+    `token_re` is an alternation of named groups; the group that matched
+    names the token kind, and tokens of kind "ws" (whitespace and
+    comments) are dropped.
+    """
+
+    def __init__(self, text: str, token_re: re.Pattern):
+        self.tokens = []
+        line, col, pos = 1, 1, 0
+        while pos < len(text):
+            m = token_re.match(text, pos)
+            if not m:
+                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            kind = m.lastgroup
+            tok = m.group(0)
+            if kind != "ws":
+                self.tokens.append((kind, tok, line, col))
+            newlines = tok.count("\n")
+            if newlines:
+                line += newlines
+                col = len(tok) - tok.rfind("\n")
+            else:
+                col += len(tok)
+            pos = m.end()
+        self.i = 0
+
+    def peek(self, ahead: int = 0):
+        i = self.i + ahead
+        return self.tokens[i] if i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.i += 1
+        return tok
+
+    def error(self, msg):
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
+            raise ParseError(f"{msg} at end of input", last[2], last[3])
+        raise ParseError(f"{msg}, got {tok[1]!r}", tok[2], tok[3])
+
+    def expect(self, value):
+        tok = self.peek()
+        if tok is None or tok[1] != value:
+            self.error(f"expected {value!r}")
+        return self.next()
+
+    def accept(self, value):
+        tok = self.peek()
+        if tok is not None and tok[1] == value:
+            self.next()
+            return True
+        return False
+
+
+def quote(text: str) -> str:
+    """Constant text as a single-quoted token; `quoted_const` inverts it."""
+    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def quoted_const(tok) -> Const:
+    """The constant written by a quoted token, or a ParseError at it."""
+    body = tok[1][1:-1].replace("\\'", "'").replace("\\\\", "\\")
+    if not body:
+        raise ParseError("empty constant", tok[2], tok[3])
+    try:
+        return Const(body)
+    except ValueError as exc:
+        raise ParseError(str(exc), tok[2], tok[3]) from None
+
+
+# ---------------------------------------------------------------------------
 # Fact files: one fact per line, `R(a, b).`, nulls as ?N1 / ?f(a,b).
 
 _BARE = re.compile(r"[A-Za-z0-9_]+\Z")
-_TOKEN = re.compile(
-    r"""\s*(?:(?P<comment>\#[^\n]*)
-        |(?P<punct>[().,])
-        |(?P<null>\?[A-Za-z_][A-Za-z0-9_]*)
-        |(?P<bare>[A-Za-z0-9_]+)
-        |(?P<quoted>'(?:[^'\\]|\\.)*')
-        )""",
+_FACT_TOKEN = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+       |(?P<punct>[().,])
+       |(?P<null>\?[A-Za-z_][A-Za-z0-9_]*)
+       |(?P<bare>[A-Za-z0-9_]+)
+       |(?P<quoted>'(?:[^'\\]|\\.)*')
+    """,
     re.VERBOSE,
 )
-
-
-def _quote(text: str) -> str:
-    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+_FRESH = re.compile(r"N([0-9]+)\Z")
 
 
 def format_value(v: Value) -> str:
     if isinstance(v, Const):
-        return v.text if _BARE.match(v.text) else _quote(v.text)
+        return v.text if _BARE.match(v.text) else quote(v.text)
     if isinstance(v, FreshNull):
         return f"?N{v.id}"
     inner = ", ".join(format_value(a) for a in v.args)
@@ -580,112 +655,56 @@ def format_facts(inst: Instance) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _FactReader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, s: str):
-        for ch in s:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += len(s)
-
-    def next_token(self):
-        while True:
-            ws = re.match(r"\s+", self.text[self.pos:])
-            if ws:
-                self._advance(ws.group(0))
-            if self.pos >= len(self.text):
-                return None
-            m = _TOKEN.match(self.text, self.pos)
-            if not m:
-                raise ParseError(
-                    f"unexpected character {self.text[self.pos]!r}",
-                    self.line,
-                    self.col,
-                )
-            self._advance(m.group(0))
-            if m.lastgroup == "comment":
-                continue
-            return m.lastgroup, m.group(m.lastgroup)
-
-    def expect(self, kind, value=None):
-        tok = self.next_token()
-        if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
-            got = "end of input" if tok is None else repr(tok[1])
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want}, got {got}", self.line, self.col)
-        return tok[1]
+def _read_args(lex: Lexer) -> tuple:
+    lex.expect("(")
+    args = []
+    if not lex.accept(")"):
+        args.append(_read_value(lex))
+        while lex.accept(","):
+            args.append(_read_value(lex))
+        lex.expect(")")
+    return tuple(args)
 
 
-def _read_value(rd: _FactReader, tok) -> Value:
-    kind, text = tok
+def _read_value(lex: Lexer) -> Value:
+    tok = lex.peek()
+    if tok is None or tok[0] not in ("bare", "quoted", "null"):
+        lex.error("expected a value")
+    lex.next()
+    kind, text, line, col = tok
     if kind == "bare":
         return Const(text)
     if kind == "quoted":
-        body = text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
-        if not body:
-            raise ParseError("empty constant", rd.line, rd.col)
-        return Const(body)
-    if kind == "null":
-        name = text[1:]
-        m = re.fullmatch(r"N([0-9]+)", name)
-        nxt_is_paren = re.match(r"\s*\(", rd.text[rd.pos:])
-        if m and not nxt_is_paren:
+        return quoted_const(tok)
+    name = text[1:]
+    m = _FRESH.match(name)
+    nxt = lex.peek()
+    if m and (nxt is None or nxt[1] != "("):
+        try:
             return FreshNull(int(m.group(1)))
-        rd.expect("punct", "(")
-        args = []
-        tok = rd.next_token()
-        if tok == ("punct", ")"):
-            return SkolemNull(name, ())
-        while True:
-            args.append(_read_value(rd, tok))
-            tok = rd.next_token()
-            if tok == ("punct", ")"):
-                return SkolemNull(name, tuple(args))
-            if tok != ("punct", ","):
-                raise ParseError("expected ',' or ')'", rd.line, rd.col)
-            tok = rd.next_token()
-    raise ParseError(f"unexpected token {text!r}", rd.line, rd.col)
+        except ValueError as exc:
+            raise ParseError(str(exc), line, col) from None
+    return SkolemNull(name, _read_args(lex))
 
 
 def parse_facts(text: str, schema: Schema) -> Instance:
     """Read a fact file into an instance over the given schema."""
-    rd = _FactReader(text)
+    lex = Lexer(text, _FACT_TOKEN)
     facts = []
-    while True:
-        tok = rd.next_token()
-        if tok is None:
-            break
+    while (tok := lex.peek()) is not None:
         if tok[0] != "bare":
-            raise ParseError(f"expected relation name, got {tok[1]!r}", rd.line, rd.col)
-        rel = tok[1]
-        rd.expect("punct", "(")
-        args = []
-        tok = rd.next_token()
-        if tok != ("punct", ")"):
-            while True:
-                args.append(_read_value(rd, tok))
-                tok = rd.next_token()
-                if tok == ("punct", ")"):
-                    break
-                if tok != ("punct", ","):
-                    raise ParseError("expected ',' or ')'", rd.line, rd.col)
-                tok = rd.next_token()
-        rd.expect("punct", ".")
+            lex.error("expected relation name")
+        lex.next()
+        _kind, rel, line, col = tok
+        args = _read_args(lex)
+        lex.expect(".")
         if rel not in schema:
-            raise ParseError(f"undeclared relation {rel}", rd.line, rd.col)
+            raise ParseError(f"undeclared relation {rel}", line, col)
         if len(args) != schema.arity(rel):
             raise ParseError(
                 f"arity mismatch for {rel}: expected {schema.arity(rel)}, got {len(args)}",
-                rd.line,
-                rd.col,
+                line,
+                col,
             )
-        facts.append(Fact(rel, tuple(args)))
+        facts.append(Fact(rel, args))
     return Instance(schema, facts)

@@ -31,7 +31,7 @@ from dx.lang import (
     TrueF,
     Var,
 )
-from dx.model import Const, MappingError, ParseError, Schema
+from dx.model import Lexer, MappingError, ParseError, Schema, quoted_const
 
 _KEYWORDS = {"source", "target", "tgd", "exists", "forall", "true", "certain"}
 
@@ -47,59 +47,8 @@ _TOKEN = re.compile(
 )
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.tokens = []
-        line, col, pos = 1, 1, 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            tok = m.group(0)
-            if kind != "ws":
-                self.tokens.append((kind, tok, line, col))
-            for ch in tok:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def error(self, msg):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
-            raise ParseError(f"{msg} at end of input", last[2], last[3])
-        raise ParseError(f"{msg}, got {tok[1]!r}", tok[2], tok[3])
-
-    def expect(self, value):
-        tok = self.peek()
-        if tok is None or tok[1] != value:
-            self.error(f"expected {value!r}")
-        return self.next()
-
-    def accept(self, value):
-        tok = self.peek()
-        if tok is not None and tok[1] == value:
-            self.next()
-            return True
-        return False
-
-
 class _FormulaParser:
-    def __init__(self, lex: _Lexer, schema_lookup):
+    def __init__(self, lex: Lexer, schema_lookup):
         self.lex = lex
         self.schema_lookup = schema_lookup  # rel name -> arity, raises on unknown
 
@@ -181,13 +130,7 @@ class _FormulaParser:
             self.lex.error("expected a term")
         if tok[0] == "quoted":
             self.lex.next()
-            body = tok[1][1:-1].replace("\\'", "'").replace("\\\\", "\\")
-            if not body:
-                raise ParseError("empty constant", tok[2], tok[3])
-            try:
-                return Const(body)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok[2], tok[3]) from None
+            return quoted_const(tok)
         if tok[0] == "ident" and tok[1] not in _KEYWORDS:
             if not tok[1][0].islower():
                 self.lex.error(
@@ -202,7 +145,7 @@ class _FormulaParser:
         if tok is None:
             self.lex.error("expected an atom")
         if tok[0] == "ident" and tok[1] not in _KEYWORDS:
-            nxt = self.lex.tokens[self.lex.i + 1] if self.lex.i + 1 < len(self.lex.tokens) else None
+            nxt = self.lex.peek(1)
             if nxt and nxt[1] == "(":
                 rel_tok = self.lex.next()
                 self.lex.expect("(")
@@ -230,7 +173,7 @@ class _FormulaParser:
         return Eq(left, right) if op[1] == "=" else Lt(left, right)
 
 
-def _parse_decls(lex: _Lexer):
+def _parse_decls(lex: Lexer):
     rels = {}
     while True:
         tok = lex.peek()
@@ -253,7 +196,7 @@ def _parse_decls(lex: _Lexer):
 
 def parse_mapping(text: str) -> SchemaMapping:
     """Parse the mapping DSL into a schema mapping."""
-    lex = _Lexer(text)
+    lex = Lexer(text, _TOKEN)
     source: dict = {}
     target: dict = {}
     tgds = []
@@ -341,7 +284,7 @@ def _rel_atoms(f: Formula):
 
 def parse_formula(text: str, schema: Schema) -> Formula:
     """Parse a standalone formula against one schema (used for queries)."""
-    lex = _Lexer(text)
+    lex = Lexer(text, _TOKEN)
 
     def lookup(rel, line, col):
         if rel in schema:

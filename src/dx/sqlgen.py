@@ -301,14 +301,19 @@ def read_source_csv(schema: Schema, directory: str) -> Instance:
         if not os.path.exists(path):
             continue
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row:
                     continue
+                where = f"{path}: row {reader.line_num}"
                 if len(row) != arity:
                     raise MappingError(
-                        f"{path}: expected {arity} columns, got {len(row)}"
+                        f"{where}: expected {arity} columns, got {len(row)}"
                     )
-                facts.append(Fact(name, tuple(Const(v) for v in row)))
+                try:
+                    facts.append(Fact(name, tuple(Const(v) for v in row)))
+                except ValueError as exc:
+                    raise MappingError(f"{where}: {exc}") from None
     return Instance(schema, facts)
 
 

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +178,28 @@ def test_env_seed_default(capsys, tmp_path, double_map, monkeypatch):
     monkeypatch.setenv("DX_SEED", "99")
     code, out, _ = run(capsys, "verify", "laconic", "-m", double_map, "--samples", "5")
     assert "seed=99" in out
+
+
+@pytest.mark.parametrize(
+    "facts, where, message",
+    [
+        ("P(a).\nP('@x').\n", "2:3", "may not start with '@'"),
+        ("P(?N0).\n", "1:3", "fresh null id must be positive"),
+    ],
+)
+def test_bad_fact_file_is_a_positioned_parse_error(tmp_path, double_map, facts, where, message):
+    path = tmp_path / "bad.facts"
+    path.write_text(facts, encoding="utf-8")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dx.cli", "chase", "-m", double_map, "-i", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"dx: {where}: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from helpers import inst
+from hypothesis import given, settings, strategies as st
 
 from dx.evaluator import eval_formula, ground_answers, holds
 from dx.lang import (
@@ -13,6 +14,8 @@ from dx.lang import (
     Not,
     Or,
     RelAtom,
+    SchemaMapping,
+    TGD,
     TRUE,
     Var,
     conj,
@@ -87,6 +90,22 @@ def test_quoted_constants():
     assert f.args[1] == Const("hello world")
     with pytest.raises(ParseError):
         parse_formula("R(x, '@bad')", PR)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.text(alphabet="abcxyz_09' \\,()#", min_size=1, max_size=8).filter(
+        lambda t: not t.startswith("@")
+    )
+)
+def test_quoted_constant_round_trip(text):
+    x = Var("x")
+    m = SchemaMapping(
+        Schema({"P": 1}),
+        Schema({"R": 2}),
+        (TGD(And((RelAtom("P", (x,)), Eq(x, Const(text)))), (), (RelAtom("R", (x, x)),)),),
+    )
+    assert parse_mapping(format_mapping(m)) == m
 
 
 def test_round_trip_fixture_mappings():

@@ -222,7 +222,7 @@ def test_is_core_invariant_under_renaming():
 _values = st.recursive(
     st.one_of(
         st.text(
-            alphabet="abcxyz_09' ",
+            alphabet="abcxyz_09' \\,()#",
             min_size=1,
             max_size=6,
         ).filter(lambda t: not t.startswith("@")).map(Const),
@@ -245,12 +245,24 @@ def test_fact_file_round_trip(pairs):
 def test_fact_file_rejects_garbage():
     from dx.model import ParseError
 
-    with pytest.raises(ParseError):
-        parse_facts("S(a b).", S2)
-    with pytest.raises(ParseError):
-        parse_facts("S(a).", S2)
-    with pytest.raises(ParseError):
-        parse_facts("Q(a, b).", S2)
+    for text, error in [
+        ("S(a b).", r"1:5: expected '\)', got 'b'"),
+        ("S(a).", r"1:1: arity mismatch for S"),
+        ("Q(a, b).", r"1:1: undeclared relation Q"),
+        ("S(a, b).\n# two\nS(a, ?N0).\n", r"3:6: fresh null id must be positive"),
+        ("S(a, b).\nS('@x', b).", r"2:3: constant text may not start with '@'"),
+        ("S('', b).", r"1:3: empty constant"),
+    ]:
+        with pytest.raises(ParseError, match="^" + error):
+            parse_facts(text, S2)
+
+
+def test_fact_file_null_lookahead():
+    i = parse_facts("S(?N1 , ?N1 (a)).\nS(12ab, ?g\n()).", S2)
+    assert i.facts == frozenset({
+        Fact("S", (FreshNull(1), SkolemNull("N1", (Const("a"),)))),
+        Fact("S", (Const("12ab"), SkolemNull("g", ()))),
+    })
 
 
 def test_fact_file_comments_and_quotes():

@@ -275,3 +275,10 @@ def test_csv_missing_file_is_empty_relation(tmp_path):
     (tmp_path / "R.csv").unlink()
     back = read_source_csv(PR, str(tmp_path))
     assert back.by_rel.get("R") is None
+
+
+@pytest.mark.parametrize("row", ["@y,b", "a,"])
+def test_csv_bad_cell_names_file_and_row(tmp_path, row):
+    (tmp_path / "R.csv").write_text(f"a,b\n{row}\n", encoding="utf-8")
+    with pytest.raises(MappingError, match=r"R\.csv: row 2: constant text"):
+        read_source_csv(PR, str(tmp_path))
