@@ -28,13 +28,13 @@ from dx.lang import (
 )
 from dx.model import (
     Const,
+    Encoding,
     Fact,
     Instance,
     MappingError,
     PatternVar,
     Schema,
     SkolemNull,
-    match_pattern,
     value_key,
 )
 
@@ -182,6 +182,7 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
         raise MappingError("chase input must be null-free")
     _require_chaseable(m)
     facts: set = set()
+    built = Encoding()  # `facts`, indexed for the consequent checks
     for d, tgd in enumerate(m.tgds):
         params = tgd.universal_vars
         rows = sorted(
@@ -203,20 +204,18 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
                 )
                 for atom in tgd.consequent
             ]
-            if match_pattern(pattern, facts) is not None:
+            if built.search(pattern) is not None:
                 continue
             for i, y in enumerate(tgd.exist_vars):
                 env[y] = SkolemNull(_skolem_symbol(d, i), row)
             for atom in tgd.consequent:
-                facts.add(
-                    Fact(
-                        atom.rel,
-                        tuple(
-                            env[a.name] if isinstance(a, Var) else a
-                            for a in atom.args
-                        ),
-                    )
+                fact = Fact(
+                    atom.rel,
+                    tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args),
                 )
+                if fact not in facts:
+                    facts.add(fact)
+                    built.add(fact)
     return Instance(m.target, facts)
 
 

@@ -8,16 +8,18 @@ into `find_hom`.
 
 Encoding convention: argument codes >= 0 are fixed values and must match
 target codes exactly; a code a < 0 denotes variable number (-1 - a).
+Targets come prebuilt as an index from relation to its rows (tuples of
+codes), so callers that search one fact set many times encode it once.
 """
 
 from __future__ import annotations
 
 
-def find_hom(pattern, target, nvars, injective=False, allowed=None):
+def find_hom(pattern, index, nvars, injective=False, allowed=None):
     """Search for an assignment of the pattern variables into the target.
 
     pattern: sequence of (relation, args) with int args, negatives = vars.
-    target:  sequence of (relation, args) with args >= 0.
+    index:   mapping relation -> sequence of target rows, args >= 0.
     nvars:   number of distinct variables in the pattern.
     injective: require pairwise-distinct variable values.
     allowed: optional set of codes variables may take.
@@ -27,11 +29,8 @@ def find_hom(pattern, target, nvars, injective=False, allowed=None):
 
     Returns the assignment as a list of length nvars, or None.  The
     search is deterministic: pattern facts are matched in the given
-    order, candidate target facts are tried in the given order.
+    order, candidate target rows are tried in their index order.
     """
-    index = {}
-    for rel, args in target:
-        index.setdefault(rel, []).append(args)
     n = len(pattern)
     cands = []
     for rel, _args in pattern:
@@ -52,8 +51,9 @@ def find_hom(pattern, target, nvars, injective=False, allowed=None):
         args = pattern[i][1]
         k = len(args)
         ci = pos[i]
+        end = len(lst)
         advanced = False
-        while ci < len(lst):
+        while ci < end:
             cand = lst[ci]
             ci += 1
             bound = []

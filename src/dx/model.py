@@ -8,6 +8,7 @@ Skolem terms over values.  Everything here is immutable and hashable.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -248,35 +249,39 @@ def blocks(inst: Instance) -> list[Instance]:
 
     Ground facts are isolated components.
     """
-    parent: dict = {}
+    _enc, rows, null = _encoded(inst)
+    fs = inst.facts_sorted
+    return [
+        Instance(inst.schema, [fs[i] for i in comp])
+        for comp in _components(range(len(rows)), rows, null)
+    ]
+
+
+def _components(positions, rows, null) -> list[list[int]]:
+    """The blocks among rows[p] for p in `positions` (ascending): lists
+    of positions joined by shared null codes, ordered by first position.
+    """
+    parent = {p: p for p in positions}
 
     def find(x):
-        while parent[x] is not x:
+        while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[rb] = ra
-
-    for f in inst.facts_sorted:
-        parent[f] = f
     anchor: dict = {}
-    for f in inst.facts_sorted:
-        for a in f.args:
-            if is_null(a):
-                if a in anchor:
-                    union(anchor[a], f)
-                else:
-                    anchor[a] = f
+    for p in parent:
+        for c in rows[p][1]:
+            if null[c]:
+                a = anchor.setdefault(c, p)
+                if a != p:
+                    ra, rb = find(a), find(p)
+                    if ra != rb:
+                        parent[rb] = ra
     groups: dict = {}
-    for f in inst.facts_sorted:
-        groups.setdefault(find(f), []).append(f)
-    comps = [Instance(inst.schema, fs) for fs in groups.values()]
-    comps.sort(key=lambda c: fact_key(c.facts_sorted[0]))
-    return comps
+    for p in parent:
+        groups.setdefault(find(p), []).append(p)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +292,57 @@ class PatternVar:
     """Placeholder for an unknown value inside a search pattern."""
 
     name: object
+
+
+class Encoding:
+    """Values as integer codes, and facts as per-relation rows of codes.
+
+    Codes are handed out in order of first appearance, and each
+    relation's rows keep insertion order, which is the order the kernel
+    tries them in.  `rows` is the kernel's target index; it may grow
+    between searches.
+    """
+
+    __slots__ = ("codes", "values", "rows")
+
+    def __init__(self, facts: Iterable[Fact] = ()):
+        self.codes: dict = {}
+        self.values: list = []
+        self.rows: dict[str, list] = {}
+        for f in facts:
+            self.add(f)
+
+    def code(self, v: Value) -> int:
+        c = self.codes.get(v)
+        if c is None:
+            c = self.codes[v] = len(self.values)
+            self.values.append(v)
+        return c
+
+    def add(self, f: Fact) -> tuple:
+        row = tuple(self.code(a) for a in f.args)
+        self.rows.setdefault(f.rel, []).append(row)
+        return row
+
+    def search(self, pattern, *, injective=False, nulls_only=False) -> Optional[dict]:
+        """`match_pattern` against the facts added so far."""
+        var_ids: dict = {}
+        pat = []
+        for rel, args in pattern:
+            pat.append((rel, tuple(
+                -1 - var_ids.setdefault(a, len(var_ids))
+                if isinstance(a, PatternVar) else self.code(a)
+                for a in args
+            )))
+        allowed = None
+        if nulls_only:
+            allowed = frozenset(c for c, v in enumerate(self.values) if is_null(v))
+        asn = kernel.find_hom(
+            kernel.order_pattern(pat), self.rows, len(var_ids), injective, allowed
+        )
+        if asn is None:
+            return None
+        return {var: self.values[asn[idx]] for var, idx in var_ids.items() if asn[idx] >= 0}
 
 
 def match_pattern(
@@ -307,49 +363,9 @@ def match_pattern(
     """
     if not presorted:
         target_facts = sorted(target_facts, key=fact_key)
-    rel_ids: dict[str, int] = {}
-    val_codes: dict = {}
-    code_vals: list = []
-
-    def rel_id(r):
-        if r not in rel_ids:
-            rel_ids[r] = len(rel_ids)
-        return rel_ids[r]
-
-    def val_code(v):
-        if v not in val_codes:
-            val_codes[v] = len(code_vals)
-            code_vals.append(v)
-        return val_codes[v]
-
-    tgt = tuple(
-        (rel_id(f.rel), tuple(val_code(a) for a in f.args)) for f in target_facts
+    return Encoding(target_facts).search(
+        pattern, injective=injective, nulls_only=nulls_only
     )
-    n_target_codes = len(code_vals)
-
-    var_ids: dict = {}
-    pat = []
-    for rel, args in pattern:
-        enc = []
-        for a in args:
-            if isinstance(a, PatternVar):
-                if a not in var_ids:
-                    var_ids[a] = len(var_ids)
-                enc.append(-1 - var_ids[a])
-            else:
-                enc.append(val_code(a))
-        pat.append((rel_id(rel), tuple(enc)))
-
-    allowed = None
-    if nulls_only:
-        allowed = frozenset(
-            c for c in range(n_target_codes) if is_null(code_vals[c])
-        )
-    pat = kernel.order_pattern(pat)
-    asn = kernel.find_hom(pat, tgt, len(var_ids), injective, allowed)
-    if asn is None:
-        return None
-    return {var: code_vals[asn[idx]] for var, idx in var_ids.items() if asn[idx] >= 0}
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +426,42 @@ def find_homomorphism(i: Instance, j: Instance) -> Optional[Homomorphism]:
 # ---------------------------------------------------------------------------
 # Cores.
 
-def _block_fold(block: Instance, ordered_facts: tuple) -> Optional[dict]:
-    """A map of the block's nulls into values of the instance whose
-    image misses at least one fact of the block, or None.
+def _encoded(inst: Instance):
+    """The instance's encoding, its facts as (relation, row) pairs in
+    canonical order, and a null flag per code."""
+    enc = Encoding()
+    rows = [(f.rel, enc.add(f)) for f in inst.facts_sorted]
+    return enc, rows, [is_null(v) for v in enc.values]
+
+
+def _block_fold(block, rows, index, null) -> Optional[dict]:
+    """A map of the block's null codes into codes of the instance whose
+    image misses at least one row of the block, or None.
+
+    `block` lists positions into `rows`; `index` holds the instance's
+    rows per relation in canonical order.
     """
-    pattern = _pattern_of(block)
-    for gone in block.facts_sorted:
-        target = [f for f in ordered_facts if f != gone]
-        asn = match_pattern(pattern, target, presorted=True)
-        if asn is None:
-            continue
-        return {pv.name: val for pv, val in asn.items()}
+    var: dict = {}
+    pattern = kernel.order_pattern([
+        (rel, tuple(-1 - var.setdefault(c, len(var)) if null[c] else c for c in row))
+        for rel, row in (rows[p] for p in block)
+    ])
+    for p in block:
+        rel, gone = rows[p]
+        target = dict(index)
+        target[rel] = [r for r in index[rel] if r != gone]
+        asn = kernel.find_hom(pattern, target, len(var))
+        if asn is not None:
+            return {c: asn[v] for c, v in var.items()}
     return None
+
+
+def _null_blocks(rows, null) -> list[list[int]]:
+    """The blocks that hold a null; a ground fact never folds."""
+    return [
+        b for b in _components(range(len(rows)), rows, null)
+        if any(null[c] for c in rows[b[0]][1])
+    ]
 
 
 def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
@@ -431,52 +471,62 @@ def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
     into the rest of the instance (or into fewer of its own facts); the
     fixpoint has no proper retracts.  Exponential in block size, which
     is small in this engine's workloads.
+
+    One pass over the blocks in canonical order, on one integer encoding
+    (the blocks algorithm of Fagin, Kolaitis and Popa): a fold sends the
+    instance to a subinstance that lacks only facts of the folded block,
+    and a block that cannot fold into an instance cannot fold into a
+    subinstance, so the scan resumes at the pieces of the folded block.
     """
-    current = j
-    comp = {v: v for v in j.dom}
-    while True:
-        reduced = False
-        ordered = current.facts_sorted
-        for block in blocks(current):
-            if not any(is_null(a) for f in block.facts for a in f.args):
-                continue
-            fold = _block_fold(block, ordered)
-            if fold is None:
-                continue
-            step = {v: fold.get(v, v) for v in current.dom}
-            current = Instance(
-                current.schema,
-                {Fact(f.rel, tuple(step[a] for a in f.args)) for f in current.facts},
-            )
-            comp = {v: step.get(m, m) for v, m in comp.items()}
-            reduced = True
-            break
-        if not reduced:
-            break
-    # comp: j -> current is a homomorphism but need not fix the core
+    enc, rows, null = _encoded(j)
+    index = enc.rows
+    comp = list(range(len(enc.values)))
+    todo = _null_blocks(rows, null)
+    k = 0
+    while k < len(todo):
+        block = todo[k]
+        fold = _block_fold(block, rows, index, null)
+        if fold is None:
+            k += 1
+            continue
+        facts = [rows[p] for p in block]
+        image = {(rel, tuple(fold.get(c, c) for c in row)) for rel, row in facts}
+        dead = set(facts) - image
+        for rel in {rel for rel, _row in dead}:
+            index[rel] = [r for r in index[rel] if (rel, r) not in dead]
+        comp = [fold.get(c, c) for c in comp]
+        kept = [p for p in block if rows[p] not in dead]
+        del todo[k]
+        for piece in _components(kept, rows, null):
+            bisect.insort(todo, piece, lo=k, key=lambda b: b[0])
+    # comp: j -> core is a homomorphism but need not fix the core
     # pointwise; its restriction to the core is an automorphism e, so
     # composing with e^(order-1) yields a true retraction.
-    e = {v: comp[v] for v in current.dom}
+    core_dom = {c for lst in index.values() for row in lst for c in row}
+    e = {c: comp[c] for c in core_dom}
     order = 1
     p = dict(e)
-    while any(p[v] != v for v in current.dom):
-        p = {v: e[p[v]] for v in current.dom}
+    while any(p[c] != c for c in core_dom):
+        p = {c: e[p[c]] for c in core_dom}
         order += 1
-    retr = dict(comp)
+    retr = comp
     for _ in range(order - 1):
-        retr = {v: e[w] for v, w in retr.items()}
-    return current, Homomorphism(retr)
+        retr = [e[c] for c in retr]
+    values = enc.values
+    core = Instance(j.schema, [
+        Fact(rel, tuple(values[c] for c in row))
+        for rel, lst in index.items() for row in lst
+    ])
+    return core, Homomorphism({v: values[retr[enc.codes[v]]] for v in j.dom})
 
 
 def is_core(j: Instance) -> bool:
     """True iff no block of j folds into the rest of the instance."""
-    ordered = j.facts_sorted
-    for block in blocks(j):
-        if not any(is_null(a) for f in block.facts for a in f.args):
-            continue
-        if _block_fold(block, ordered) is not None:
-            return False
-    return True
+    enc, rows, null = _encoded(j)
+    return all(
+        _block_fold(block, rows, enc.rows, null) is None
+        for block in _null_blocks(rows, null)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +602,9 @@ class Lexer:
 
     `token_re` is an alternation of named groups; the group that matched
     names the token kind, and tokens of kind "ws" (whitespace and
-    comments) are dropped.
+    comments) are dropped.  A character no group matches ends the tokens
+    with one "error" token, which raises once the parser reaches it, so
+    errors are reported in file order.
     """
 
     def __init__(self, text: str, token_re: re.Pattern):
@@ -561,7 +613,8 @@ class Lexer:
         while pos < len(text):
             m = token_re.match(text, pos)
             if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+                self.tokens.append(("error", text[pos], line, col))
+                break
             kind = m.lastgroup
             tok = m.group(0)
             if kind != "ws":
@@ -582,6 +635,8 @@ class Lexer:
     def next(self):
         tok = self.peek()
         if tok is not None:
+            if tok[0] == "error":
+                self.error("")
             self.i += 1
         return tok
 
@@ -590,6 +645,8 @@ class Lexer:
         if tok is None:
             last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
             raise ParseError(f"{msg} at end of input", last[2], last[3])
+        if tok[0] == "error":
+            raise ParseError(f"unexpected character {tok[1]!r}", tok[2], tok[3])
         raise ParseError(f"{msg}, got {tok[1]!r}", tok[2], tok[3])
 
     def expect(self, value):

@@ -4,8 +4,8 @@ The dialect is SQLite-compatible: all columns are TEXT with binary
 collation, so `<` on columns agrees with the engine's constant order.
 Labeled nulls are encoded as tagged text `@f(arg,...)` rather than SQL
 NULL (SQL NULL's three-valued semantics would break labeled-null
-identity).  Constants therefore may not start with `@`; round-tripping
-through SQL additionally assumes constants avoid `(`, `)` and `,`.
+identity).  Constants therefore may not start with `@`; inside a null's
+arguments, `\\`, `,`, `(` and `)` are escaped with a backslash.
 """
 
 from __future__ import annotations
@@ -33,72 +33,73 @@ from dx.lang import (
 from dx.model import Const, Fact, Instance, MappingError, Schema, SkolemNull, Value
 
 
+# Inside a null's arguments a constant's `\`, `,`, `(` and `)` get a
+# backslash, so its text never reads as structure.  Backslash goes first.
+_ESCAPES = tuple((ch, "\\" + ch) for ch in "\\,()")
+
+
 def encode_value(v: Value) -> str:
-    """Text encoding: constants verbatim, Skolem nulls as @f(arg,...)."""
+    """Text encoding: constants verbatim, Skolem nulls as @f(arg,...)
+    with `\\`, `,`, `(` and `)` escaped in constant arguments."""
     if isinstance(v, Const):
         return v.text
     if isinstance(v, SkolemNull):
-        return "@" + v.symbol + "(" + ",".join(encode_value(a) for a in v.args) + ")"
+        return "@" + v.symbol + "(" + ",".join(map(_encode_arg, v.args)) + ")"
     raise MappingError(f"value has no SQL encoding: {v!r}")
+
+
+def _encode_arg(v: Value) -> str:
+    if not isinstance(v, Const):
+        return encode_value(v)
+    text = v.text
+    for ch, esc in _ESCAPES:
+        text = text.replace(ch, esc)
+    return text
 
 
 def decode_value(text: str) -> Value:
     """Exact inverse of encode_value on its image."""
     if not text.startswith("@"):
         return Const(text)
-    value, rest = _decode_term(text)
-    if rest:
-        raise ValueError(f"trailing text after null encoding: {rest!r}")
+    value, end = _decode_term(text, 0)
+    if end < len(text):
+        raise ValueError(f"trailing text after null encoding: {text[end:]!r}")
     return value
 
 
-def _decode_term(text: str):
-    if not text.startswith("@"):
+def _decode_term(text: str, i: int):
+    """The Skolem term encoded at text[i] == '@', and the index after it."""
+    open_idx = text.find("(", i)
+    if open_idx <= i + 1:
         raise ValueError(f"malformed null encoding: {text!r}")
-    open_idx = text.find("(")
-    if open_idx <= 1:
-        raise ValueError(f"malformed null encoding: {text!r}")
-    symbol = text[1:open_idx]
-    rest = text[open_idx + 1 :]
+    symbol = text[i + 1 : open_idx]
+    j = open_idx + 1
     args = []
-    buf = []
-    depth = 0
-    i = 0
-    while i < len(rest):
-        ch = rest[i]
-        if ch == "(":
-            depth += 1
-            buf.append(ch)
-        elif ch == ")" and depth > 0:
-            depth -= 1
-            buf.append(ch)
-        elif ch == ")" and depth == 0:
-            chunk = "".join(buf)
-            if chunk or args:
-                args.append(chunk)
-            remainder = rest[i + 1 :]
-            values = tuple(
-                _decode_arg(a) for a in args
-            )
-            return SkolemNull(symbol, values), remainder
-        elif ch == "," and depth == 0:
-            args.append("".join(buf))
-            buf = []
+    if text.startswith(")", j):
+        return SkolemNull(symbol, ()), j + 1
+    while True:
+        if text.startswith("@", j):
+            arg, j = _decode_term(text, j)
         else:
-            buf.append(ch)
-        i += 1
-    raise ValueError(f"unbalanced null encoding: {text!r}")
-
-
-def _decode_arg(text: str) -> Value:
-    if not text:
-        raise ValueError("empty argument in null encoding")
-    if text.startswith("@"):
-        value, rest = _decode_term(text)
-        if rest:
-            raise ValueError(f"trailing text in null argument: {rest!r}")
-        return value
-    return Const(text)
+            buf = []
+            while j < len(text) and text[j] not in ",)":
+                if text[j] == "\\":
+                    j += 1
+                elif text[j] == "(":
+                    raise ValueError(f"unescaped '(' in null encoding: {text!r}")
+                buf.append(text[j:j + 1])
+                j += 1
+            if not buf:
+                raise ValueError("empty argument in null encoding")
+            arg = Const("".join(buf))
+        args.append(arg)
+        if j >= len(text):
+            raise ValueError(f"unbalanced null encoding: {text!r}")
+        if text[j] == ")":
+            return SkolemNull(symbol, tuple(args)), j + 1
+        if text[j] != ",":
+            raise ValueError(f"malformed null encoding: {text!r}")
+        j += 1
 
 
 def _sql_quote(text: str) -> str:
@@ -167,7 +168,16 @@ class _SqlBuilder:
             for i, a in enumerate(t.args):
                 if i:
                     pieces.append(_sql_quote(","))
-                pieces.append(self.term(a, env))
+                if isinstance(a, Const):
+                    pieces.append(_sql_quote(_encode_arg(a)))
+                elif isinstance(a, App):
+                    pieces.append(self.term(a, env))
+                else:
+                    # a source value, hence a constant: escape as _encode_arg
+                    sql = self.term(a, env)
+                    for ch, esc in _ESCAPES:
+                        sql = f"replace({sql}, {_sql_quote(ch)}, {_sql_quote(esc)})"
+                    pieces.append(sql)
             pieces.append(_sql_quote(")"))
             return " || ".join(pieces)
         raise TypeError(f"not a term: {t!r}")

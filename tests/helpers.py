@@ -228,3 +228,188 @@ def brute_isomorphic(i: Instance, j: Instance) -> bool:
         if image == j.facts:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference core and restricted-chase paths: the per-call encoding that
+# `compute_core`, `is_core` and `restricted_chase` replaced, kept as an
+# oracle for their encode-once, single-pass versions.
+
+def ref_match_pattern(pattern, target_facts, presorted=False):
+    """Encode the whole target afresh, then search it."""
+    from dx import kernel
+    from dx.model import PatternVar, fact_key
+
+    if not presorted:
+        target_facts = sorted(target_facts, key=fact_key)
+    val_codes: dict = {}
+    code_vals: list = []
+
+    def val_code(v):
+        if v not in val_codes:
+            val_codes[v] = len(code_vals)
+            code_vals.append(v)
+        return val_codes[v]
+
+    index: dict = {}
+    for f in target_facts:
+        index.setdefault(f.rel, []).append(tuple(val_code(a) for a in f.args))
+    var_ids: dict = {}
+    pat = []
+    for rel, args in pattern:
+        enc = []
+        for a in args:
+            if isinstance(a, PatternVar):
+                if a not in var_ids:
+                    var_ids[a] = len(var_ids)
+                enc.append(-1 - var_ids[a])
+            else:
+                enc.append(val_code(a))
+        pat.append((rel, tuple(enc)))
+    asn = kernel.find_hom(kernel.order_pattern(pat), index, len(var_ids))
+    if asn is None:
+        return None
+    return {var: code_vals[asn[idx]] for var, idx in var_ids.items() if asn[idx] >= 0}
+
+
+def ref_blocks(inst: Instance) -> list:
+    """Union-find over the facts themselves, components sorted by first fact."""
+    from dx.model import fact_key, is_null
+
+    parent: dict = {f: f for f in inst.facts_sorted}
+
+    def find(x):
+        while parent[x] is not x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    anchor: dict = {}
+    for f in inst.facts_sorted:
+        for a in f.args:
+            if is_null(a):
+                if a in anchor:
+                    ra, rb = find(anchor[a]), find(f)
+                    if ra is not rb:
+                        parent[rb] = ra
+                else:
+                    anchor[a] = f
+    groups: dict = {}
+    for f in inst.facts_sorted:
+        groups.setdefault(find(f), []).append(f)
+    comps = [Instance(inst.schema, fs) for fs in groups.values()]
+    comps.sort(key=lambda c: fact_key(c.facts_sorted[0]))
+    return comps
+
+
+def _ref_pattern_of(inst: Instance):
+    from dx.model import PatternVar, is_null
+
+    return [
+        (f.rel, tuple(PatternVar(a) if is_null(a) else a for a in f.args))
+        for f in inst.facts_sorted
+    ]
+
+
+def ref_block_fold(block: Instance, ordered_facts: tuple):
+    pattern = _ref_pattern_of(block)
+    for gone in block.facts_sorted:
+        target = [f for f in ordered_facts if f != gone]
+        asn = ref_match_pattern(pattern, target, presorted=True)
+        if asn is not None:
+            return {pv.name: val for pv, val in asn.items()}
+    return None
+
+
+def _ground(block: Instance) -> bool:
+    from dx.model import is_null
+
+    return not any(is_null(a) for f in block.facts for a in f.args)
+
+
+def ref_compute_core(j: Instance):
+    """Fold the first foldable block, then rescan from the first block."""
+    from dx.model import Homomorphism
+
+    current = j
+    comp = {v: v for v in j.dom}
+    while True:
+        reduced = False
+        ordered = current.facts_sorted
+        for block in ref_blocks(current):
+            if _ground(block):
+                continue
+            fold = ref_block_fold(block, ordered)
+            if fold is None:
+                continue
+            step = {v: fold.get(v, v) for v in current.dom}
+            current = Instance(
+                current.schema,
+                {Fact(f.rel, tuple(step[a] for a in f.args)) for f in current.facts},
+            )
+            comp = {v: step.get(m, m) for v, m in comp.items()}
+            reduced = True
+            break
+        if not reduced:
+            break
+    e = {v: comp[v] for v in current.dom}
+    order = 1
+    p = dict(e)
+    while any(p[v] != v for v in current.dom):
+        p = {v: e[p[v]] for v in current.dom}
+        order += 1
+    retr = dict(comp)
+    for _ in range(order - 1):
+        retr = {v: e[w] for v, w in retr.items()}
+    return current, Homomorphism(retr)
+
+
+def ref_is_core(j: Instance) -> bool:
+    ordered = j.facts_sorted
+    return all(
+        _ground(block) or ref_block_fold(block, ordered) is None
+        for block in ref_blocks(j)
+    )
+
+
+def ref_restricted_chase(m, source: Instance) -> Instance:
+    """Re-sort and re-encode the facts built so far for every check."""
+    from dx.chase import _skolem_symbol
+    from dx.evaluator import eval_formula
+    from dx.lang import Var
+    from dx.model import PatternVar, SkolemNull, value_key
+
+    facts: set = set()
+    for d, tgd in enumerate(m.tgds):
+        params = tgd.universal_vars
+        rows = sorted(
+            eval_formula(tgd.antecedent, source, params),
+            key=lambda row: tuple(value_key(v) for v in row),
+        )
+        ev = set(tgd.exist_vars)
+        for row in rows:
+            env = dict(zip(params, row))
+            pattern = [
+                (
+                    atom.rel,
+                    tuple(
+                        PatternVar(a.name)
+                        if isinstance(a, Var) and a.name in ev
+                        else (env[a.name] if isinstance(a, Var) else a)
+                        for a in atom.args
+                    ),
+                )
+                for atom in tgd.consequent
+            ]
+            if ref_match_pattern(pattern, facts) is not None:
+                continue
+            for i, y in enumerate(tgd.exist_vars):
+                env[y] = SkolemNull(_skolem_symbol(d, i), row)
+            for atom in tgd.consequent:
+                facts.add(
+                    Fact(
+                        atom.rel,
+                        tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args),
+                    )
+                )
+    return Instance(m.target, facts)

@@ -32,6 +32,13 @@ def _random_case(rng):
     return pattern, target, nvars, injective, allowed, nvals
 
 
+def _index(target):
+    index = {}
+    for rel, args in target:
+        index.setdefault(rel, []).append(args)
+    return index
+
+
 def _is_solution(pattern, target, asn, injective, allowed):
     """asn[v] is the value of variable v, or -1 if v is not in the pattern."""
     tgt = set(target)
@@ -50,7 +57,7 @@ def test_found_assignments_are_valid():
     checked = 0
     for _ in range(500):
         pattern, target, nvars, injective, allowed, _nvals = _random_case(rng)
-        asn = kernel.find_hom(pattern, target, nvars, injective, allowed)
+        asn = kernel.find_hom(pattern, _index(target), nvars, injective, allowed)
         if asn is None:
             continue
         checked += 1
@@ -65,7 +72,7 @@ def test_none_means_no_assignment_exists():
     refuted = 0
     for _ in range(500):
         pattern, target, nvars, injective, allowed, nvals = _random_case(rng)
-        if kernel.find_hom(pattern, target, nvars, injective, allowed) is not None:
+        if kernel.find_hom(pattern, _index(target), nvars, injective, allowed) is not None:
             continue
         refuted += 1
         for asn in itertools.product(range(nvals), repeat=nvars):

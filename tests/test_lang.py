@@ -59,6 +59,19 @@ def test_parse_errors_carry_positions():
         pytest.fail("expected an arity error")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("source R/2.\ntarget S/1.\ntgd: R(x) -> S(x).\n$", r"3:6: arity mismatch for R"),
+    ("source R/2.\ntarget S/1.\ntgd: R(x,y) -> T(x).\ntgd: R(x,$", r"3:16: undeclared relation T"),
+    ("source R/2 $.\ntarget S/1.", r"1:12: unexpected character '\$'"),
+    ("source R/2.\ntarget S/1.\ntgd: R(x,y) -> S(x) $", r"3:21: unexpected character '\$'"),
+])
+def test_mapping_reports_first_error_in_file(text, error):
+    with pytest.raises(ParseError, match="^" + error):
+        parse_mapping(text)
+    with pytest.raises(ParseError, match=r"^1:9: unexpected character '\$'"):
+        parse_formula("R(x, y) $ & x = y", PR)
+
+
 def test_parse_rejects_unsafe_tgd():
     with pytest.raises(ParseError):
         parse_mapping("source P/1. target S/2. tgd: P(x) -> S(x,w).")

@@ -257,6 +257,44 @@ def test_fact_file_rejects_garbage():
             parse_facts(text, S2)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("S(a, ?N0).\nS(a, b).\nS(a, b).\nS(a, b).\nS(@, b).\n", r"1:6: fresh null id must be positive"),
+    ("S(a, b).\nQ(a, b).\nS($, b).", r"2:1: undeclared relation Q"),
+    ("S(a, b).\nS(a b).\nS(a, $).", r"2:5: expected '\)', got 'b'"),
+    ("S(a, b).\nS(a, b)@", r"2:8: unexpected character '@'"),
+    ("S(a, ?N1 @", r"1:10: unexpected character '@'"),
+    ("$S(a, b).", r"1:1: unexpected character '\$'"),
+])
+def test_fact_file_reports_first_error_in_file(text, error):
+    from dx.model import ParseError
+
+    with pytest.raises(ParseError, match="^" + error):
+        parse_facts(text, S2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="S(a, b).?N01\n@$'", max_size=40))
+def test_fact_file_lexical_error_waits_its_turn(text):
+    """Text with a stray character fails as the text before it would,
+    unless that text fails only for ending early."""
+    from dx.model import _FACT_TOKEN, Lexer, ParseError
+
+    tokens = Lexer(text, _FACT_TOKEN).tokens
+    if not tokens or tokens[-1][0] != "error":
+        return
+    _kind, _char, line, col = tokens[-1]
+    offset = sum(len(ln) + 1 for ln in text.split("\n")[: line - 1]) + col - 1
+    with pytest.raises(ParseError) as full:
+        parse_facts(text, S2)
+    try:
+        parse_facts(text[:offset], S2)
+    except ParseError as exc:
+        if "at end of input" not in str(exc):
+            assert str(full.value) == str(exc)
+            return
+    assert str(full.value).startswith(f"{line}:{col}: unexpected character")
+
+
 def test_fact_file_null_lookahead():
     i = parse_facts("S(?N1 , ?N1 (a)).\nS(12ab, ?g\n()).", S2)
     assert i.facts == frozenset({

@@ -77,6 +77,33 @@ def test_encode_decode_round_trip(value):
     assert decode_value(encode_value(value)) == value
 
 
+_odd_const = st.text(alphabet="ab@\\,()'", min_size=1, max_size=6).filter(
+    lambda t: not t.startswith("@")
+).map(Const)
+_odd_tree = st.recursive(
+    _odd_const,
+    lambda kids: st.lists(kids, min_size=0, max_size=3).map(
+        lambda args: SkolemNull("f1_1", tuple(args))
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_odd_tree)
+def test_encode_decode_round_trip_structural_characters(value):
+    assert decode_value(encode_value(value)) == value
+
+
+def test_encode_escapes_constant_arguments():
+    v = SkolemNull("f1_1", (Const("a,b"), Const("c")))
+    assert encode_value(v) == "@f1_1(a\\,b,c)"
+    assert encode_value(SkolemNull("f1_1", (Const("a"), Const("b"), Const("c")))) != encode_value(v)
+    assert encode_value(SkolemNull("g", (Const("\\"), Const("(x)")))) == "@g(\\\\,\\(x\\))"
+    with pytest.raises(ValueError):
+        decode_value("@f(a(b)")
+
+
 def test_encoding_injective_on_samples():
     rng = random.Random("inj")
     seen = {}
@@ -235,6 +262,30 @@ def test_interpretation_sql_matches_evaluator(seed):
     load_instance(conn, i)
     run_artifact(conn, art)
     assert read_target(conn, m.target) == eval_interpretation(pi, i)
+
+
+@pytest.mark.parametrize("mapping", ["split_pair", "symmetric_join"])
+def test_sql_output_equals_chase_with_structural_characters(mapping):
+    m = split_pair_mapping() if mapping == "split_pair" else pair(mapping)[0]
+    odd = ["a,b", "c", "(x)", "\\", "p\\,q", ")(", "a", "b"]
+    rng = random.Random(mapping)
+    i = inst(m.source, *[("R", rng.choice(odd), rng.choice(odd)) for _ in range(12)])
+    conn = sqlite3.connect(":memory:")
+    load_instance(conn, i)
+    run_artifact(conn, interpretation_to_sql(to_term_interpretation(m)))
+    assert read_target(conn, m.target) == naive_chase(m, i)
+
+
+def test_sql_term_matches_encode_value():
+    from dx.chase import App
+    from dx.sqlgen import _SqlBuilder
+
+    t = App("g", (Const("x,y"), App("f", (Var("v"), Const("\\")))))
+    sql = _SqlBuilder(PR).term(t, {"v": "'a(b)'"})
+    got = sqlite3.connect(":memory:").execute(f"SELECT {sql}").fetchone()[0]
+    want = SkolemNull("g", (Const("x,y"), SkolemNull("f", (Const("a(b)"), Const("\\")))))
+    assert got == encode_value(want)
+    assert decode_value(got) == want
 
 
 def test_laconified_symmetric_join_two_rows_one_null():
