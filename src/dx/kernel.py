@@ -4,7 +4,8 @@ This is the hot inner loop of the whole engine: a backtracking search
 that maps a pattern (a set of facts whose arguments are integer codes,
 negative codes standing for variables) into a target fact set.  Every
 homomorphism, retraction, core and isomorphism question reduces to calls
-into `find_hom`.
+into `find_hom`; the symmetry searches of the laconic rewriting
+(embeddings, renamings, self-maps) enumerate all answers with `homs`.
 
 Encoding convention: argument codes >= 0 are fixed values and must match
 target codes exactly; a code a < 0 denotes variable number (-1 - a).
@@ -15,8 +16,8 @@ codes), so callers that search one fact set many times encode it once.
 from __future__ import annotations
 
 
-def find_hom(pattern, index, nvars, injective=False, allowed=None):
-    """Search for an assignment of the pattern variables into the target.
+def homs(pattern, index, nvars, injective=False, allowed=None):
+    """Every assignment of the pattern variables into the target.
 
     pattern: sequence of (relation, args) with int args, negatives = vars.
     index:   mapping relation -> sequence of target rows, args >= 0.
@@ -27,19 +28,21 @@ def find_hom(pattern, index, nvars, injective=False, allowed=None):
     All facts of one relation must have the same arity (callers encode
     schema-checked instances, so this holds by construction).
 
-    Returns the assignment as a list of length nvars, or None.  The
-    search is deterministic: pattern facts are matched in the given
-    order, candidate target rows are tried in their index order.
+    Yields each assignment as a fresh list of length nvars (-1 for a
+    variable the pattern does not use), once if each relation's rows are
+    distinct.  The order is deterministic: pattern facts are matched in
+    the given order, candidate target rows are tried in their index order.
     """
     n = len(pattern)
     cands = []
     for rel, _args in pattern:
         lst = index.get(rel)
         if not lst:
-            return None
+            return
         cands.append(lst)
     if n == 0:
-        return [-1] * nvars
+        yield [-1] * nvars
+        return
 
     asn = [-1] * nvars
     used = set()
@@ -94,18 +97,24 @@ def find_hom(pattern, index, nvars, injective=False, allowed=None):
             break
         if advanced:
             i += 1
-            if i == n:
-                return list(asn)
-            pos[i] = 0
-            continue
-        # frame exhausted: undo the previous frame's bindings and retry it
+            if i < n:
+                pos[i] = 0
+                continue
+            yield list(asn)
+        # frame exhausted, or a solution given out: undo the last matched
+        # frame's bindings and try its next row
         i -= 1
         if i < 0:
-            return None
+            return
         for v in trail[i]:
             if injective:
                 used.discard(asn[v])
             asn[v] = -1
+
+
+def find_hom(pattern, index, nvars, injective=False, allowed=None):
+    """The first assignment `homs` yields, or None."""
+    return next(homs(pattern, index, nvars, injective, allowed), None)
 
 
 def order_pattern(pattern):

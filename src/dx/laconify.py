@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+from dx import kernel
 from dx.lang import (
-    And,
     Certain,
     Eq,
     Exists,
     Formula,
     Lt,
     Not,
-    Or,
     RelAtom,
     SchemaMapping,
     TGD,
     TRUE,
-    TrueF,
     Var,
     conj,
     decompose,
@@ -36,6 +35,7 @@ from dx.lang import (
 )
 from dx.model import (
     Const,
+    Encoding,
     Fact,
     FreshNull,
     Instance,
@@ -328,30 +328,56 @@ def _separable_for(tgd: TGD, kept_atoms, kept_nulls) -> bool:
 # ---------------------------------------------------------------------------
 # Renamings, embeddings, self-maps.
 
+def _type_homs(t: BlockType, t2: BlockType, injective: bool = False):
+    """Homomorphisms of t's atoms into t2's canonical instance sending
+    constant variables to constant variables and null variables
+    injectively to null variables, as (const map, null map, onto).
+
+    Yielded in the order of their images' positions in t2's variable
+    lists, constant part first (the order of itertools.product over the
+    constant choices times permutations over the null choices).  `onto`
+    tells whether every atom of t2 is hit.  `injective` also makes the
+    constant part injective.
+    """
+    names2 = t2.const_vars + t2.null_vars
+    m, m2 = len(t.const_vars), len(t2.const_vars)
+    enc = Encoding()
+    for x in names2:
+        enc.code(Var(x))
+    # relations 0 and 1 (never a relation name) hold the two variable kinds
+    enc.rows[0] = [(k,) for k in range(m2)]
+    enc.rows[1] = [(k,) for k in range(m2, len(names2))]
+    targets = dict.fromkeys(t2.atoms)
+    for a in targets:
+        enc.add(a)
+    var_ids = {Var(x): -1 - k for k, x in enumerate(t.const_vars + t.null_vars)}
+    atoms = [
+        (a.rel, tuple(var_ids[v] if isinstance(v, Var) else enc.code(v) for v in a.args))
+        for a in t.atoms
+    ]
+    kinds = [(int(k >= m), (v,)) for k, v in enumerate(var_ids.values())]
+    found = []
+    for asn in kernel.homs(kernel.order_pattern(atoms + kinds), enc.rows, len(var_ids), injective):
+        if len(set(asn[m:])) < len(asn) - m:
+            continue
+        image = {(rel, tuple(c if c >= 0 else asn[-1 - c] for c in args)) for rel, args in atoms}
+        found.append((asn, len(image) == len(targets)))
+    found.sort()
+    for asn, onto in found:
+        images = [names2[c] for c in asn]
+        yield (
+            dict(zip(t.const_vars, images[:m])),
+            dict(zip(t.null_vars, images[m:])),
+            onto,
+        )
+
+
 def renamings_between(t: BlockType, t2: BlockType) -> list:
     """All renamings t -> t2: bijections on constant variables and on
     null variables mapping the atom set onto the atom set."""
     if len(t.const_vars) != len(t2.const_vars) or len(t.null_vars) != len(t2.null_vars):
         return []
-    out = []
-    atoms2 = set(t2.atoms)
-    for cperm in itertools.permutations(t2.const_vars):
-        cmap = dict(zip(t.const_vars, cperm))
-        for nperm in itertools.permutations(t2.null_vars):
-            nmap = dict(zip(t.null_vars, nperm))
-            ren = {**cmap, **nmap}
-            image = {
-                RelAtom(
-                    a.rel,
-                    tuple(
-                        Var(ren[v.name]) if isinstance(v, Var) else v for v in a.args
-                    ),
-                )
-                for a in t.atoms
-            }
-            if image == atoms2:
-                out.append(ren)
-    return out
+    return [{**cmap, **nmap} for cmap, nmap, onto in _type_homs(t, t2, injective=True) if onto]
 
 
 def renaming_between(t: BlockType, t2: BlockType):
@@ -375,36 +401,10 @@ def embeddings_between(t: BlockType, t2: BlockType) -> list:
     necessarily injectively) into constant variables, null variables
     injectively into null variables, atoms land on atoms.  The strict
     flag marks embeddings whose image misses some atom of t2."""
-    out = []
-    atoms2 = set(t2.atoms)
-    if len(t.null_vars) > len(t2.null_vars):
-        return []
-    cvars2 = t2.const_vars if t2.const_vars else ()
-    if t.const_vars and not cvars2:
-        return []
-    for cchoice in itertools.product(cvars2, repeat=len(t.const_vars)):
-        cmap = dict(zip(t.const_vars, cchoice))
-        for nchoice in itertools.permutations(t2.null_vars, len(t.null_vars)):
-            nmap = dict(zip(t.null_vars, nchoice))
-            ren = {**cmap, **nmap}
-            image = {
-                RelAtom(
-                    a.rel,
-                    tuple(
-                        Var(ren[v.name]) if isinstance(v, Var) else v for v in a.args
-                    ),
-                )
-                for a in t.atoms
-            }
-            if image <= atoms2:
-                out.append(
-                    Embedding(
-                        tuple(sorted(cmap.items())),
-                        tuple(sorted(nmap.items())),
-                        strict=bool(atoms2 - image),
-                    )
-                )
-    return out
+    return [
+        Embedding(tuple(sorted(cmap.items())), tuple(sorted(nmap.items())), strict=not onto)
+        for cmap, nmap, onto in _type_homs(t, t2)
+    ]
 
 
 def strict_embeddings(t: BlockType, t2: BlockType) -> list:
@@ -414,25 +414,7 @@ def strict_embeddings(t: BlockType, t2: BlockType) -> list:
 def self_maps(t: BlockType) -> list:
     """All substitutions (constant part arbitrary, null part bijective)
     mapping the atom set onto exactly itself; includes the identity."""
-    out = []
-    atoms = set(t.atoms)
-    for cchoice in itertools.product(t.const_vars, repeat=len(t.const_vars)):
-        cmap = dict(zip(t.const_vars, cchoice))
-        for nperm in itertools.permutations(t.null_vars):
-            nmap = dict(zip(t.null_vars, nperm))
-            ren = {**cmap, **nmap}
-            image = {
-                RelAtom(
-                    a.rel,
-                    tuple(
-                        Var(ren[v.name]) if isinstance(v, Var) else v for v in a.args
-                    ),
-                )
-                for a in t.atoms
-            }
-            if image == atoms:
-                out.append((cmap, nmap))
-    return out
+    return [(cmap, nmap) for cmap, nmap, onto in _type_homs(t, t) if onto]
 
 
 # ---------------------------------------------------------------------------
@@ -545,22 +527,6 @@ def precondition(t: BlockType, types, m: SchemaMapping) -> Formula:
 # ---------------------------------------------------------------------------
 # Side conditions.
 
-def _order_formula_holds(f: Formula, env: dict) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, And):
-        return all(_order_formula_holds(p, env) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_order_formula_holds(p, env) for p in f.parts)
-    if isinstance(f, Not):
-        return not _order_formula_holds(f.body, env)
-    if isinstance(f, Eq):
-        return env[f.left.name] == env[f.right.name]
-    if isinstance(f, Lt):
-        return env[f.left.name] < env[f.right.name]
-    raise TypeError(f"not an order formula: {f!r}")
-
-
 def _order_type(names, values) -> Formula:
     """Complete description of the order pattern of `values`: for each
     pair exactly one of <, =, > holds."""
@@ -605,35 +571,41 @@ def _realized_block_form(t: BlockType, values):
     return best
 
 
+def _order_key(values) -> tuple:
+    """The order pattern of `values` as the dense rank of each entry."""
+    ranks = {v: r for r, v in enumerate(sorted(set(values)))}
+    return tuple(ranks[v] for v in values)
+
+
 def side_condition(t: BlockType) -> SideCondition:
     """Order constraint making the type rigid without losing any block.
 
-    Search over assignments of the constant variables into an ordered
-    universe of |vars| values (every order pattern occurs there): while
-    two distinct assignments satisfying the condition realize copies of
-    each other, exclude the complete order pattern of the first one.
-    Rigid types get `true`.
+    Scan the assignments of the constant variables into an ordered
+    universe of |vars| values (every order pattern occurs there), skipping
+    those whose order pattern is excluded: when an assignment realizes a
+    copy of the block of the first earlier one of its form, exclude that
+    one's complete order pattern.  One pass gives what rescanning from the
+    start after each exclusion gives, since a rescan sees the same prefix
+    minus the excluded assignments; a first-of-form entry whose pattern
+    is excluded meanwhile only hands its form on (excluding again is a
+    no-op).  Rigid types get `true`.
     """
     names = t.const_vars
     m = len(names)
-    phi: Formula = TRUE
     if m <= 1:
-        return phi
-    universe = list(range(m))
-    while True:
-        witness = None
-        first_of_form: dict = {}
-        for values in itertools.product(universe, repeat=m):
-            if not _order_formula_holds(phi, dict(zip(names, values))):
-                continue
-            form = _realized_block_form(t, values)
-            prev = first_of_form.setdefault(form, values)
-            if prev != values:
-                witness = prev
-                break
-        if witness is None:
-            return phi
-        phi = conj([phi, Not(_order_type(names, witness))])
+        return TRUE
+    excluded: dict = {}  # order patterns, in the order of exclusion
+    first_of_form: dict = {}
+    for values in itertools.product(range(m), repeat=m):
+        key = _order_key(values)
+        if key in excluded:
+            continue
+        form = _realized_block_form(t, values)
+        prev = first_of_form.get(form)
+        if prev is not None:
+            excluded.setdefault(_order_key(prev))
+        first_of_form[form] = values
+    return conj([Not(_order_type(names, key)) for key in excluded])
 
 
 # ---------------------------------------------------------------------------

@@ -89,33 +89,28 @@ FALSE = Not(TRUE)
 
 def conj(parts: Iterable[Formula]) -> Formula:
     """Flattened conjunction; drops `true`, deduplicates, unwraps singletons."""
-    out = []
-    for p in parts:
-        if isinstance(p, TrueF):
-            continue
-        sub = p.parts if isinstance(p, And) else (p,)
-        for q in sub:
-            if q not in out:
-                out.append(q)
+    out = tuple(dict.fromkeys(
+        q
+        for p in parts
+        if not isinstance(p, TrueF)
+        for q in (p.parts if isinstance(p, And) else (p,))
+    ))
     if not out:
         return TRUE
     if len(out) == 1:
         return out[0]
-    return And(tuple(out))
+    return And(out)
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
-    out = []
-    for p in parts:
-        sub = p.parts if isinstance(p, Or) else (p,)
-        for q in sub:
-            if q not in out:
-                out.append(q)
+    out = tuple(dict.fromkeys(
+        q for p in parts for q in (p.parts if isinstance(p, Or) else (p,))
+    ))
     if not out:
         return FALSE
     if len(out) == 1:
         return out[0]
-    return Or(tuple(out))
+    return Or(out)
 
 
 def exists_all(vars: Iterable[str], body: Formula) -> Formula:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import itertools
 
+from dx.laconify import BlockType, Embedding, SideCondition, _order_type, _realized_block_form
+from dx.lang import TRUE, And, Eq, Formula, Lt, Not, Or, RelAtom, TrueF, Var, conj
 from dx.model import Const, Fact, Instance, Schema
 from dx.parser import parse_mapping
 
@@ -97,6 +99,23 @@ def star_blowup_mapping(k: int):
     return parse_mapping("\n".join([src, tgt] + tgds))
 
 
+def fan_mapping(k: int):
+    """k constants sharing one null witness: every permutation of them
+    realizes the same block."""
+    xs = ",".join(f"x{i}" for i in range(k))
+    atoms = " & ".join(f"S(x{i},y)" for i in range(k))
+    return parse_mapping(f"source R/{k}. target S/2. tgd: R({xs}) -> exists y: {atoms}.")
+
+
+def cycle_mapping(k: int, tail: bool = False):
+    """A k-cycle of nulls, plus an edge from the constant with a tail."""
+    ys = ", ".join(f"y{i}" for i in range(k))
+    atoms = [f"S(y{i},y{(i + 1) % k})" for i in range(k)] + ["S(x,y0)"] * tail
+    return parse_mapping(
+        f"source P/1. target S/2. tgd: P(x) -> exists {ys}: {' & '.join(atoms)}."
+    )
+
+
 def inst(schema: Schema, *facts) -> Instance:
     """Facts as (rel, arg, arg, ...) with strings for constants."""
     out = []
@@ -131,7 +150,6 @@ def all_instances(schema: Schema, consts):
 def type_copies(t, a_vals, b_vals) -> bool:
     """Blocks t(a_vals) and t(b_vals) are copies (same facts up to a
     renaming of nulls)."""
-    from dx.lang import Var
     from dx.model import FreshNull, instances_isomorphic
 
     def build(vals, offset):
@@ -153,16 +171,16 @@ def type_copies(t, a_vals, b_vals) -> bool:
 def check_rigid_and_safe(t) -> list:
     """Brute-force check of a type's side condition over |const_vars|
     ordered constants; returns a list of violation descriptions."""
-    from dx.laconify import _order_formula_holds, side_condition
+    from dx.evaluator import holds
+    from dx.laconify import side_condition
 
     phi = side_condition(t)
     m = len(t.const_vars)
     consts = [Const(f"c{i}") for i in range(m)]
+    empty = Instance(Schema({}), [])
 
     def sat(vals):
-        return _order_formula_holds(
-            phi, {v: c.text for v, c in zip(t.const_vars, vals)}
-        )
+        return holds(phi, empty, dict(zip(t.const_vars, vals)))
 
     assignments = list(itertools.product(consts, repeat=m))
     violations = []
@@ -376,7 +394,6 @@ def ref_restricted_chase(m, source: Instance) -> Instance:
     """Re-sort and re-encode the facts built so far for every check."""
     from dx.chase import _skolem_symbol
     from dx.evaluator import eval_formula
-    from dx.lang import Var
     from dx.model import PatternVar, SkolemNull, value_key
 
     facts: set = set()
@@ -413,3 +430,143 @@ def ref_restricted_chase(m, source: Instance) -> Instance:
                     )
                 )
     return Instance(m.target, facts)
+
+
+# ---------------------------------------------------------------------------
+# Reference symmetry searches of the laconic rewriting: the product times
+# permutation loops and the restarting side-condition scan that the
+# kernel-based searches and the single-pass `side_condition` replaced,
+# kept as an oracle for them.
+
+def ref_renamings_between(t: BlockType, t2: BlockType) -> list:
+    """All renamings t -> t2: bijections on constant variables and on
+    null variables mapping the atom set onto the atom set."""
+    if len(t.const_vars) != len(t2.const_vars) or len(t.null_vars) != len(t2.null_vars):
+        return []
+    out = []
+    atoms2 = set(t2.atoms)
+    for cperm in itertools.permutations(t2.const_vars):
+        cmap = dict(zip(t.const_vars, cperm))
+        for nperm in itertools.permutations(t2.null_vars):
+            nmap = dict(zip(t.null_vars, nperm))
+            ren = {**cmap, **nmap}
+            image = {
+                RelAtom(
+                    a.rel,
+                    tuple(
+                        Var(ren[v.name]) if isinstance(v, Var) else v for v in a.args
+                    ),
+                )
+                for a in t.atoms
+            }
+            if image == atoms2:
+                out.append(ren)
+    return out
+
+
+def ref_embeddings_between(t: BlockType, t2: BlockType) -> list:
+    """All embeddings of t into t2: constant variables map (not
+    necessarily injectively) into constant variables, null variables
+    injectively into null variables, atoms land on atoms.  The strict
+    flag marks embeddings whose image misses some atom of t2."""
+    out = []
+    atoms2 = set(t2.atoms)
+    if len(t.null_vars) > len(t2.null_vars):
+        return []
+    cvars2 = t2.const_vars if t2.const_vars else ()
+    if t.const_vars and not cvars2:
+        return []
+    for cchoice in itertools.product(cvars2, repeat=len(t.const_vars)):
+        cmap = dict(zip(t.const_vars, cchoice))
+        for nchoice in itertools.permutations(t2.null_vars, len(t.null_vars)):
+            nmap = dict(zip(t.null_vars, nchoice))
+            ren = {**cmap, **nmap}
+            image = {
+                RelAtom(
+                    a.rel,
+                    tuple(
+                        Var(ren[v.name]) if isinstance(v, Var) else v for v in a.args
+                    ),
+                )
+                for a in t.atoms
+            }
+            if image <= atoms2:
+                out.append(
+                    Embedding(
+                        tuple(sorted(cmap.items())),
+                        tuple(sorted(nmap.items())),
+                        strict=bool(atoms2 - image),
+                    )
+                )
+    return out
+
+
+def ref_self_maps(t: BlockType) -> list:
+    """All substitutions (constant part arbitrary, null part bijective)
+    mapping the atom set onto exactly itself; includes the identity."""
+    out = []
+    atoms = set(t.atoms)
+    for cchoice in itertools.product(t.const_vars, repeat=len(t.const_vars)):
+        cmap = dict(zip(t.const_vars, cchoice))
+        for nperm in itertools.permutations(t.null_vars):
+            nmap = dict(zip(t.null_vars, nperm))
+            ren = {**cmap, **nmap}
+            image = {
+                RelAtom(
+                    a.rel,
+                    tuple(
+                        Var(ren[v.name]) if isinstance(v, Var) else v for v in a.args
+                    ),
+                )
+                for a in t.atoms
+            }
+            if image == atoms:
+                out.append((cmap, nmap))
+    return out
+
+
+def _ref_order_formula_holds(f: Formula, env: dict) -> bool:
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, And):
+        return all(_ref_order_formula_holds(p, env) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_ref_order_formula_holds(p, env) for p in f.parts)
+    if isinstance(f, Not):
+        return not _ref_order_formula_holds(f.body, env)
+    if isinstance(f, Eq):
+        return env[f.left.name] == env[f.right.name]
+    if isinstance(f, Lt):
+        return env[f.left.name] < env[f.right.name]
+    raise TypeError(f"not an order formula: {f!r}")
+
+
+def ref_side_condition(t: BlockType) -> SideCondition:
+    """Order constraint making the type rigid without losing any block.
+
+    Search over assignments of the constant variables into an ordered
+    universe of |vars| values (every order pattern occurs there): while
+    two distinct assignments satisfying the condition realize copies of
+    each other, exclude the complete order pattern of the first one.
+    Rigid types get `true`.
+    """
+    names = t.const_vars
+    m = len(names)
+    phi: Formula = TRUE
+    if m <= 1:
+        return phi
+    universe = list(range(m))
+    while True:
+        witness = None
+        first_of_form: dict = {}
+        for values in itertools.product(universe, repeat=m):
+            if not _ref_order_formula_holds(phi, dict(zip(names, values))):
+                continue
+            form = _realized_block_form(t, values)
+            prev = first_of_form.setdefault(form, values)
+            if prev != values:
+                witness = prev
+                break
+        if witness is None:
+            return phi
+        phi = conj([phi, Not(_order_type(names, witness))])

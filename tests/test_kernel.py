@@ -80,6 +80,30 @@ def test_none_means_no_assignment_exists():
     assert refuted > 50
 
 
+def test_homs_yields_every_assignment_once():
+    rng = random.Random("all")
+    many = 0
+    for _ in range(500):
+        pattern, target, nvars, injective, allowed, nvals = _random_case(rng)
+        target = list(dict.fromkeys(target))  # fact sets: rows are distinct
+        found = list(kernel.homs(pattern, _index(target), nvars, injective, allowed))
+        keys = [tuple(asn) for asn in found]
+        assert len(keys) == len(set(keys))
+        used = {-1 - a for _rel, args in pattern for a in args if a < 0}
+        brute = set()
+        for vals in itertools.product(range(nvals), repeat=len(used)):
+            asn = [-1] * nvars
+            for v, c in zip(sorted(used), vals):
+                asn[v] = c
+            if _is_solution(pattern, target, asn, injective, allowed):
+                brute.add(tuple(asn))
+        assert set(keys) == brute
+        first = kernel.find_hom(pattern, _index(target), nvars, injective, allowed)
+        assert first == (found[0] if found else None)
+        many += len(found) > 1
+    assert many > 20
+
+
 def test_order_pattern_is_deterministic_and_complete():
     pattern = [
         (0, (-1, -2)),

@@ -1,7 +1,22 @@
 import itertools
+import pathlib
+import random
 
 import pytest
-from helpers import all_instances, inst, overlap_mapping, pair, star_blowup_mapping
+from helpers import (
+    all_instances,
+    cycle_mapping,
+    fan_mapping,
+    inst,
+    overlap_mapping,
+    pair,
+    ref_embeddings_between,
+    ref_renamings_between,
+    ref_self_maps,
+    ref_side_condition,
+    split_pair_mapping,
+    star_blowup_mapping,
+)
 
 from dx.chase import naive_chase, restricted_chase
 from dx.evaluator import eval_formula
@@ -35,7 +50,7 @@ from dx.model import (
     is_core,
 )
 from dx.parser import parse_mapping
-from dx.verify import random_source_instance
+from dx.verify import random_mapping, random_source_instance
 
 
 def _type_by_rels(types, *rels):
@@ -168,6 +183,62 @@ def test_self_maps_examples():
     md = decompose(overlap_mapping())
     t2 = _type_by_rels(generate_block_types(md), "R1", "R2", "R2")
     assert len(self_maps(t2)) == 1
+
+
+def _oracle_mappings():
+    demo = pathlib.Path(__file__).resolve().parents[1] / "demo"
+    for path in sorted(demo.glob("*.map")):
+        yield path.stem, parse_mapping(path.read_text(encoding="utf-8"))
+    yield "split_pair", split_pair_mapping()
+    yield "star_3", star_blowup_mapping(3)
+    yield "fan_4", fan_mapping(4)
+    for k in (4, 5):
+        yield f"pure_{k}_cycle", cycle_mapping(k)
+    yield "tail_3_cycle", cycle_mapping(3, tail=True)
+    for seed in range(120):
+        yield f"random_{seed}", random_mapping(seed)
+
+
+def test_symmetry_searches_match_reference():
+    """Embeddings, renamings, self-maps and side conditions equal the
+    product-times-permutation and restarting-scan originals, order
+    included, on every block type of the listed mappings."""
+    checked = 0
+    for name, m in _oracle_mappings():
+        types = generate_block_types(decompose(m))
+        for t in types:
+            assert self_maps(t) == ref_self_maps(t), (name, t)
+            assert side_condition(t) == ref_side_condition(t), (name, t)
+            for t2 in types:
+                assert embeddings_between(t, t2) == ref_embeddings_between(t, t2), (name, t, t2)
+                assert renamings_between(t, t2) == ref_renamings_between(t, t2), (name, t, t2)
+                assert renaming_between(t, t2) == next(iter(ref_renamings_between(t, t2)), None)
+            checked += 1
+    assert checked > 150
+
+
+def _random_block_type(rng):
+    xs = [f"x{i}" for i in range(rng.randint(1, 3))]
+    ys = [f"y{i}" for i in range(rng.randint(0, 3))]
+    terms = [Var(v) for v in xs + ys]
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        rel, arity = rng.choice([("S", 2), ("T", 1), ("U", 3)])
+        atoms.append(RelAtom(rel, tuple(rng.choice(terms) for _ in range(arity))))
+    # variables need not occur in the atoms: unused ones range freely
+    return make_block_type(atoms, xs, ys)
+
+
+def test_symmetry_searches_match_reference_on_random_types():
+    rng = random.Random("types")
+    types = [_random_block_type(rng) for _ in range(150)]
+    for t in types:
+        assert self_maps(t) == ref_self_maps(t), t
+        assert side_condition(t) == ref_side_condition(t), t
+    for t, t2 in zip(types, types[1:] + types[:1]):
+        for a, b in ((t, t2), (t, t), (t2, t)):
+            assert embeddings_between(a, b) == ref_embeddings_between(a, b), (a, b)
+            assert renamings_between(a, b) == ref_renamings_between(a, b), (a, b)
 
 
 # -- preconditions ------------------------------------------------------------
