@@ -4,15 +4,22 @@ Quantifiers range over the active domain of the instance; nulls are
 ordinary values.  Order atoms compare constants by text and are false
 whenever either side is a null; equality on nulls is identity.
 
-Two engines cooperate: a bottom-up relational evaluator (joins and
-unions of answer sets) for the positive structure, and a per-assignment
-satisfaction check used for filters such as negation and comparisons.
-Both agree by construction and are cross-checked in the test suite.
+One set-at-a-time engine evaluates every formula against a context: a
+relation whose columns are variables already bound.  The result is the
+context joined with the formula's answers.  Atoms are hash joins.  A
+conjunction applies each comparison and negation as soon as its
+variables are bound, lets an equality with one bound side copy a column,
+and joins its other conjuncts in order; a negation is one anti-join
+against the negated subformula, evaluated once on the distinct bound
+tuples.  Only a variable nothing binds (an unsafe filter, a disjunct
+missing a variable) ranges over the active domain.  `holds` is the same
+path on a one-row context.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Sequence
 
 from dx.lang import (
@@ -37,15 +44,6 @@ def _lt(a, b) -> bool:
     return isinstance(a, Const) and isinstance(b, Const) and a.text < b.text
 
 
-def _term_value(t, env):
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise MappingError(f"unbound variable {t.name}") from None
-    return t
-
-
 class _Rel:
     """An answer set: named columns plus a set of value rows."""
 
@@ -56,7 +54,12 @@ class _Rel:
         self.rows = rows
 
 
+_UNIT = _Rel((), {()})
+
+
 def _join(a: _Rel, b: _Rel) -> _Rel:
+    if not a.vars and a.rows:  # the one-row, no-column relation
+        return b
     shared = [v for v in b.vars if v in a.vars]
     extra = [v for v in b.vars if v not in a.vars]
     a_idx = {v: i for i, v in enumerate(a.vars)}
@@ -80,115 +83,129 @@ def _project(rel: _Rel, keep: Sequence[str]) -> _Rel:
     return _Rel(cols, rows)
 
 
+def _widen(rel: _Rel, vars, dom: Sequence) -> _Rel:
+    """rel with each of `vars` it lacks ranging over the active domain."""
+    missing = tuple(v for v in dict.fromkeys(vars) if v not in rel.vars)
+    if not missing:
+        return rel
+    combos = list(itertools.product(dom, repeat=len(missing)))
+    rows = {row + combo for row in rel.rows for combo in combos}
+    return _Rel(rel.vars + missing, rows)
+
+
 def _extend(rel: _Rel, vars: Sequence[str], dom: Sequence) -> _Rel:
-    missing = [v for v in vars if v not in rel.vars]
-    if missing:
-        rows = set()
-        for row in rel.rows:
-            for combo in itertools.product(dom, repeat=len(missing)):
-                rows.add(row + combo)
-        rel = _Rel(rel.vars + tuple(missing), rows)
-    return _project(rel, vars)
+    return _project(_widen(rel, vars, dom), vars)
+
+
+def _picker(t, vars: tuple):
+    """A term's value in a row with columns `vars`."""
+    if isinstance(t, Var):
+        i = vars.index(t.name)
+        return lambda row: row[i]
+    return lambda row: t
+
+
+def _keep(ctx: _Rel, f, test) -> _Rel:
+    """The rows of ctx (which binds f's variables) where test holds."""
+    left, right = _picker(f.left, ctx.vars), _picker(f.right, ctx.vars)
+    return _Rel(ctx.vars, {row for row in ctx.rows if test(left(row), right(row))})
+
+
+def _empty(ctx: _Rel, f: Formula) -> _Rel:
+    """No rows, with the columns `ctx` joined with f's answers has."""
+    return _Rel(ctx.vars + tuple(sorted(free_vars(f) - set(ctx.vars))), set())
 
 
 class _Evaluator:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.dom = inst.dom
-        self._rel_cache: dict = {}
+        self._in_dom = set(inst.dom)
+        self._atoms: dict = {}
 
-    # -- satisfaction of a formula under a full assignment ------------------
-
-    def holds(self, f: Formula, env: dict) -> bool:
+    def rel(self, f: Formula, ctx: _Rel = _UNIT) -> _Rel:
+        """ctx joined with the answers of f: ctx's columns, then f's other
+        free variables."""
+        if not ctx.rows:
+            return _empty(ctx, f)
         if isinstance(f, TrueF):
-            return True
+            return ctx
         if isinstance(f, RelAtom):
-            args = tuple(_term_value(a, env) for a in f.args)
-            return args in self._args_set(f.rel)
+            return _join(ctx, self._atom_rel(f))
         if isinstance(f, Eq):
-            return _term_value(f.left, env) == _term_value(f.right, env)
+            return self._eq(f, ctx)
         if isinstance(f, Lt):
-            return _lt(_term_value(f.left, env), _term_value(f.right, env))
-        if isinstance(f, And):
-            return all(self.holds(p, env) for p in f.parts)
-        if isinstance(f, Or):
-            return any(self.holds(p, env) for p in f.parts)
-        if isinstance(f, Not):
-            return not self.holds(f.body, env)
-        if isinstance(f, Exists):
-            return any(
-                self.holds(f.body, {**env, f.var: v}) for v in self.dom
-            )
-        if isinstance(f, Forall):
-            return all(
-                self.holds(f.body, {**env, f.var: v}) for v in self.dom
-            )
+            names = [t.name for t in (f.left, f.right) if isinstance(t, Var)]
+            return _keep(_widen(ctx, names, self.dom), f, _lt)
         if isinstance(f, Certain):
             fv = tuple(sorted(free_vars(f.query)))
-            answers = self._certain(f)
-            try:
-                key = tuple(env[v] for v in fv)
-            except KeyError as exc:
-                raise MappingError(f"unbound variable {exc.args[0]}") from None
-            return key in answers
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _args_set(self, rel):
-        if rel not in self.inst.schema:
-            raise MappingError(f"undeclared relation {rel}")
-        return self._rel_cache.setdefault(
-            rel, set(self.inst.by_rel.get(rel, ()))
-        )
-
-    def _certain(self, node: Certain):
-        from dx import certain as certain_mod
-
-        return certain_mod.certain_answers(node.base, node.query, self.inst)
-
-    # -- relational evaluation ----------------------------------------------
-
-    def rel(self, f: Formula) -> _Rel:
-        if isinstance(f, TrueF):
-            return _Rel((), {()})
-        if isinstance(f, RelAtom):
-            return self._atom_rel(f)
-        if isinstance(f, (Eq, Lt)):
-            return self._filter_rel(f)
-        if isinstance(f, Certain):
-            fv = tuple(sorted(free_vars(f.query)))
-            return _Rel(fv, set(self._certain(f)))
+            return _join(ctx, _Rel(fv, set(self._certain(f))))
         if isinstance(f, And):
-            return self._and_rel(f.parts)
+            return self._and(f, ctx)
         if isinstance(f, Or):
-            fv = tuple(sorted(free_vars(f)))
+            cols = ctx.vars + tuple(sorted(free_vars(f) - set(ctx.vars)))
             rows = set()
             for p in f.parts:
-                rows |= _extend(self.rel(p), fv, self.dom).rows
-            return _Rel(fv, rows)
+                rows |= _extend(self.rel(p, ctx), cols, self.dom).rows
+            return _Rel(cols, rows)
         if isinstance(f, Exists):
-            inner = self.rel(f.body)
+            outer = ctx
+            if f.var in ctx.vars:  # the quantifier shadows a bound column
+                ctx = _project(ctx, tuple(v for v in ctx.vars if v != f.var))
+            inner = self.rel(f.body, ctx)
             if f.var not in inner.vars and not self.dom:
-                return _Rel(tuple(v for v in inner.vars), set())
-            return _project(inner, tuple(v for v in inner.vars if v != f.var))
+                return _empty(outer, f)
+            out = _project(inner, tuple(v for v in inner.vars if v != f.var))
+            return out if outer is ctx else _join(outer, out)
         if isinstance(f, Forall):
-            return self.rel(Not(Exists(f.var, Not(f.body))))
+            return self.rel(Not(Exists(f.var, Not(f.body))), ctx)
         if isinstance(f, Not):
-            fv = tuple(sorted(free_vars(f)))
-            rows = set()
-            for combo in itertools.product(self.dom, repeat=len(fv)):
-                if not self.holds(f.body, dict(zip(fv, combo))):
-                    rows.add(combo)
-            return _Rel(fv, rows)
+            key = tuple(sorted(free_vars(f.body)))
+            ctx = _widen(ctx, key, self.dom)
+            idx = [ctx.vars.index(v) for v in key]
+            bad = _project(self.rel(f.body, _project(ctx, key)), key).rows
+            return _Rel(
+                ctx.vars,
+                {row for row in ctx.rows if tuple(row[i] for i in idx) not in bad},
+            )
         raise TypeError(f"not a formula: {f!r}")
 
+    def _and(self, f: And, acc: _Rel) -> _Rel:
+        pending = [(p, free_vars(p)) for p in f.parts]
+        while pending:
+            bound = set(acc.vars)
+            ranks = [_readiness(p, fv, bound) for p, fv in pending]
+            # filters on bound variables bind nothing, so they go together
+            step = [i for i, r in enumerate(ranks) if r == 0] or [ranks.index(min(ranks))]
+            for i in step:
+                acc = self.rel(pending[i][0], acc)
+            done = set(step)
+            pending = [x for i, x in enumerate(pending) if i not in done]
+        return acc
+
+    def _eq(self, f: Eq, ctx: _Rel) -> _Rel:
+        names = [t.name for t in (f.left, f.right) if isinstance(t, Var) and t.name not in ctx.vars]
+        if not names or f.left == f.right:
+            return _keep(_widen(ctx, names, self.dom), f, operator.eq)
+        # One side binds the other to a domain value: copy it instead of
+        # ranging over the domain (when neither is bound, the left one does).
+        ctx = _widen(ctx, names[:-1], self.dom)
+        get = _picker(f.right if f.left == Var(names[-1]) else f.left, ctx.vars)
+        rows = {row + (v,) for row in ctx.rows if (v := get(row)) in self._in_dom}
+        return _Rel(ctx.vars + (names[-1],), rows)
+
     def _atom_rel(self, f: RelAtom) -> _Rel:
-        tuples = self._args_set(f.rel)
+        cached = self._atoms.get(f)
+        if cached is not None:
+            return cached
+        if f.rel not in self.inst.schema:
+            raise MappingError(f"undeclared relation {f.rel}")
         cols = []
         for a in f.args:
             if isinstance(a, Var) and a.name not in cols:
                 cols.append(a.name)
         rows = set()
-        for args in tuples:
+        for args in self.inst.by_rel.get(f.rel, ()):
             env: dict = {}
             ok = True
             for a, v in zip(f.args, args):
@@ -201,61 +218,27 @@ class _Evaluator:
                     break
             if ok:
                 rows.add(tuple(env[c] for c in cols))
-        return _Rel(tuple(cols), rows)
+        out = self._atoms[f] = _Rel(tuple(cols), rows)
+        return out
 
-    def _filter_rel(self, f) -> _Rel:
-        fv = tuple(sorted(free_vars(f)))
-        rows = set()
-        for combo in itertools.product(self.dom, repeat=len(fv)):
-            if self.holds(f, dict(zip(fv, combo))):
-                rows.add(combo)
-        return _Rel(fv, rows)
+    def _certain(self, node: Certain):
+        from dx import certain as certain_mod
 
-    def _and_rel(self, parts) -> _Rel:
-        relational = []
-        filters = []
-        for p in parts:
-            if isinstance(p, (Eq, Lt, Not)):
-                filters.append(p)
-            else:
-                relational.append(p)
-        acc = _Rel((), {()})
-        for p in relational:
-            acc = _join(acc, self.rel(p))
-            if not acc.rows:
-                return acc
-        pending = list(filters)
-        progress = True
-        while pending and progress:
-            progress = False
-            for p in list(pending):
-                fv = free_vars(p)
-                if fv <= set(acc.vars):
-                    idx = {v: i for i, v in enumerate(acc.vars)}
-                    acc = _Rel(
-                        acc.vars,
-                        {
-                            row
-                            for row in acc.rows
-                            if self.holds(p, {v: row[idx[v]] for v in acc.vars})
-                        },
-                    )
-                    pending.remove(p)
-                    progress = True
-        for p in pending:
-            # filter variables outside the joined columns: extend first
-            fv = tuple(sorted(set(acc.vars) | free_vars(p)))
-            acc = _extend(acc, fv, self.dom)
-            idx = {v: i for i, v in enumerate(acc.vars)}
-            acc = _Rel(
-                acc.vars,
-                {
-                    row
-                    for row in acc.rows
-                    if self.holds(p, {v: row[idx[v]] for v in acc.vars})
-                },
-            )
-        return acc
+        return certain_mod.certain_answers(node.base, node.query, self.inst)
+
+
+def _readiness(f: Formula, fv: frozenset, bound: set) -> int:
+    """Conjunct order: filters on bound variables, then equalities that
+    bind a variable, then generators, then whatever is left (unsafe)."""
+    if isinstance(f, (Eq, Lt, Not)):
+        if fv <= bound:
+            return 0
+        if isinstance(f, Eq) and any(
+            not isinstance(t, Var) or t.name in bound for t in (f.left, f.right)
+        ):
+            return 1
+        return 3
+    return 2
 
 
 def eval_formula(f: Formula, inst: Instance, free: Sequence[str]) -> set:
@@ -266,8 +249,7 @@ def eval_formula(f: Formula, inst: Instance, free: Sequence[str]) -> set:
         raise MappingError(f"unbound free variables: {sorted(missing)}")
     if len(set(free)) != len(tuple(free)):
         raise MappingError("duplicate variables in the answer tuple")
-    ev = _Evaluator(inst)
-    rel = ev.rel(f)
+    rel = _Evaluator(inst).rel(f)
     return _extend(rel, tuple(free), inst.dom).rows
 
 
@@ -282,4 +264,10 @@ def ground_answers(f: Formula, inst: Instance, free: Sequence[str]) -> set:
 
 def holds(f: Formula, inst: Instance, env: dict | None = None) -> bool:
     """Satisfaction of f under an assignment of its free variables."""
-    return _Evaluator(inst).holds(f, dict(env or {}))
+    env = env or {}
+    fv = tuple(sorted(free_vars(f)))
+    for v in fv:
+        if v not in env:
+            raise MappingError(f"unbound variable {v}")
+    ctx = _Rel(fv, {tuple(env[v] for v in fv)})
+    return bool(_Evaluator(inst).rel(f, ctx).rows)

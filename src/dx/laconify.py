@@ -507,15 +507,19 @@ def precondition(t: BlockType, types, m: SchemaMapping) -> Formula:
     base = _precon_prime(t, m)
     guards = []
     for t2 in types:
-        for emb in strict_embeddings(t, t2):
-            fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
+        embeddings = strict_embeddings(t, t2)
+        if not embeddings:
+            continue
+        fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
+        prime = substitute(_precon_prime(t2, m), fresh)
+        for emb in embeddings:
             ren = emb.as_dict()
             eqs = [
                 Eq(Var(x), fresh[ren[x]]) for x in t.const_vars
             ]
             inner = conj(
                 eqs
-                + [substitute(_precon_prime(t2, m), fresh)]
+                + [prime]
                 + [substitute(_proper_instantiation(t, t2, emb), fresh)]
             )
             guards.append(
@@ -559,7 +563,7 @@ def _realized_block_form(t: BlockType, values):
                 tuple(
                     ("n", nmap[v.name])
                     if isinstance(v, Var) and v.name in nmap
-                    else ("c", env[v.name] if isinstance(v, Var) else ("#", v.text))
+                    else ("c", env[v.name]) if isinstance(v, Var) else ("#", v.text)
                     for v in a.args
                 ),
             )

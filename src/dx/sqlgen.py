@@ -146,14 +146,27 @@ def adom_view_sql(schema: Schema) -> str:
     return f"CREATE VIEW adom(v) AS\n{body};"
 
 
+# Every statement reads the active domain through one CTE: a CTE that a
+# statement reads more than once is computed once (SQLite materialises
+# it), where each read of the adom view would rerun its UNION.
+_DOM_CTE = "WITH dom(v) AS (SELECT v FROM adom)"
+
+
 class _SqlBuilder:
     def __init__(self, schema: Schema):
         self.schema = schema
         self.counter = 0
+        self.uses_dom = False
 
     def alias(self, prefix: str) -> str:
         self.counter += 1
         return f"{prefix}{self.counter}"
+
+    def dom(self, prefix: str) -> tuple:
+        """A fresh alias over the active domain, and its FROM item."""
+        self.uses_dom = True
+        alias = self.alias(prefix)
+        return alias, f"dom {alias}"
 
     def term(self, t, env: dict) -> str:
         if isinstance(t, Var):
@@ -206,13 +219,13 @@ class _SqlBuilder:
         if isinstance(f, Not):
             return f"NOT {self.cond(f.body, env)}"
         if isinstance(f, Exists):
-            alias = self.alias("q")
+            alias, item = self.dom("q")
             inner = self.cond(f.body, {**env, f.var: f"{alias}.v"})
-            return f"EXISTS (SELECT 1 FROM adom {alias} WHERE {inner})"
+            return f"EXISTS (SELECT 1 FROM {item} WHERE {inner})"
         if isinstance(f, Forall):
-            alias = self.alias("q")
+            alias, item = self.dom("q")
             inner = self.cond(Not(f.body), {**env, f.var: f"{alias}.v"})
-            return f"NOT EXISTS (SELECT 1 FROM adom {alias} WHERE {inner})"
+            return f"NOT EXISTS (SELECT 1 FROM {item} WHERE {inner})"
         if isinstance(f, Certain):
             raise MappingError(
                 "certain[...] cannot be compiled to SQL; eliminate it first"
@@ -223,8 +236,9 @@ class _SqlBuilder:
 def formula_to_sql(f: Formula, schema: Schema, free=None) -> str:
     """SELECT statement whose rows are the formula's answers.
 
-    Free variables become columns drawn from the adom view; the result
-    agrees with the in-memory evaluator row for row.
+    Free variables become columns drawn from the active domain (the
+    adom view, read through the `dom` CTE); the result agrees with the
+    in-memory evaluator row for row.
     """
     if free is None:
         free = tuple(sorted(free_vars(f)))
@@ -235,16 +249,17 @@ def formula_to_sql(f: Formula, schema: Schema, free=None) -> str:
     env = {}
     froms = []
     for v in free:
-        alias = builder.alias("a")
+        alias, item = builder.dom("a")
         env[v] = f"{alias}.v"
-        froms.append(f"adom {alias}")
+        froms.append(item)
     cond = builder.cond(f, env)
+    cte = f"{_DOM_CTE}\n" if builder.uses_dom else ""
     if free:
         cols = ", ".join(f"{env[v]} AS {_ident(v)}" for v in free)
         return (
-            f"SELECT DISTINCT {cols}\nFROM {', '.join(froms)}\nWHERE {cond}"
+            f"{cte}SELECT DISTINCT {cols}\nFROM {', '.join(froms)}\nWHERE {cond}"
         )
-    return f"SELECT DISTINCT 1 AS sat\nWHERE {cond}"
+    return f"{cte}SELECT DISTINCT 1 AS sat\nWHERE {cond}"
 
 
 def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
@@ -255,14 +270,15 @@ def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
         if arity == 0:
             raise MappingError(f"cannot emit SQL for 0-ary relation {rel}")
         branch_sqls = []
+        uses_dom = False
         for b in pi.branches_for(rel):
             builder = _SqlBuilder(pi.source)
             env = {}
             froms = []
             for v in b.params:
-                alias = builder.alias("a")
+                alias, item = builder.dom("a")
                 env[v] = f"{alias}.v"
-                froms.append(f"adom {alias}")
+                froms.append(item)
             cols = ", ".join(
                 f"{builder.term(t, env)} AS c{i + 1}" for i, t in enumerate(b.terms)
             )
@@ -273,12 +289,14 @@ def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
                 )
             else:
                 branch_sqls.append(f"SELECT {cols} WHERE {cond}")
+            uses_dom = uses_dom or builder.uses_dom
         view = _ident(f"target_{rel}")
         outer_cols = ", ".join(f"c{i + 1}" for i in range(arity))
         if branch_sqls:
             union = "\nUNION ALL\n".join(branch_sqls)
+            cte = f"{_DOM_CTE}\n" if uses_dom else ""
             stmt = (
-                f"CREATE VIEW {view} AS\n"
+                f"CREATE VIEW {view} AS\n{cte}"
                 f"SELECT DISTINCT {outer_cols} FROM (\n{union}\n);"
             )
         else:

@@ -5,10 +5,27 @@ independent brute-force oracles used to cross-check the engine.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from dx.laconify import BlockType, Embedding, SideCondition, _order_type, _realized_block_form
-from dx.lang import TRUE, And, Eq, Formula, Lt, Not, Or, RelAtom, TrueF, Var, conj
-from dx.model import Const, Fact, Instance, Schema
+from dx.lang import (
+    TRUE,
+    And,
+    Certain,
+    Eq,
+    Exists,
+    Forall,
+    Formula,
+    Lt,
+    Not,
+    Or,
+    RelAtom,
+    TrueF,
+    Var,
+    conj,
+    free_vars,
+)
+from dx.model import Const, Fact, Instance, MappingError, Schema
 from dx.parser import parse_mapping
 
 # Non-laconic mappings paired with hand-written equivalent laconic ones.
@@ -570,3 +587,279 @@ def ref_side_condition(t: BlockType) -> SideCondition:
         if witness is None:
             return phi
         phi = conj([phi, Not(_order_type(names, witness))])
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator: the two-engine evaluator (a relational engine for
+# the positive structure, a per-assignment `holds` for negation and
+# comparisons) that the set-at-a-time `dx.evaluator` replaced, kept as an
+# oracle for it.
+
+def _ref_lt(a, b) -> bool:
+    return isinstance(a, Const) and isinstance(b, Const) and a.text < b.text
+
+
+def _ref_term_value(t, env):
+    if isinstance(t, Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise MappingError(f"unbound variable {t.name}") from None
+    return t
+
+
+class _RefRel:
+    """An answer set: named columns plus a set of value rows."""
+
+    __slots__ = ("vars", "rows")
+
+    def __init__(self, vars: tuple, rows: set):
+        self.vars = vars
+        self.rows = rows
+
+
+def _ref_join(a: _RefRel, b: _RefRel) -> _RefRel:
+    shared = [v for v in b.vars if v in a.vars]
+    extra = [v for v in b.vars if v not in a.vars]
+    a_idx = {v: i for i, v in enumerate(a.vars)}
+    b_idx = {v: i for i, v in enumerate(b.vars)}
+    b_by_key: dict = {}
+    for row in b.rows:
+        key = tuple(row[b_idx[v]] for v in shared)
+        b_by_key.setdefault(key, []).append(tuple(row[b_idx[v]] for v in extra))
+    rows = set()
+    for row in a.rows:
+        key = tuple(row[a_idx[v]] for v in shared)
+        for ext in b_by_key.get(key, ()):
+            rows.add(row + ext)
+    return _RefRel(a.vars + tuple(extra), rows)
+
+
+def _ref_project(rel: _RefRel, keep: Sequence[str]) -> _RefRel:
+    idx = {v: i for i, v in enumerate(rel.vars)}
+    cols = tuple(keep)
+    rows = {tuple(row[idx[v]] for v in cols) for row in rel.rows}
+    return _RefRel(cols, rows)
+
+
+def _ref_extend(rel: _RefRel, vars: Sequence[str], dom: Sequence) -> _RefRel:
+    missing = [v for v in vars if v not in rel.vars]
+    if missing:
+        rows = set()
+        for row in rel.rows:
+            for combo in itertools.product(dom, repeat=len(missing)):
+                rows.add(row + combo)
+        rel = _RefRel(rel.vars + tuple(missing), rows)
+    return _ref_project(rel, vars)
+
+
+class _RefEvaluator:
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.dom = inst.dom
+        self._rel_cache: dict = {}
+
+    # -- satisfaction of a formula under a full assignment ------------------
+
+    def holds(self, f: Formula, env: dict) -> bool:
+        if isinstance(f, TrueF):
+            return True
+        if isinstance(f, RelAtom):
+            args = tuple(_ref_term_value(a, env) for a in f.args)
+            return args in self._args_set(f.rel)
+        if isinstance(f, Eq):
+            return _ref_term_value(f.left, env) == _ref_term_value(f.right, env)
+        if isinstance(f, Lt):
+            return _ref_lt(_ref_term_value(f.left, env), _ref_term_value(f.right, env))
+        if isinstance(f, And):
+            return all(self.holds(p, env) for p in f.parts)
+        if isinstance(f, Or):
+            return any(self.holds(p, env) for p in f.parts)
+        if isinstance(f, Not):
+            return not self.holds(f.body, env)
+        if isinstance(f, Exists):
+            return any(
+                self.holds(f.body, {**env, f.var: v}) for v in self.dom
+            )
+        if isinstance(f, Forall):
+            return all(
+                self.holds(f.body, {**env, f.var: v}) for v in self.dom
+            )
+        if isinstance(f, Certain):
+            fv = tuple(sorted(free_vars(f.query)))
+            answers = self._certain(f)
+            try:
+                key = tuple(env[v] for v in fv)
+            except KeyError as exc:
+                raise MappingError(f"unbound variable {exc.args[0]}") from None
+            return key in answers
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _args_set(self, rel):
+        if rel not in self.inst.schema:
+            raise MappingError(f"undeclared relation {rel}")
+        return self._rel_cache.setdefault(
+            rel, set(self.inst.by_rel.get(rel, ()))
+        )
+
+    def _certain(self, node: Certain):
+        from dx import certain as certain_mod
+
+        return certain_mod.certain_answers(node.base, node.query, self.inst)
+
+    # -- relational evaluation ----------------------------------------------
+
+    def rel(self, f: Formula) -> _RefRel:
+        if isinstance(f, TrueF):
+            return _RefRel((), {()})
+        if isinstance(f, RelAtom):
+            return self._atom_rel(f)
+        if isinstance(f, (Eq, Lt)):
+            return self._filter_rel(f)
+        if isinstance(f, Certain):
+            fv = tuple(sorted(free_vars(f.query)))
+            return _RefRel(fv, set(self._certain(f)))
+        if isinstance(f, And):
+            return self._and_rel(f.parts)
+        if isinstance(f, Or):
+            fv = tuple(sorted(free_vars(f)))
+            rows = set()
+            for p in f.parts:
+                rows |= _ref_extend(self.rel(p), fv, self.dom).rows
+            return _RefRel(fv, rows)
+        if isinstance(f, Exists):
+            inner = self.rel(f.body)
+            if f.var not in inner.vars and not self.dom:
+                return _RefRel(tuple(v for v in inner.vars), set())
+            return _ref_project(inner, tuple(v for v in inner.vars if v != f.var))
+        if isinstance(f, Forall):
+            return self.rel(Not(Exists(f.var, Not(f.body))))
+        if isinstance(f, Not):
+            fv = tuple(sorted(free_vars(f)))
+            rows = set()
+            for combo in itertools.product(self.dom, repeat=len(fv)):
+                if not self.holds(f.body, dict(zip(fv, combo))):
+                    rows.add(combo)
+            return _RefRel(fv, rows)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _atom_rel(self, f: RelAtom) -> _RefRel:
+        tuples = self._args_set(f.rel)
+        cols = []
+        for a in f.args:
+            if isinstance(a, Var) and a.name not in cols:
+                cols.append(a.name)
+        rows = set()
+        for args in tuples:
+            env: dict = {}
+            ok = True
+            for a, v in zip(f.args, args):
+                if isinstance(a, Var):
+                    if env.setdefault(a.name, v) != v:
+                        ok = False
+                        break
+                elif a != v:
+                    ok = False
+                    break
+            if ok:
+                rows.add(tuple(env[c] for c in cols))
+        return _RefRel(tuple(cols), rows)
+
+    def _filter_rel(self, f) -> _RefRel:
+        fv = tuple(sorted(free_vars(f)))
+        rows = set()
+        for combo in itertools.product(self.dom, repeat=len(fv)):
+            if self.holds(f, dict(zip(fv, combo))):
+                rows.add(combo)
+        return _RefRel(fv, rows)
+
+    def _and_rel(self, parts) -> _RefRel:
+        relational = []
+        filters = []
+        for p in parts:
+            if isinstance(p, (Eq, Lt, Not)):
+                filters.append(p)
+            else:
+                relational.append(p)
+        acc = _RefRel((), {()})
+        for p in relational:
+            acc = _ref_join(acc, self.rel(p))
+            if not acc.rows:
+                return acc
+        pending = list(filters)
+        progress = True
+        while pending and progress:
+            progress = False
+            for p in list(pending):
+                fv = free_vars(p)
+                if fv <= set(acc.vars):
+                    idx = {v: i for i, v in enumerate(acc.vars)}
+                    acc = _RefRel(
+                        acc.vars,
+                        {
+                            row
+                            for row in acc.rows
+                            if self.holds(p, {v: row[idx[v]] for v in acc.vars})
+                        },
+                    )
+                    pending.remove(p)
+                    progress = True
+        for p in pending:
+            # filter variables outside the joined columns: extend first
+            fv = tuple(sorted(set(acc.vars) | free_vars(p)))
+            acc = _ref_extend(acc, fv, self.dom)
+            idx = {v: i for i, v in enumerate(acc.vars)}
+            acc = _RefRel(
+                acc.vars,
+                {
+                    row
+                    for row in acc.rows
+                    if self.holds(p, {v: row[idx[v]] for v in acc.vars})
+                },
+            )
+        return acc
+
+
+def ref_eval_formula(f: Formula, inst: Instance, free: Sequence[str]) -> set:
+    """All assignments to `free` (over the active domain) satisfying f."""
+    fv = free_vars(f)
+    missing = fv - set(free)
+    if missing:
+        raise MappingError(f"unbound free variables: {sorted(missing)}")
+    if len(set(free)) != len(tuple(free)):
+        raise MappingError("duplicate variables in the answer tuple")
+    ev = _RefEvaluator(inst)
+    rel = ev.rel(f)
+    return _ref_extend(rel, tuple(free), inst.dom).rows
+
+
+def ref_ground_answers(f: Formula, inst: Instance, free: Sequence[str]) -> set:
+    """eval_formula restricted to all-constant tuples."""
+    return {
+        row
+        for row in ref_eval_formula(f, inst, free)
+        if all(isinstance(v, Const) for v in row)
+    }
+
+
+def ref_holds(f: Formula, inst: Instance, env: dict | None = None) -> bool:
+    """Satisfaction of f under an assignment of its free variables."""
+    return _RefEvaluator(inst).holds(f, dict(env or {}))
+
+
+def ref_naive_chase(m, inst: Instance) -> Instance:
+    """The naive chase with its antecedents evaluated by ref_eval_formula."""
+    from dx.chase import _skolem_symbol
+    from dx.model import SkolemNull
+
+    facts = set()
+    for d, tgd in enumerate(m.tgds):
+        params = tgd.universal_vars
+        for row in ref_eval_formula(tgd.antecedent, inst, params):
+            env = dict(zip(params, row))
+            for k, y in enumerate(tgd.exist_vars):
+                env[y] = SkolemNull(_skolem_symbol(d, k), row)
+            for atom in tgd.consequent:
+                args = tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args)
+                facts.add(Fact(atom.rel, args))
+    return Instance(m.target, facts)

@@ -45,6 +45,7 @@ from dx.laconify import (
     strict_embeddings,
 )
 from dx.model import (
+    Const,
     compute_core,
     instances_isomorphic,
     is_core,
@@ -318,6 +319,17 @@ def test_side_condition_pair_brute_force():
         ("x", "y"),
         ("z",),
     )
+    assert check_rigid_and_safe(t) == []
+
+
+@pytest.mark.parametrize("nulls", [(), ("y",)])
+def test_side_condition_literal_and_variable_constant_share_a_position(nulls):
+    from helpers import check_rigid_and_safe
+
+    atoms = [RelAtom("S", (Var("x0"), Const("k"))), RelAtom("S", (Var("x0"), Var("x1")))]
+    atoms += [RelAtom("S", (Var("x1"), Var(y))) for y in nulls]
+    t = make_block_type(atoms, ["x0", "x1"], list(nulls))
+    assert side_condition(t) == ref_side_condition(t)
     assert check_rigid_and_safe(t) == []
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import inst
+from helpers import inst, ref_holds
 from hypothesis import given, settings, strategies as st
 
 from dx.evaluator import eval_formula, ground_answers, holds
@@ -209,9 +209,12 @@ def test_relational_and_assignment_engines_agree(seed):
         (a, b)
         for a in i.dom
         for b in i.dom
-        if holds(f, i, {"x": a, "y": b})
+        if ref_holds(f, i, {"x": a, "y": b})
     }
     assert rows == expected
+    assert expected == {
+        (a, b) for a in i.dom for b in i.dom if holds(f, i, {"x": a, "y": b})
+    }
 
 
 @pytest.mark.parametrize("seed", range(40))
