@@ -252,8 +252,12 @@ def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
     if not inst.is_source:
         raise MappingError("term interpretations evaluate over null-free instances")
     facts = set()
+    answers: dict = {}  # a dependency's branches share its condition
     for b in pi.branches:
-        for row in eval_formula(b.condition, inst, b.params):
+        key = (id(b.condition), b.params)
+        if key not in answers:
+            answers[key] = eval_formula(b.condition, inst, b.params)
+        for row in answers[key]:
             env = dict(zip(b.params, row))
             facts.add(Fact(b.rel, tuple(_instantiate_term(t, env) for t in b.terms)))
     return Instance(pi.target, facts)

@@ -173,7 +173,9 @@ class _FormulaParser:
         return Eq(left, right) if op[1] == "=" else Lt(left, right)
 
 
-def _parse_decls(lex: Lexer):
+def _parse_decls(lex: Lexer, declared: dict):
+    """One declaration statement; `declared` holds the relations that
+    earlier statements (source or target) declared."""
     rels = {}
     while True:
         tok = lex.peek()
@@ -185,7 +187,7 @@ def _parse_decls(lex: Lexer):
         if num is None or num[0] != "number":
             lex.error("expected an arity")
         lex.next()
-        if name in rels:
+        if name in rels or name in declared:
             raise ParseError(f"relation {name} declared twice", tok[2], tok[3])
         rels[name] = int(num[1])
         if lex.accept(","):
@@ -214,10 +216,10 @@ def parse_mapping(text: str) -> SchemaMapping:
             break
         if tok[1] == "source":
             lex.next()
-            source.update(_parse_decls(lex))
+            source.update(_parse_decls(lex, {**source, **target}))
         elif tok[1] == "target":
             lex.next()
-            target.update(_parse_decls(lex))
+            target.update(_parse_decls(lex, {**source, **target}))
         elif tok[1] == "tgd":
             lex.next()
             lex.expect(":")

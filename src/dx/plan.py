@@ -1,0 +1,623 @@
+"""Safe-range normalisation and relational plans for formulas.
+
+Both formula engines run the plans built here: `dx.evaluator` executes
+them set-at-a-time, and `dx.sqlgen` prints them as SQL.
+
+Normalisation rewrites a formula bottom-up:
+
+* every quantified variable is renamed after its nesting depth (`%1`,
+  `%2`, ...), so no quantifier shadows a variable and subformulas that
+  differ only in the names of their bound variables become equal;
+* `forall` becomes `!exists !`, double negations cancel, a negated
+  disjunction becomes a conjunction of negations, and comparisons
+  between constants are folded;
+* `exists v` is pushed into disjunctions, conjuncts without `v` move out
+  of its scope, and an equality `v = t` in its scope is substituted
+  away: `exists v: v = t & phi(v)` becomes `dom(t) & phi(t)`, where
+  `dom(t)` says that t is in the active domain;
+* in a conjunction with equalities between variables, the other
+  conjuncts name each class of equal variables by its least name;
+* the operands of `&` and `|` are deduplicated and sorted, so equal
+  subformulas have equal keys.
+
+Planning turns the normal form into relational operators.  A conjunction
+is a pipeline over the context of bound variables: it applies every
+conjunct whose variables are bound (comparisons and domain checks as
+filters, negations as anti-joins), then lets an equality with one bound
+side copy a column, then joins one generator (a scan per atom, a union
+per disjunction, a projection per `exists`; first one that binds its
+variables without reading the domain), and repeats.  A variable that
+nothing binds reads the active domain.  A disjunction that binds new
+variables is planned once, with positional column names, as a closed
+union; equal unions are one node, which the evaluator computes once and
+SQL emits as one common table expression.  Negated conjuncts equal up to
+the names of their quantified variables are planned once.
+"""
+
+from __future__ import annotations
+
+from dx.lang import (
+    And,
+    Certain,
+    Eq,
+    Exists,
+    Forall,
+    Formula,
+    Lt,
+    Not,
+    Or,
+    RelAtom,
+    TrueF,
+    Var,
+    free_vars,
+    substitute,
+)
+from dx.model import Const
+
+
+# ---------------------------------------------------------------------------
+# Normal form: a formula tree with its free variables and a canonical key.
+
+class _N:
+    __slots__ = ("kind", "a", "b", "parts", "fv", "key", "cert")
+
+    def __init__(self, kind, key, fv, a=None, b=None, parts=(), cert=False):
+        self.kind = kind
+        self.key = key
+        self.fv = fv
+        self.a = a
+        self.b = b
+        self.parts = parts
+        self.cert = cert
+
+
+def _tkey(t) -> str:
+    return t.name if isinstance(t, Var) else repr(t.text)
+
+
+def _tfv(*terms) -> frozenset:
+    return frozenset(t.name for t in terms if isinstance(t, Var))
+
+
+TRUE_N = _N("true", "T", frozenset())
+FALSE_N = _N("not", "!T", frozenset(), parts=(TRUE_N,))
+
+
+def _atom(rel, args) -> _N:
+    return _N("atom", f"{rel}({','.join(map(_tkey, args))})", _tfv(*args), rel, args)
+
+
+def _cmp(kind, left, right) -> _N:
+    if left == right:
+        return TRUE_N if kind == "eq" else FALSE_N
+    if isinstance(left, Const) and isinstance(right, Const):
+        holds = False if kind == "eq" else left.text < right.text
+        return TRUE_N if holds else FALSE_N
+    kl, kr = _tkey(left), _tkey(right)
+    if kind == "eq" and kr < kl:  # equality is symmetric
+        left, right, kl, kr = right, left, kr, kl
+    sym = "=" if kind == "eq" else "<"
+    return _N(kind, f"{kl}{sym}{kr}", _tfv(left, right), left, right)
+
+
+def _dom(t) -> _N:
+    return _N("dom", f"%dom({_tkey(t)})", _tfv(t), t)
+
+
+def _is_false(n: _N) -> bool:
+    return n.key == FALSE_N.key
+
+
+def _junction(kind, parts) -> _N:
+    """Flattened, deduplicated, sorted `and`/`or`; folds true and false."""
+    unit, zero = (TRUE_N, FALSE_N) if kind == "and" else (FALSE_N, TRUE_N)
+    out = {}
+    for p in parts:
+        for q in p.parts if p.kind == kind else (p,):
+            if q.key == zero.key:
+                return zero
+            if q.key != unit.key:
+                out[q.key] = q
+    if not out:
+        return unit
+    if len(out) == 1:
+        return next(iter(out.values()))
+    keys = sorted(out)
+    kids = tuple(out[k] for k in keys)
+    sym = "&" if kind == "and" else "|"
+    return _N(
+        kind,
+        f"{sym}({','.join(keys)})",
+        frozenset().union(*(p.fv for p in kids)),
+        parts=kids,
+        cert=any(p.cert for p in kids),
+    )
+
+
+class Normaliser:
+    """Builds normal forms.  Substitution results are memoised by key for
+    the normaliser's lifetime: the same subformula recurs under many
+    quantifiers (a laconic precondition repeats its positive part in
+    every guard)."""
+
+    def __init__(self):
+        self._subs: dict = {}
+        self._queries: list = []  # keeps the ids in certain[...] keys unique
+
+    def formula(self, f: Formula, sub: dict | None = None, depth: int = 1) -> _N:
+        """The normal form of f (see the module docstring)."""
+        sub = sub or {}
+        if isinstance(f, RelAtom):
+            return _atom(f.rel, tuple(sub.get(a.name, a) if isinstance(a, Var) else a for a in f.args))
+        if isinstance(f, (Eq, Lt)):
+            left, right = (sub.get(t.name, t) if isinstance(t, Var) else t for t in (f.left, f.right))
+            return _cmp("eq" if isinstance(f, Eq) else "lt", left, right)
+        if isinstance(f, TrueF):
+            return TRUE_N
+        if isinstance(f, Not):
+            return self.not_(self.formula(f.body, sub, depth))
+        if isinstance(f, (And, Or)):
+            kind = "and" if isinstance(f, And) else "or"
+            return self.junction(kind, [self.formula(p, sub, depth) for p in f.parts])
+        if isinstance(f, (Exists, Forall)):
+            v = f"%{depth}"
+            body = self.formula(f.body, {**sub, f.var: Var(v)}, depth + 1)
+            if isinstance(f, Exists):
+                return self.exists(v, body)
+            return self.not_(self.exists(v, self.not_(body)))
+        if isinstance(f, Certain):
+            return self.certain(f, sub)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def not_(self, n: _N) -> _N:
+        if n.kind == "not":
+            return n.parts[0]
+        if n.kind == "or":
+            return self.junction("and", [self.not_(p) for p in n.parts])
+        return _N("not", "!" + n.key, n.fv, parts=(n,), cert=n.cert)
+
+    def junction(self, kind: str, parts) -> _N:
+        n = _junction(kind, parts)
+        return self._equate(n) if n.kind == "and" else n
+
+    def _equate(self, n: _N) -> _N:
+        """A conjunction with equalities between variables, its other
+        conjuncts naming each class of equal variables by the least name
+        in it, so that `a = b & phi(b)` and `a = b & phi(a)` meet."""
+        eqs = [
+            p for p in n.parts
+            if p.kind == "eq" and isinstance(p.a, Var) and isinstance(p.b, Var)
+        ]
+        if not eqs:
+            return n
+        parent: dict = {}
+
+        def find(v):
+            while v in parent:
+                v = parent[v]
+            return v
+
+        for p in eqs:
+            a, b = find(p.a.name), find(p.b.name)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+        sub = {v: Var(find(v)) for v in parent}
+        others = [p for p in n.parts if p.kind != "eq" or p not in eqs]
+        if not any(p.fv & sub.keys() for p in others):
+            return n
+        eqs = [_cmp("eq", Var(v), t) for v, t in sub.items()]
+        return self.junction("and", [self.subst(p, sub) for p in others] + eqs)
+
+    def exists(self, v: str, body: _N) -> _N:
+        if _is_false(body):
+            return FALSE_N
+        if v not in body.fv:
+            if body.kind == "true":
+                return _N("exists", f"E{v}:T", frozenset(), v, parts=(body,))
+            # `exists v: phi` is phi on a nonempty domain
+            return self.junction("and", [body, self.exists(v, TRUE_N)])
+        if body.kind == "or":
+            return self.junction("or", [self.exists(v, p) for p in body.parts])
+        parts = body.parts if body.kind == "and" else (body,)
+        for p in parts:
+            if p.kind == "eq" and Var(v) in (p.a, p.b):
+                t = p.b if p.a == Var(v) else p.a
+                rest = [self.subst(q, {v: t}) for q in parts if q is not p]
+                return self.junction("and", [_dom(t)] + rest)
+        outside = [p for p in parts if v not in p.fv]
+        if outside:
+            inside = self.junction("and", [p for p in parts if v in p.fv])
+            return self.junction("and", outside + [self.exists(v, inside)])
+        return _N("exists", f"E{v}:{body.key}", body.fv - {v}, v, parts=(body,), cert=body.cert)
+
+    def subst(self, n: _N, sub: dict) -> _N:
+        """n with free variables replaced by terms.  Quantified variables
+        are named by depth and substituted terms come from outside, so
+        nothing is captured."""
+        relevant = tuple(sorted((v, t) for v, t in sub.items() if v in n.fv))
+        if not relevant:
+            return n
+        memo = self._subs.get((n.key, relevant))
+        if memo is None:
+            memo = self._subs[n.key, relevant] = self._subst(n, sub)
+        return memo
+
+    def _subst(self, n: _N, sub: dict) -> _N:
+        k = n.kind
+
+        def s(t):
+            return sub.get(t.name, t) if isinstance(t, Var) else t
+
+        if k == "atom":
+            return _atom(n.a, tuple(map(s, n.b)))
+        if k in ("eq", "lt"):
+            return _cmp(k, s(n.a), s(n.b))
+        if k == "dom":
+            return _dom(s(n.a))
+        if k == "not":
+            return self.not_(self.subst(n.parts[0], sub))
+        if k in ("and", "or"):
+            return self.junction(k, [self.subst(p, sub) for p in n.parts])
+        if k == "exists":
+            return self.exists(n.a, self.subst(n.parts[0], sub))
+        if k == "certain":
+            return self.certain(n.a, {q: s(Var(o)) for q, o in n.b})
+        raise AssertionError(k)
+
+    def certain(self, node: Certain, names: dict) -> _N:
+        """A certain[...] node.  Its query keeps its own variable names,
+        so evaluating it elsewhere never meets ours; `names` maps the
+        query's free variables to terms.  A constant is substituted into
+        the query, and of two variables given one name the second becomes
+        the first."""
+        query, pairs, fix = node.query, {}, {}
+        for qv in sorted(free_vars(query)):
+            t = names.get(qv, Var(qv))
+            first = next((q for q, o in pairs.items() if isinstance(t, Var) and o == t.name), None)
+            if isinstance(t, Const) or first is not None:
+                fix[qv] = t if first is None else Var(first)
+            else:
+                pairs[qv] = t.name
+        node = Certain(substitute(query, fix), node.base)
+        self._queries.append(node.query)
+        b = tuple(pairs.items())
+        return _N("certain", f"C{id(node.query)}:{b}", frozenset(pairs.values()), node, b, cert=True)
+
+    def rename(self, n: _N, sub: dict, prefix: str = "%", depth: int = 1) -> _N:
+        """n with free variables replaced by `sub` and each quantified
+        variable named `prefix` and its depth below n, so that
+        subformulas equal up to the names of their variables get one
+        key.  No free variable of the result may start with `prefix`."""
+        if n.kind == "exists":
+            v = f"{prefix}{depth}"
+            body = self.rename(n.parts[0], {**sub, n.a: Var(v)}, prefix, depth + 1)
+            return self.exists(v, body)
+        if n.kind in ("and", "or"):
+            return self.junction(n.kind, [self.rename(p, sub, prefix, depth) for p in n.parts])
+        if n.kind == "not":
+            return self.not_(self.rename(n.parts[0], sub, prefix, depth))
+        return self.subst(n, sub)
+
+
+def _var_order(n: _N, out: dict):
+    """Variables of n in order of first occurrence."""
+    if n.kind == "atom":
+        terms = n.b
+    elif n.kind in ("eq", "lt", "dom"):
+        terms = (n.a, n.b)
+    elif n.kind == "certain":
+        terms = [Var(o) for _q, o in n.b]
+    else:
+        terms = ()
+        for p in n.parts:
+            _var_order(p, out)
+    for t in terms:
+        if isinstance(t, Var):
+            out.setdefault(t.name)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Plan operators.  `vars` are the columns a node adds to (or joins with)
+# the context it runs in.
+
+class Node:
+    __slots__ = ("vars",)
+
+
+class Scan(Node):
+    """The rows of one relation matching an atom."""
+
+    __slots__ = ("rel", "args")
+
+    def __init__(self, rel: str, args: tuple):
+        self.rel, self.args = rel, args
+        self.vars = tuple(dict.fromkeys(a.name for a in args if isinstance(a, Var)))
+
+
+class Dom(Node):
+    """The active domain, for a variable that nothing else binds."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        self.var = var
+        self.vars = (var,)
+
+
+class Cmp(Node):
+    """A filter `left op right` (op is `=` or `<`), or its negation."""
+
+    __slots__ = ("op", "left", "right", "negated")
+
+    def __init__(self, op: str, left, right, negated: bool):
+        self.op, self.left, self.right, self.negated = op, left, right, negated
+        self.vars = ()
+
+
+class Member(Node):
+    """A filter: the term is in the active domain."""
+
+    __slots__ = ("term",)
+
+    def __init__(self, term):
+        self.term = term
+        self.vars = ()
+
+
+class Copy(Node):
+    """A new column equal to a bound term; `check` keeps only rows where
+    that term is in the active domain (not known for a constant or a
+    value from outside)."""
+
+    __slots__ = ("var", "term", "check")
+
+    def __init__(self, var: str, term, check: bool):
+        self.var, self.term, self.check = var, term, check
+        self.vars = (var,)
+
+
+class Seq(Node):
+    """A conjunction: the steps run in order, each on the previous output."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple):
+        self.steps = steps
+        self.vars = tuple(dict.fromkeys(v for s in steps for v in s.vars))
+
+
+class Proj(Node):
+    """`exists var`: the body, with `var` projected away."""
+
+    __slots__ = ("body", "var")
+
+    def __init__(self, body: Node, var: str):
+        self.body, self.var = body, var
+        self.vars = tuple(v for v in body.vars if v != var)
+
+
+class Anti(Node):
+    """A negation: the context rows whose `key` columns the body rejects."""
+
+    __slots__ = ("body", "key")
+
+    def __init__(self, body: Node, key: tuple):
+        self.body, self.key = body, key
+        self.vars = ()
+
+
+class Union(Node):
+    """A disjunction.  With `cols` it is closed: every part binds exactly
+    those columns from nothing.  Without, every part is a filter on the
+    context, and a row is kept when one of them keeps it."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple, cols: tuple = ()):
+        self.parts = parts
+        self.vars = cols
+
+
+class Ref(Node):
+    """A closed, shared node, its columns renamed to `vars`."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: Node, vars: tuple):
+        self.node = node
+        self.vars = vars
+
+
+class Cert(Node):
+    """The certain answers of a target query (evaluator only), its
+    columns (the query's sorted free variables) renamed to `vars`."""
+
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: Certain, vars: tuple):
+        self.formula = formula
+        self.vars = vars
+
+
+UNIT = Seq(())
+
+_GEN_RANK = {"atom": 0, "exists": 1, "or": 2, "certain": 3, "dom": 4}
+_FILTER_RANK = {"eq": 0, "lt": 0, "dom": 0, "not": 1}
+
+
+class Planner:
+    """Plans normal forms.  Closed unions are memoised by canonical key,
+    so one planner shares them across every formula it plans."""
+
+    def __init__(self):
+        self._canon: dict = {}  # canonical key -> union node
+        self._unions: dict = {}  # key -> (union node, its columns' names)
+        self._bound_by: dict = {}  # key -> the variables it binds
+        self.norm = Normaliser()
+
+    def plan(self, f: Formula, want=(), bound=()) -> Node:
+        """The plan of f in a context binding `bound` (values that may lie
+        outside the active domain); every variable of `want` is bound in
+        its output."""
+        n = self.norm.formula(f)
+        return self.conj(n.parts if n.kind == "and" else (n,), bound, (), want)
+
+    def node(self, n: _N, bound, indom) -> Node:
+        k = n.kind
+        if k == "atom":
+            return Scan(n.a, n.b)
+        if k == "certain":
+            return Cert(n.a, tuple(o for _q, o in n.b))
+        if k == "true":
+            return UNIT
+        if k == "or":
+            if n.fv <= bound:
+                return Union(tuple(self.node(p, bound, indom) for p in n.parts))
+            return self.union(n)
+        if k == "exists":
+            body = n.parts[0]
+            parts = body.parts if body.kind == "and" else (body,)
+            return Proj(self.conj(parts, bound, indom, (n.a,)), n.a)
+        if k == "dom":
+            if not n.fv <= bound:
+                return Dom(n.a.name)
+            known = isinstance(n.a, Var) and n.a.name in indom
+            return UNIT if known else Member(n.a)
+        if n.fv <= bound and k in ("eq", "lt"):
+            return Cmp("=" if k == "eq" else "<", n.a, n.b, False)
+        if n.fv <= bound and k == "not":
+            body = n.parts[0]
+            if body.kind in ("eq", "lt"):
+                return Cmp("=" if body.kind == "eq" else "<", body.a, body.b, True)
+            key = tuple(sorted(body.fv))
+            return Anti(self.node(body, frozenset(key), indom & body.fv), key)
+        return self.conj(n.parts if k == "and" else (n,), bound, indom, ())
+
+    def conj(self, parts, bound, indom, want) -> Node:
+        """Filters first, then binding equalities, then generators."""
+        bound, indom = set(bound), set(indom)
+        pending = self._distinct(parts)
+        steps = []
+        while pending:
+            ready = [p for p in pending if p.fv <= bound]
+            if ready:
+                ready.sort(key=lambda p: _FILTER_RANK.get(p.kind, 2))
+                fb, fi = frozenset(bound), frozenset(indom)
+                steps.extend(self.node(p, fb, fi) for p in ready)
+                pending = [p for p in pending if not p.fv <= bound]
+                continue
+            copy = self._binding(pending, bound)
+            if copy is not None:
+                p, v, t = copy
+                steps.append(Copy(v, t, not (isinstance(t, Var) and t.name in indom)))
+                bound.add(v)
+                indom.add(v)
+                pending.remove(p)
+                continue
+            # a generator that binds its variables without reading the
+            # domain goes first; joined to bound variables, the better
+            gens = [
+                (0 if p.fv - bound <= self._binds(p) else 1,
+                 0 if p.fv & bound else 1, _GEN_RANK[p.kind], i)
+                for i, p in enumerate(pending)
+                if p.kind in _GEN_RANK
+            ]
+            if gens:
+                p = pending.pop(min(gens)[-1])
+                steps.append(self.node(p, frozenset(bound), frozenset(indom)))
+                if not p.cert:
+                    indom |= p.fv - bound
+                bound |= p.fv
+                continue
+            v = min(pending[0].fv - bound)
+            steps.append(Dom(v))
+            bound.add(v)
+            indom.add(v)
+        for v in want:
+            if v not in bound:
+                steps.append(Dom(v))
+                bound.add(v)
+        return steps[0] if len(steps) == 1 else Seq(tuple(steps))
+
+    def _binds(self, n: _N) -> frozenset:
+        """The variables n binds without reading the active domain: those
+        of its atoms and certain answers, through equalities, in every
+        disjunct."""
+        out = self._bound_by.get(n.key)
+        if out is not None:
+            return out
+        k = n.kind
+        if k in ("atom", "certain"):
+            out = n.fv
+        elif k == "or":
+            out = frozenset.intersection(*(self._binds(p) for p in n.parts))
+        elif k == "exists":
+            out = self._binds(n.parts[0]) - {n.a}
+        elif k == "and":
+            out = frozenset().union(*(self._binds(p) for p in n.parts))
+            eqs = [p for p in n.parts if p.kind == "eq"]
+            while True:
+                more = {
+                    v.name
+                    for p in eqs
+                    for v, t in ((p.a, p.b), (p.b, p.a))
+                    if isinstance(v, Var) and (isinstance(t, Const) or t.name in out)
+                }
+                if more <= out:
+                    break
+                out |= more
+        else:
+            out = frozenset()
+        self._bound_by[n.key] = out
+        return out
+
+    def _distinct(self, parts) -> list:
+        """The conjuncts, of negations equal up to the names of their
+        quantified variables only the first: a precondition's guards for
+        embeddings that differ by a symmetry of the block are such
+        negations."""
+        if sum(p.kind == "not" for p in parts) < 2:
+            return list(parts)
+        seen: dict = {}
+        for p in parts:
+            quantified = p.kind == "not" and "E%" in p.key  # binders are %1, %2, ...
+            seen.setdefault(self.norm.rename(p, {}, "^").key if quantified else p.key, p)
+        return list(seen.values())
+
+    @staticmethod
+    def _binding(pending, bound):
+        for p in pending:
+            if p.kind != "eq":
+                continue
+            for v, t in ((p.a, p.b), (p.b, p.a)):
+                if (
+                    isinstance(v, Var)
+                    and v.name not in bound
+                    and (isinstance(t, Const) or t.name in bound)
+                ):
+                    return p, v.name, t
+        return None
+
+    def union(self, n: _N) -> Ref:
+        """A closed union over n's variables, shared by canonical key."""
+        hit = self._unions.get(n.key)
+        if hit is not None:
+            return Ref(*hit)
+        cols = tuple(v for v in _var_order(n, {}) if v in n.fv)
+        names = tuple(f"#{i + 1}" for i in range(len(cols)))
+        canon = self.norm.rename(n, {v: Var(h) for v, h in zip(cols, names)})
+        node = self._canon.get(canon.key)
+        if node is None:
+            # renaming may leave a single disjunct
+            disjuncts = canon.parts if canon.kind == "or" else (canon,)
+            node = Union(
+                tuple(
+                    self.conj(p.parts if p.kind == "and" else (p,), (), (), names)
+                    for p in disjuncts
+                ),
+                names,
+            )
+            self._canon[canon.key] = node
+        self._unions[n.key] = node, cols
+        return Ref(node, cols)

@@ -6,6 +6,16 @@ Labeled nulls are encoded as tagged text `@f(arg,...)` rather than SQL
 NULL (SQL NULL's three-valued semantics would break labeled-null
 identity).  Constants therefore may not start with `@`; inside a null's
 arguments, `\\`, `,`, `(` and `)` are escaped with a backslash.
+
+Formulas are printed from their relational plans (`dx.plan`), the plans
+the in-memory evaluator runs: a scan is a FROM item joined on the bound
+variables, a comparison or domain check a WHERE condition, a copy a
+column expression, a negation `NOT EXISTS` over its body correlated on
+the bound variables, and a closed union a UNION subquery, or a CTE when
+the statement reads it more than once.  A target view computes each
+dependency condition once, as a CTE that every consequent atom's branch
+reads; the active domain is read, through one `dom` CTE, only for a
+variable nothing else binds and to check a constant.
 """
 
 from __future__ import annotations
@@ -15,22 +25,9 @@ import os
 from dataclasses import dataclass
 
 from dx.chase import App, TermInterpretation
-from dx.lang import (
-    And,
-    Certain,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Lt,
-    Not,
-    Or,
-    RelAtom,
-    TrueF,
-    Var,
-    free_vars,
-)
+from dx.lang import Formula, Var, free_vars
 from dx.model import Const, Fact, Instance, MappingError, Schema, SkolemNull, Value
+from dx.plan import Anti, Cert, Cmp, Copy, Dom, Member, Node, Planner, Proj, Ref, Scan, Seq, Union
 
 
 # Inside a null's arguments a constant's `\`, `,`, `(` and `)` get a
@@ -146,27 +143,50 @@ def adom_view_sql(schema: Schema) -> str:
     return f"CREATE VIEW adom(v) AS\n{body};"
 
 
-# Every statement reads the active domain through one CTE: a CTE that a
-# statement reads more than once is computed once (SQLite materialises
-# it), where each read of the adom view would rerun its UNION.
+# A statement that reads the active domain does so through one leading
+# CTE: a CTE that a statement reads more than once is computed once
+# (SQLite materialises it), where each read of the adom view would rerun
+# its UNION.
 _DOM_CTE = "WITH dom(v) AS (SELECT v FROM adom)"
 
 
+class _Select:
+    """A SELECT under construction: its FROM items and WHERE conditions.
+    The SQL expression of each bound variable is kept beside it, in an
+    `env` dict, so that scopes can share one select."""
+
+    __slots__ = ("froms", "where")
+
+    def __init__(self):
+        self.froms = []
+        self.where = []
+
+    def tail(self) -> str:
+        text = f" FROM {', '.join(self.froms)}" if self.froms else ""
+        return text + (f" WHERE {' AND '.join(self.where)}" if self.where else "")
+
+    def condition(self) -> str:
+        """True iff the select has a row."""
+        if self.froms:
+            return f"EXISTS (SELECT 1{self.tail()})"
+        return "(" + " AND ".join(self.where) + ")" if self.where else "1"
+
+
 class _SqlBuilder:
+    """Prints plans as SQL for one statement.  A shared union that the
+    statement reads more than once becomes a CTE."""
+
     def __init__(self, schema: Schema):
         self.schema = schema
         self.counter = 0
         self.uses_dom = False
+        self.ctes: list = []  # (name, body), each after those it reads
+        self._names: dict = {}  # id(shared node) -> CTE name
+        self._reads: dict = {}  # id(shared node) -> reads in the statement
 
     def alias(self, prefix: str) -> str:
         self.counter += 1
         return f"{prefix}{self.counter}"
-
-    def dom(self, prefix: str) -> tuple:
-        """A fresh alias over the active domain, and its FROM item."""
-        self.uses_dom = True
-        alias = self.alias(prefix)
-        return alias, f"dom {alias}"
 
     def term(self, t, env: dict) -> str:
         if isinstance(t, Var):
@@ -195,114 +215,184 @@ class _SqlBuilder:
             return " || ".join(pieces)
         raise TypeError(f"not a term: {t!r}")
 
-    def cond(self, f: Formula, env: dict) -> str:
-        if isinstance(f, TrueF):
-            return "1 = 1"
-        if isinstance(f, RelAtom):
-            if f.rel not in self.schema:
-                raise MappingError(f"undeclared relation {f.rel}")
+    def count(self, node: Node):
+        """Record how often the statement reads each shared union."""
+        kind = type(node)
+        if kind is Ref:
+            n = self._reads[id(node.node)] = self._reads.get(id(node.node), 0) + 1
+            if n == 1:
+                self.count(node.node)
+        elif kind in (Seq, Union):
+            for child in node.steps if kind is Seq else node.parts:
+                self.count(child)
+        elif kind in (Proj, Anti):
+            self.count(node.body)
+
+    def with_clause(self) -> str:
+        items = [_DOM_CTE.removeprefix("WITH ")] if self.uses_dom else []
+        items += [f"{name} AS (\n{body}\n)" for name, body in self.ctes]
+        return "WITH " + "\n, ".join(items) + "\n" if items else ""
+
+    def query(self, node: Node, cols: tuple, as_names=None, distinct=True) -> str:
+        """A SELECT of node's rows, one column per variable of `cols`."""
+        if type(node) is Union and node.vars:
+            return "\nUNION\n".join(self.query(p, cols, as_names, False) for p in node.parts)
+        sel, env = _Select(), {}
+        self.into(node, sel, env)
+        names = as_names or [f"c{i + 1}" for i in range(len(cols))]
+        outs = [f"{env[v]} AS {a}" for v, a in zip(cols, names)] or ["1 AS sat"]
+        head = "SELECT DISTINCT " if distinct else "SELECT "
+        return head + ", ".join(outs) + sel.tail()
+
+    def shared(self, node: Node) -> str:
+        """A FROM item reading a shared union: its CTE, or a subquery."""
+        name = self._names.get(id(node))
+        if name is not None:
+            return name
+        body = self.query(node, node.vars)
+        if self._reads.get(id(node), 0) < 2:
+            return f"(\n{body}\n)"
+        name = self._names[id(node)] = f"u{len(self._names) + 1}"
+        self.ctes.append((name, body))
+        return name
+
+    def _bind(self, var: str, expr: str, sel: _Select, env: dict):
+        if var in env:
+            sel.where.append(f"{expr} = {env[var]}")
+        else:
+            env[var] = expr
+
+    def _in_dom(self, expr: str) -> str:
+        self.uses_dom = True
+        return f"{expr} IN (SELECT v FROM dom)"
+
+    def into(self, node: Node, sel: _Select, env: dict):
+        """Add node to sel: its tables joined to the bound variables in env,
+        and its conditions; env gains the variables it binds."""
+        kind = type(node)
+        if kind is Seq:
+            for step in node.steps:
+                self.into(step, sel, env)
+        elif kind is Scan:
+            if node.rel not in self.schema:
+                raise MappingError(f"undeclared relation {node.rel}")
             alias = self.alias("t")
-            checks = " AND ".join(
-                f"{alias}.c{i + 1} = {self.term(a, env)}"
-                for i, a in enumerate(f.args)
-            )
-            where = f" WHERE {checks}" if checks else ""
-            return f"EXISTS (SELECT 1 FROM {_ident(f.rel)} {alias}{where})"
-        if isinstance(f, Eq):
-            return f"{self.term(f.left, env)} = {self.term(f.right, env)}"
-        if isinstance(f, Lt):
-            return f"{self.term(f.left, env)} < {self.term(f.right, env)}"
-        if isinstance(f, And):
-            return "(" + " AND ".join(self.cond(p, env) for p in f.parts) + ")"
-        if isinstance(f, Or):
-            return "(" + " OR ".join(self.cond(p, env) for p in f.parts) + ")"
-        if isinstance(f, Not):
-            return f"NOT {self.cond(f.body, env)}"
-        if isinstance(f, Exists):
-            alias, item = self.dom("q")
-            inner = self.cond(f.body, {**env, f.var: f"{alias}.v"})
-            return f"EXISTS (SELECT 1 FROM {item} WHERE {inner})"
-        if isinstance(f, Forall):
-            alias, item = self.dom("q")
-            inner = self.cond(Not(f.body), {**env, f.var: f"{alias}.v"})
-            return f"NOT EXISTS (SELECT 1 FROM {item} WHERE {inner})"
-        if isinstance(f, Certain):
+            sel.froms.append(f"{_ident(node.rel)} {alias}")
+            for i, a in enumerate(node.args):
+                col = f"{alias}.c{i + 1}"
+                if isinstance(a, Var):
+                    self._bind(a.name, col, sel, env)
+                else:
+                    sel.where.append(f"{col} = {self.term(a, env)}")
+        elif kind is Dom:
+            self.uses_dom = True
+            alias = self.alias("a")
+            sel.froms.append(f"dom {alias}")
+            self._bind(node.var, f"{alias}.v", sel, env)
+        elif kind is Cmp:
+            test = f"{self.term(node.left, env)} {node.op} {self.term(node.right, env)}"
+            sel.where.append(f"NOT ({test})" if node.negated else test)
+        elif kind is Member:
+            sel.where.append(self._in_dom(self.term(node.term, env)))
+        elif kind is Copy:
+            expr = self.term(node.term, env)
+            if node.check:
+                sel.where.append(self._in_dom(expr))
+            self._bind(node.var, expr, sel, env)
+        elif kind is Proj:
+            outer = env.pop(node.var, None)
+            self.into(node.body, sel, env)
+            env.pop(node.var, None)
+            if outer is not None:
+                env[node.var] = outer
+        elif kind is Anti:
+            sub = _Select()
+            self.into(node.body, sub, dict(env))
+            sel.where.append("NOT " + sub.condition())
+        elif kind is Union:  # a filter on bound variables
+            conds = []
+            for part in node.parts:
+                sub = _Select()
+                self.into(part, sub, dict(env))
+                conds.append(sub.condition())
+            sel.where.append("(" + " OR ".join(conds) + ")")
+        elif kind is Ref:
+            alias = self.alias("s")
+            sel.froms.append(f"{self.shared(node.node)} {alias}")
+            for i, v in enumerate(node.vars):
+                self._bind(v, f"{alias}.c{i + 1}", sel, env)
+        elif kind is Cert:
             raise MappingError(
                 "certain[...] cannot be compiled to SQL; eliminate it first"
             )
-        raise TypeError(f"not a formula: {f!r}")
+        else:
+            raise TypeError(f"not a plan node: {node!r}")
 
 
 def formula_to_sql(f: Formula, schema: Schema, free=None) -> str:
     """SELECT statement whose rows are the formula's answers.
 
-    Free variables become columns drawn from the active domain (the
-    adom view, read through the `dom` CTE); the result agrees with the
-    in-memory evaluator row for row.
+    The statement prints the formula's plan (`dx.plan`); a free variable
+    that nothing binds ranges over the active domain (the adom view, read
+    through the `dom` CTE).  The result agrees with the in-memory
+    evaluator row for row.
     """
     if free is None:
         free = tuple(sorted(free_vars(f)))
     missing = free_vars(f) - set(free)
     if missing:
         raise MappingError(f"unbound free variables: {sorted(missing)}")
+    free = tuple(free)
     builder = _SqlBuilder(schema)
-    env = {}
-    froms = []
-    for v in free:
-        alias, item = builder.dom("a")
-        env[v] = f"{alias}.v"
-        froms.append(item)
-    cond = builder.cond(f, env)
-    cte = f"{_DOM_CTE}\n" if builder.uses_dom else ""
-    if free:
-        cols = ", ".join(f"{env[v]} AS {_ident(v)}" for v in free)
-        return (
-            f"{cte}SELECT DISTINCT {cols}\nFROM {', '.join(froms)}\nWHERE {cond}"
-        )
-    return f"{cte}SELECT DISTINCT 1 AS sat\nWHERE {cond}"
+    plan = Planner().plan(f, want=free)
+    builder.count(plan)
+    body = builder.query(plan, free, [_ident(v) for v in free])
+    return builder.with_clause() + body
 
 
 def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
     """DDL, adom view, and one view per target relation computing the
-    interpretation's output under the text encoding of values."""
+    interpretation's output under the text encoding of values.
+
+    Each view plans every dependency condition its branches read once,
+    as a CTE `kN` whose columns are the condition's parameters; the
+    branches only build their term tuples from it."""
     queries = []
     for rel, arity in pi.target.rels:
         if arity == 0:
             raise MappingError(f"cannot emit SQL for 0-ary relation {rel}")
+        branches = pi.branches_for(rel)
+        view = _ident(f"target_{rel}")
+        if not branches:
+            empty_cols = ", ".join(f"'' AS c{i + 1}" for i in range(arity))
+            queries.append((rel, f"CREATE VIEW {view} AS\nSELECT {empty_cols} WHERE 0;"))
+            continue
+        builder = _SqlBuilder(pi.source)
+        planner = Planner()
+        plans = {}
+        for b in branches:  # a dependency's branches share its condition
+            key = (id(b.condition), b.params)
+            if key not in plans:
+                plans[key] = planner.plan(b.condition, want=b.params)
+                builder.count(plans[key])
+        names = {}
+        for (cond, params), plan in plans.items():
+            names[cond, params] = name = f"k{len(names) + 1}"
+            builder.ctes.append((name, builder.query(plan, params)))
         branch_sqls = []
-        uses_dom = False
-        for b in pi.branches_for(rel):
-            builder = _SqlBuilder(pi.source)
-            env = {}
-            froms = []
-            for v in b.params:
-                alias, item = builder.dom("a")
-                env[v] = f"{alias}.v"
-                froms.append(item)
+        for b in branches:
+            name = names[id(b.condition), b.params]
+            env = {v: f"{name}.c{i + 1}" for i, v in enumerate(b.params)}
             cols = ", ".join(
                 f"{builder.term(t, env)} AS c{i + 1}" for i, t in enumerate(b.terms)
             )
-            cond = builder.cond(b.condition, env)
-            if froms:
-                branch_sqls.append(
-                    f"SELECT {cols} FROM {', '.join(froms)} WHERE {cond}"
-                )
-            else:
-                branch_sqls.append(f"SELECT {cols} WHERE {cond}")
-            uses_dom = uses_dom or builder.uses_dom
-        view = _ident(f"target_{rel}")
+            branch_sqls.append(f"SELECT {cols} FROM {name}")
         outer_cols = ", ".join(f"c{i + 1}" for i in range(arity))
-        if branch_sqls:
-            union = "\nUNION ALL\n".join(branch_sqls)
-            cte = f"{_DOM_CTE}\n" if uses_dom else ""
-            stmt = (
-                f"CREATE VIEW {view} AS\n{cte}"
-                f"SELECT DISTINCT {outer_cols} FROM (\n{union}\n);"
-            )
-        else:
-            empty_cols = ", ".join(f"'' AS c{i + 1}" for i in range(arity))
-            stmt = f"CREATE VIEW {view} AS\nSELECT {empty_cols} WHERE 0;"
-        queries.append((rel, stmt))
+        union = "\nUNION ALL\n".join(branch_sqls)
+        queries.append((rel, (
+            f"CREATE VIEW {view} AS\n{builder.with_clause()}"
+            f"SELECT DISTINCT {outer_cols} FROM (\n{union}\n);"
+        )))
     return SqlArtifact(source_ddl(pi.source), adom_view_sql(pi.source), tuple(queries))
 
 
@@ -352,13 +442,12 @@ def load_instance(conn, inst: Instance):
         stmt = stmt.strip()
         if stmt:
             cur.execute(stmt)
-    for name, _arity in inst.schema.rels:
-        for args in inst.by_rel.get(name, ()):
-            marks = ", ".join("?" for _ in args)
-            cur.execute(
-                f"INSERT INTO {_ident(name)} VALUES ({marks})",
-                [a.text for a in args],
-            )
+    for name, arity in inst.schema.rels:
+        marks = ", ".join("?" * arity)
+        cur.executemany(
+            f"INSERT INTO {_ident(name)} VALUES ({marks})",
+            ([a.text for a in args] for args in inst.by_rel.get(name, ())),
+        )
     conn.commit()
 
 

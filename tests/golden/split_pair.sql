@@ -6,15 +6,22 @@ UNION
 SELECT c2 AS v FROM "R";
 
 CREATE VIEW "target_S" AS
-WITH dom(v) AS (SELECT v FROM adom)
+WITH k1 AS (
+SELECT DISTINCT t1.c1 AS c1, t1.c2 AS c2 FROM "R" t1
+)
+, k2 AS (
+SELECT DISTINCT t2.c1 AS c1 FROM "R" t2 WHERE t2.c2 = t2.c1
+)
 SELECT DISTINCT c1, c2 FROM (
-SELECT a1.v AS c1, '@f1_1(' || replace(replace(replace(replace(a1.v, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ',' || replace(replace(replace(replace(a2.v, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ')' AS c2 FROM dom a1, dom a2 WHERE EXISTS (SELECT 1 FROM "R" t3 WHERE t3.c1 = a1.v AND t3.c2 = a2.v)
+SELECT k1.c1 AS c1, '@f1_1(' || replace(replace(replace(replace(k1.c1, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ',' || replace(replace(replace(replace(k1.c2, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ')' AS c2 FROM k1
 UNION ALL
-SELECT a1.v AS c1, a1.v AS c2 FROM dom a1 WHERE EXISTS (SELECT 1 FROM "R" t2 WHERE t2.c1 = a1.v AND t2.c2 = a1.v)
+SELECT k2.c1 AS c1, k2.c1 AS c2 FROM k2
 );
 
 CREATE VIEW "target_T" AS
-WITH dom(v) AS (SELECT v FROM adom)
+WITH k1 AS (
+SELECT DISTINCT t1.c1 AS c1, t1.c2 AS c2 FROM "R" t1
+)
 SELECT DISTINCT c1, c2 FROM (
-SELECT a2.v AS c1, '@f1_1(' || replace(replace(replace(replace(a1.v, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ',' || replace(replace(replace(replace(a2.v, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ')' AS c2 FROM dom a1, dom a2 WHERE EXISTS (SELECT 1 FROM "R" t3 WHERE t3.c1 = a1.v AND t3.c2 = a2.v)
+SELECT k1.c2 AS c1, '@f1_1(' || replace(replace(replace(replace(k1.c1, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ',' || replace(replace(replace(replace(k1.c2, '\', '\\'), ',', '\,'), '(', '\('), ')', '\)') || ')' AS c2 FROM k1
 );

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dx.cli import main
 
@@ -203,3 +208,82 @@ def test_bad_fact_file_is_a_positioned_parse_error(tmp_path, double_map, facts, 
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# -- robustness: arbitrary input text ------------------------------------------
+
+# Mapping and fact text built from DSL tokens (so parsing gets past the
+# first character), spliced with arbitrary characters.
+_TOKENS = [
+    "source", "target", "tgd", ":", ".", ",", "(", ")", "->", "&", "|", "!",
+    "=", "<", "/", "0", "1", "2", "exists", "forall", "true", "certain", "[",
+    "]", "R", "S", "P", "x", "y", "z", "'a'", "b", "@", "#", "\n", " ",
+]
+_text = st.one_of(
+    st.lists(
+        st.one_of(st.sampled_from(_TOKENS), st.text(max_size=2)), max_size=40
+    ).map(" ".join),
+    st.text(max_size=40),
+)
+_VALID_MAP = "source R/2, P/1.\ntarget S/2.\ntgd: R(x,y) & !P(y) -> exists z: S(x,z) & S(y,z).\n"
+
+
+def _mutated(draw, text):
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 4)))
+    return text[:i] + draw(st.text(max_size=3)) + text[j:]
+
+
+@st.composite
+def _declared_mapping(draw):
+    """Declarations and dependencies over a few relation names, arities
+    0-2, so that names clash and atoms misuse arities."""
+    rel = st.sampled_from("RSP")
+    term = st.sampled_from(["x", "y", "z", "'a'"])
+
+    def decls():
+        n = draw(st.integers(1, 2))
+        return ", ".join(f"{draw(rel)}/{draw(st.integers(0, 2))}" for _ in range(n))
+
+    def atom():
+        args = ", ".join(draw(term) for _ in range(draw(st.integers(0, 2))))
+        return f"{draw(rel)}({args})"
+
+    lines = [f"source {decls()}.", f"target {decls()}."]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"tgd: {atom()} & !{atom()} -> exists z: {atom()}.")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _mapping_text(draw):
+    pick = draw(st.integers(0, 2))
+    if pick == 0:
+        return _mutated(draw, _VALID_MAP)
+    return draw(_declared_mapping()) if pick == 1 else draw(_text)
+
+
+@st.composite
+def _fact_text(draw):
+    return _mutated(draw, "R(a,b).\nR(b,'c d').\nP(a).\n") if draw(st.booleans()) else draw(_text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapping_text(), _fact_text(), st.sampled_from(["chase", "core"]))
+def test_arbitrary_input_exits_cleanly(mapping, facts, command):
+    with tempfile.TemporaryDirectory() as d:
+        paths = {}
+        for name, text in (("m.map", mapping), ("i.facts", facts)):
+            paths[name] = os.path.join(d, name)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [command, "-m", paths["m.map"], "-o", os.path.join(d, "out")]
+        if command != "emit-sql":
+            argv += ["-i", paths["i.facts"]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert re.match(r"dx: \d+:\d+: ", err.getvalue()), err.getvalue()

@@ -378,6 +378,39 @@ def test_formula_sql_reads_adom_only_in_dom_cte(seed):
     assert _reads_adom_only_in_cte(formula_to_sql(f, PR, ("x", "y", "z")))
 
 
+@pytest.mark.parametrize("name", LACONIC)
+def test_laconic_views_scan_relations_and_read_each_condition_once(name):
+    """The views never read the active domain: atoms are scans, and each
+    quantified variable is bound by a scan or an equality.  Each
+    dependency condition a view uses is one CTE, and every branch only
+    builds its terms from that CTE."""
+    lm, art = _laconic(name)
+    pi = to_term_interpretation(lm)
+    for rel, stmt in art.queries:
+        assert not re.search(r"\b(dom|adom)\b", stmt)
+        conditions = {id(b.condition) for b in pi.branches_for(rel)}
+        ctes = re.findall(r"^(?:WITH |, )(k\d+) AS \($", stmt, re.M)
+        assert len(ctes) == len(conditions)
+        branches = stmt.rsplit(" FROM (\n", 1)[1].removesuffix("\n);").split("\nUNION ALL\n")
+        assert len(branches) == len(pi.branches_for(rel))
+        for branch in branches:
+            assert re.fullmatch(r"SELECT .* FROM k\d+", branch)
+
+
+@pytest.mark.parametrize("name", ["symmetric_join", "fan_3"])
+def test_guards_equal_up_to_bound_variable_names_collapse(name):
+    """Guards for embeddings that differ by a symmetry of the block are
+    equal once equalities are substituted and quantified variables
+    renamed; the plan keeps one of each, so the view has fewer
+    anti-joins than the precondition has quantified guards."""
+    lm, art = _laconic(name)
+    guards = [
+        p for p in lm.tgds[0].antecedent.parts
+        if isinstance(p, Not) and isinstance(p.body, Exists)
+    ]
+    assert 0 < art.queries[0][1].count("NOT EXISTS") < len(guards)
+
+
 def test_golden_sql_stable():
     import pathlib
 
