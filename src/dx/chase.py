@@ -151,11 +151,7 @@ def _naive_chase_cached(m: SchemaMapping, inst: Instance) -> Instance:
     facts = set()
     for d, tgd in enumerate(m.tgds):
         params = tgd.universal_vars
-        rows = sorted(
-            eval_formula(tgd.antecedent, inst, params),
-            key=lambda row: tuple(value_key(v) for v in row),
-        )
-        for row in rows:
+        for row in eval_formula(tgd.antecedent, inst, params):
             env = dict(zip(params, row))
             for i, y in enumerate(tgd.exist_vars):
                 env[y] = SkolemNull(_skolem_symbol(d, i), row)

@@ -17,8 +17,8 @@ from dx.certain import certain_answers, eliminate_mapping
 from dx.chase import naive_chase, restricted_chase, to_term_interpretation
 from dx.laconify import generate_block_types, laconify, precondition, side_condition
 from dx.lang import decompose, format_formula, format_mapping, free_vars
-from dx.model import DxError, compute_core, format_facts, parse_facts
-from dx.parser import parse_formula, parse_mapping
+from dx.model import DxError, ParseError, compute_core, format_facts, parse_facts
+from dx.parser import declarations, parse_formula, parse_mapping
 
 
 def _read(path: str) -> str:
@@ -88,7 +88,13 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_emit_sql(args) -> int:
-    m = _load_mapping(args.mapping)
+    text = _read(args.mapping)
+    m = parse_mapping(text)
+    if any(arity == 0 for _rel, arity in m.source.rels + m.target.rels):
+        # a SQL table needs a column; point at the first such declaration
+        for rel, (arity, line, col) in declarations(text).items():
+            if arity == 0:
+                raise ParseError(f"cannot emit SQL for 0-ary relation {rel}", line, col)
     pi = to_term_interpretation(m)
     artifact = sqlgen.interpretation_to_sql(pi)
     _emit(artifact.text(include_ddl=args.emit_ddl), args.output)

@@ -9,56 +9,81 @@ into `find_hom`; the symmetry searches of the laconic rewriting
 
 Encoding convention: argument codes >= 0 are fixed values and must match
 target codes exactly; a code a < 0 denotes variable number (-1 - a).
-Targets come prebuilt as an index from relation to its rows (tuples of
-codes), so callers that search one fact set many times encode it once.
+Targets come prebuilt (a `model.Encoding`): each relation's rows
+(tuples of codes) in insertion order, and an index from a relation,
+position and code to the rows holding that code there, in the same
+order.  Callers that search one fact set many times encode it once.
 """
 
 from __future__ import annotations
 
 
-def homs(pattern, index, nvars, injective=False, allowed=None):
+def homs(pattern, target, nvars, injective=False, allowed=None, exclude=None):
     """Every assignment of the pattern variables into the target.
 
     pattern: sequence of (relation, args) with int args, negatives = vars.
-    index:   mapping relation -> sequence of target rows, args >= 0.
+    target:  rows to search: `target.rows` maps a relation to its rows
+             (args >= 0) in insertion order, and `target.column(rel, pos)`
+             maps a code to the rows holding it at `pos`, in that order.
     nvars:   number of distinct variables in the pattern.
     injective: require pairwise-distinct variable values.
     allowed: optional set of codes variables may take.
+    exclude: optional (relation, row): a target row the search skips.
 
     All facts of one relation must have the same arity (callers encode
     schema-checked instances, so this holds by construction).
 
-    Yields each assignment as a fresh list of length nvars (-1 for a
-    variable the pattern does not use), once if each relation's rows are
-    distinct.  The order is deterministic: pattern facts are matched in
-    the given order, candidate target rows are tried in their index order.
+    Yields each assignment once (a relation's rows form a set), as a
+    fresh list of length nvars (-1 for a variable the pattern does not
+    use).  The order is deterministic: pattern facts are matched in
+    the given order, candidate target rows are tried in insertion order.
+    On entering a pattern fact, the candidates are the shortest index
+    list among its positions whose code is fixed or bound by an earlier
+    fact; a subsequence of the relation's rows, so the order is the same
+    as a scan of all of them.
     """
     n = len(pattern)
-    cands = []
-    for rel, _args in pattern:
-        lst = index.get(rel)
-        if not lst:
+    rows = target.rows
+    frames = []
+    seen = set()
+    for rel, args in pattern:
+        full = rows.get(rel)
+        if not full:
             return
-        cands.append(lst)
+        keys = [
+            (a, target.column(rel, j))
+            for j, a in enumerate(args) if a >= 0 or a in seen
+        ]
+        seen.update(a for a in args if a < 0)
+        skip = exclude[1] if exclude is not None and exclude[0] == rel else None
+        frames.append((args, full, keys, skip))
     if n == 0:
         yield [-1] * nvars
         return
 
     asn = [-1] * nvars
     used = set()
-    pos = [0] * n
+    its = [None] * n
     trail = [()] * n
     i = 0
+    enter = True
     while True:
-        lst = cands[i]
-        args = pattern[i][1]
+        args, full, keys, skip = frames[i]
+        if enter:
+            best = full
+            for a, col in keys:
+                lst = col.get(a if a >= 0 else asn[-1 - a])
+                if lst is None:
+                    best = ()
+                    break
+                if len(lst) < len(best):
+                    best = lst
+            its[i] = iter(best)
         k = len(args)
-        ci = pos[i]
-        end = len(lst)
         advanced = False
-        while ci < end:
-            cand = lst[ci]
-            ci += 1
+        for cand in its[i]:
+            if skip is not None and cand == skip:
+                continue
             bound = []
             ok = True
             for j in range(k):
@@ -91,18 +116,18 @@ def homs(pattern, index, nvars, injective=False, allowed=None):
                         used.discard(asn[v])
                     asn[v] = -1
                 continue
-            pos[i] = ci
             trail[i] = tuple(bound)
             advanced = True
             break
         if advanced:
             i += 1
             if i < n:
-                pos[i] = 0
+                enter = True
                 continue
             yield list(asn)
         # frame exhausted, or a solution given out: undo the last matched
         # frame's bindings and try its next row
+        enter = False
         i -= 1
         if i < 0:
             return
@@ -112,9 +137,9 @@ def homs(pattern, index, nvars, injective=False, allowed=None):
             asn[v] = -1
 
 
-def find_hom(pattern, index, nvars, injective=False, allowed=None):
+def find_hom(pattern, target, nvars, injective=False, allowed=None, exclude=None):
     """The first assignment `homs` yields, or None."""
-    return next(homs(pattern, index, nvars, injective, allowed), None)
+    return next(homs(pattern, target, nvars, injective, allowed, exclude), None)
 
 
 def order_pattern(pattern):

@@ -345,8 +345,8 @@ def _type_homs(t: BlockType, t2: BlockType, injective: bool = False):
     for x in names2:
         enc.code(Var(x))
     # relations 0 and 1 (never a relation name) hold the two variable kinds
-    enc.rows[0] = [(k,) for k in range(m2)]
-    enc.rows[1] = [(k,) for k in range(m2, len(names2))]
+    for k in range(len(names2)):
+        enc.add_row(int(k >= m2), (k,))
     targets = dict.fromkeys(t2.atoms)
     for a in targets:
         enc.add(a)
@@ -357,7 +357,7 @@ def _type_homs(t: BlockType, t2: BlockType, injective: bool = False):
     ]
     kinds = [(int(k >= m), (v,)) for k, v in enumerate(var_ids.values())]
     found = []
-    for asn in kernel.homs(kernel.order_pattern(atoms + kinds), enc.rows, len(var_ids), injective):
+    for asn in kernel.homs(kernel.order_pattern(atoms + kinds), enc, len(var_ids), injective):
         if len(set(asn[m:])) < len(asn) - m:
             continue
         image = {(rel, tuple(c if c >= 0 else asn[-1 - c] for c in args)) for rel, args in atoms}

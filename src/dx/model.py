@@ -299,16 +299,20 @@ class Encoding:
 
     Codes are handed out in order of first appearance, and each
     relation's rows keep insertion order, which is the order the kernel
-    tries them in.  `rows` is the kernel's target index; it may grow
-    between searches.
+    tries them in.  The encoding is the kernel's search target: `rows`
+    maps a relation to its rows (a dict used as an ordered set), and
+    `column(rel, pos)` indexes them by the code at one position.  Each
+    column is built on first use and kept current as rows are added
+    and removed between searches.
     """
 
-    __slots__ = ("codes", "values", "rows")
+    __slots__ = ("codes", "values", "rows", "columns")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self.codes: dict = {}
         self.values: list = []
-        self.rows: dict[str, list] = {}
+        self.rows: dict[str, dict] = {}
+        self.columns: dict[str, dict] = {}  # rel -> pos -> code -> rows
         for f in facts:
             self.add(f)
 
@@ -321,8 +325,32 @@ class Encoding:
 
     def add(self, f: Fact) -> tuple:
         row = tuple(self.code(a) for a in f.args)
-        self.rows.setdefault(f.rel, []).append(row)
+        self.add_row(f.rel, row)
         return row
+
+    def add_row(self, rel, row: tuple) -> None:
+        self.rows.setdefault(rel, {})[row] = None
+        for pos, col in self.columns.get(rel, {}).items():
+            col.setdefault(row[pos], {})[row] = None
+
+    def remove(self, rel, row: tuple) -> None:
+        """Drop a row; the rows after it keep their order."""
+        del self.rows[rel][row]
+        for pos, col in self.columns.get(rel, {}).items():
+            lst = col[row[pos]]
+            del lst[row]
+            if not lst:
+                del col[row[pos]]
+
+    def column(self, rel, pos: int) -> dict:
+        """code -> the rows of `rel` holding it at `pos`, in row order."""
+        cols = self.columns.setdefault(rel, {})
+        col = cols.get(pos)
+        if col is None:
+            col = cols[pos] = {}
+            for row in self.rows.get(rel, ()):
+                col.setdefault(row[pos], {})[row] = None
+        return col
 
     def search(self, pattern, *, injective=False, nulls_only=False) -> Optional[dict]:
         """`match_pattern` against the facts added so far."""
@@ -338,7 +366,7 @@ class Encoding:
         if nulls_only:
             allowed = frozenset(c for c, v in enumerate(self.values) if is_null(v))
         asn = kernel.find_hom(
-            kernel.order_pattern(pat), self.rows, len(var_ids), injective, allowed
+            kernel.order_pattern(pat), self, len(var_ids), injective, allowed
         )
         if asn is None:
             return None
@@ -434,11 +462,11 @@ def _encoded(inst: Instance):
     return enc, rows, [is_null(v) for v in enc.values]
 
 
-def _block_fold(block, rows, index, null) -> Optional[dict]:
+def _block_fold(block, rows, enc, null) -> Optional[dict]:
     """A map of the block's null codes into codes of the instance whose
     image misses at least one row of the block, or None.
 
-    `block` lists positions into `rows`; `index` holds the instance's
+    `block` lists positions into `rows`; `enc` holds the instance's
     rows per relation in canonical order.
     """
     var: dict = {}
@@ -447,10 +475,7 @@ def _block_fold(block, rows, index, null) -> Optional[dict]:
         for rel, row in (rows[p] for p in block)
     ])
     for p in block:
-        rel, gone = rows[p]
-        target = dict(index)
-        target[rel] = [r for r in index[rel] if r != gone]
-        asn = kernel.find_hom(pattern, target, len(var))
+        asn = kernel.find_hom(pattern, enc, len(var), exclude=rows[p])
         if asn is not None:
             return {c: asn[v] for c, v in var.items()}
     return None
@@ -479,22 +504,29 @@ def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
     subinstance, so the scan resumes at the pieces of the folded block.
     """
     enc, rows, null = _encoded(j)
-    index = enc.rows
     comp = list(range(len(enc.values)))
+    # code -> the codes comp sends to it, for codes some fold moved or
+    # moved onto; any other code is sent only to itself
+    pre: dict = {}
     todo = _null_blocks(rows, null)
     k = 0
     while k < len(todo):
         block = todo[k]
-        fold = _block_fold(block, rows, index, null)
+        fold = _block_fold(block, rows, enc, null)
         if fold is None:
             k += 1
             continue
         facts = [rows[p] for p in block]
         image = {(rel, tuple(fold.get(c, c) for c in row)) for rel, row in facts}
         dead = set(facts) - image
-        for rel in {rel for rel, _row in dead}:
-            index[rel] = [r for r in index[rel] if (rel, r) not in dead]
-        comp = [fold.get(c, c) for c in comp]
+        for rel, row in dead:
+            enc.remove(rel, row)
+        moves = {c: d for c, d in fold.items() if c != d}
+        groups = {c: pre.pop(c, [c]) for c in moves}
+        for c, d in moves.items():
+            for x in groups[c]:
+                comp[x] = d
+            pre.setdefault(d, [] if d in moves else [d]).extend(groups[c])
         kept = [p for p in block if rows[p] not in dead]
         del todo[k]
         for piece in _components(kept, rows, null):
@@ -502,7 +534,7 @@ def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
     # comp: j -> core is a homomorphism but need not fix the core
     # pointwise; its restriction to the core is an automorphism e, so
     # composing with e^(order-1) yields a true retraction.
-    core_dom = {c for lst in index.values() for row in lst for c in row}
+    core_dom = {c for lst in enc.rows.values() for row in lst for c in row}
     e = {c: comp[c] for c in core_dom}
     order = 1
     p = dict(e)
@@ -515,7 +547,7 @@ def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
     values = enc.values
     core = Instance(j.schema, [
         Fact(rel, tuple(values[c] for c in row))
-        for rel, lst in index.items() for row in lst
+        for rel, lst in enc.rows.items() for row in lst
     ])
     return core, Homomorphism({v: values[retr[enc.codes[v]]] for v in j.dom})
 
@@ -524,7 +556,7 @@ def is_core(j: Instance) -> bool:
     """True iff no block of j folds into the rest of the instance."""
     enc, rows, null = _encoded(j)
     return all(
-        _block_fold(block, rows, enc.rows, null) is None
+        _block_fold(block, rows, enc, null) is None
         for block in _null_blocks(rows, null)
     )
 

@@ -274,6 +274,17 @@ def parse_mapping(text: str) -> SchemaMapping:
         raise ParseError(str(exc)) from None
 
 
+def declarations(text: str) -> dict:
+    """Relation name -> (arity, line, col) of its declaration, in file
+    order, for a mapping text that `parse_mapping` accepts."""
+    toks = Lexer(text, _TOKEN).tokens
+    return {
+        name[1]: (int(num[1]), name[2], name[3])
+        for name, slash, num in zip(toks, toks[1:], toks[2:])
+        if name[0] == "ident" and slash[1] == "/"
+    }
+
+
 def _rel_atoms(f: Formula):
     if isinstance(f, RelAtom):
         yield f

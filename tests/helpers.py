@@ -266,9 +266,91 @@ def brute_isomorphic(i: Instance, j: Instance) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference core and restricted-chase paths: the per-call encoding that
-# `compute_core`, `is_core` and `restricted_chase` replaced, kept as an
-# oracle for their encode-once, single-pass versions.
+# Reference core and restricted-chase paths: the per-call encoding and
+# the full-scan search that `compute_core`, `is_core` and
+# `restricted_chase` replaced, kept as an oracle for their encode-once,
+# indexed, single-pass versions.
+
+def ref_homs(pattern, index, nvars, injective=False, allowed=None):
+    """The kernel search as a scan of every row of a pattern fact's
+    relation, with no index: `index` maps a relation to a list of rows.
+    Same contract and answer order as `dx.kernel.homs`."""
+    n = len(pattern)
+    cands = []
+    for rel, _args in pattern:
+        lst = index.get(rel)
+        if not lst:
+            return
+        cands.append(lst)
+    if n == 0:
+        yield [-1] * nvars
+        return
+
+    asn = [-1] * nvars
+    used = set()
+    pos = [0] * n
+    trail = [()] * n
+    i = 0
+    while True:
+        lst = cands[i]
+        args = pattern[i][1]
+        k = len(args)
+        ci = pos[i]
+        end = len(lst)
+        advanced = False
+        while ci < end:
+            cand = lst[ci]
+            ci += 1
+            bound = []
+            ok = True
+            for j in range(k):
+                a = args[j]
+                c = cand[j]
+                if a >= 0:
+                    if a != c:
+                        ok = False
+                        break
+                else:
+                    v = -1 - a
+                    cur = asn[v]
+                    if cur < 0:
+                        if allowed is not None and c not in allowed:
+                            ok = False
+                            break
+                        if injective and c in used:
+                            ok = False
+                            break
+                        asn[v] = c
+                        if injective:
+                            used.add(c)
+                        bound.append(v)
+                    elif cur != c:
+                        ok = False
+                        break
+            if not ok:
+                for v in bound:
+                    if injective:
+                        used.discard(asn[v])
+                    asn[v] = -1
+                continue
+            pos[i] = ci
+            trail[i] = tuple(bound)
+            advanced = True
+            break
+        if advanced:
+            i += 1
+            if i < n:
+                pos[i] = 0
+                continue
+            yield list(asn)
+        i -= 1
+        if i < 0:
+            return
+        for v in trail[i]:
+            if injective:
+                used.discard(asn[v])
+            asn[v] = -1
+
 
 def ref_match_pattern(pattern, target_facts, presorted=False):
     """Encode the whole target afresh, then search it."""
@@ -301,7 +383,7 @@ def ref_match_pattern(pattern, target_facts, presorted=False):
             else:
                 enc.append(val_code(a))
         pat.append((rel, tuple(enc)))
-    asn = kernel.find_hom(kernel.order_pattern(pat), index, len(var_ids))
+    asn = next(ref_homs(kernel.order_pattern(pat), index, len(var_ids)), None)
     if asn is None:
         return None
     return {var: code_vals[asn[idx]] for var, idx in var_ids.items() if asn[idx] >= 0}

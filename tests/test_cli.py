@@ -96,6 +96,14 @@ def test_emit_sql(capsys, tmp_path, overlap_map):
     assert "CREATE TABLE" in out
 
 
+def test_emit_sql_points_at_a_0_ary_declaration(capsys, tmp_path):
+    mp = tmp_path / "m.map"
+    mp.write_text("source R/2.\ntarget S/1,\n  Q/0.\n", encoding="utf-8")
+    code, _, err = run(capsys, "emit-sql", "-m", str(mp))
+    assert code == 2
+    assert err == "dx: 3:3: cannot emit SQL for 0-ary relation Q\n"
+
+
 def test_certain_answers_command(capsys, overlap_map, p_a):
     code, out, _ = run(
         capsys, "certain", "-m", overlap_map, "-i", p_a, "-q", "exists y: R1(x,y)"
@@ -269,7 +277,7 @@ def _fact_text(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_mapping_text(), _fact_text(), st.sampled_from(["chase", "core"]))
+@given(_mapping_text(), _fact_text(), st.sampled_from(["chase", "core", "emit-sql"]))
 def test_arbitrary_input_exits_cleanly(mapping, facts, command):
     with tempfile.TemporaryDirectory() as d:
         paths = {}

@@ -56,12 +56,15 @@ MAPPINGS = {
 }
 
 
-def _cases(name, m, count=30, max_facts=40, max_consts=10):
+def _cases(name, m, count=30, max_facts=40, max_consts=10, big=3):
+    """`count` small random source instances, then `big` ones of 100-150
+    facts, where most fold checks find a bound argument to index on."""
     rng = random.Random(f"core-oracle-{name}")
-    for _ in range(count):
-        nconsts = rng.randint(1, max_consts)
+    for k in range(count + big):
+        small = k < count
+        nconsts = rng.randint(1, max_consts) if small else rng.randint(30, 60)
         facts = set()
-        for _ in range(rng.randint(0, max_facts)):
+        for _ in range(rng.randint(0, max_facts) if small else rng.randint(100, 150)):
             rel, arity = rng.choice(m.source.rels)
             facts.add(Fact(rel, tuple(Const(f"c{rng.randrange(nconsts)}") for _ in range(arity))))
         yield rng, Instance(m.source, facts)
@@ -134,3 +137,21 @@ def test_core_paths_agree_on_random_null_instances():
         assert _retraction(retr) == _retraction(ref_retr)
         assert is_core(j) == ref_is_core(j)
         assert blocks(j) == ref_blocks(j)
+
+
+def test_symmetric_join_core_at_scale_matches_closed_form():
+    # Each unordered pair {x, y}, x != y, keeps one 2-fact block; a
+    # reflexive R(x, x) keeps its 1-fact block only if x has no other
+    # partner, since S(x, z) folds into any block holding S(x, _).
+    m = MAPPINGS["symmetric_join"]()
+    rng = random.Random("core-oracle-scale")
+    c = [Const(f"c{i}") for i in range(500)]
+    source = Instance(m.source, [
+        Fact("R", (rng.choice(c), rng.choice(c))) for _ in range(1000)
+    ])
+    pairs = {frozenset(f.args) for f in source.facts if f.args[0] != f.args[1]}
+    partnered = set().union(*pairs)
+    lone = {f.args[0] for f in source.facts if f.args[0] == f.args[1]} - partnered
+    core, _retr = compute_core(naive_chase(m, source))
+    assert len(core) == 2 * len(pairs) + len(lone)
+    assert is_core(core)

@@ -1,9 +1,13 @@
-"""The backtracking kernel: soundness, completeness and pattern order."""
+"""The backtracking kernel: soundness, completeness, pattern order, and
+the indexed search against the full-scan reference."""
 
 import itertools
 import random
 
+from helpers import ref_homs
+
 from dx import kernel
+from dx.model import Encoding
 
 
 def _random_case(rng):
@@ -33,8 +37,15 @@ def _random_case(rng):
 
 
 def _index(target):
-    index = {}
+    enc = Encoding()
     for rel, args in target:
+        enc.add_row(rel, args)
+    return enc
+
+
+def _ref_index(target):
+    index = {}
+    for rel, args in dict.fromkeys(target):
         index.setdefault(rel, []).append(args)
     return index
 
@@ -115,3 +126,95 @@ def test_order_pattern_is_deterministic_and_complete():
     assert ordered == kernel.order_pattern(pattern)
     # the fully fixed fact is picked first
     assert ordered[0] == (1, (5,))
+
+
+def _big_case(rng):
+    """Relations of 10-60 distinct rows over up to 12 values: sizes at
+    which most pattern facts have a bound position to index on."""
+    nrels = rng.randint(1, 2)
+    arities = [rng.randint(1, 3) for _ in range(nrels)]
+    nvals = rng.randint(2, 12)
+    target = []
+    for _ in range(rng.randint(10, 60)):
+        r = rng.randrange(nrels)
+        target.append((r, tuple(rng.randrange(nvals) for _ in range(arities[r]))))
+    target = list(dict.fromkeys(target))
+    nvars = rng.randint(1, 4)
+    pattern = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.randrange(nrels)
+        pattern.append((r, tuple(
+            -1 - rng.randrange(nvars) if rng.random() < 0.7 else rng.randrange(nvals)
+            for _ in range(arities[r])
+        )))
+    injective = rng.random() < 0.3
+    allowed = None
+    if rng.random() < 0.3:
+        allowed = frozenset(rng.sample(range(nvals), rng.randint(1, nvals)))
+    return pattern, target, nvars, injective, allowed
+
+
+def _both_cases(rng):
+    if rng.random() < 0.5:
+        pattern, target, nvars, injective, allowed, _nvals = _random_case(rng)
+        return pattern, list(dict.fromkeys(target)), nvars, injective, allowed
+    return _big_case(rng)
+
+
+def _agrees(pattern, enc, rows, nvars, injective, allowed):
+    """The indexed search on `enc` yields what a scan of `rows` yields."""
+    return list(kernel.homs(pattern, enc, nvars, injective, allowed)) == list(
+        ref_homs(pattern, _ref_index(rows), nvars, injective, allowed))
+
+
+def test_indexed_homs_yield_the_reference_sequence():
+    rng = random.Random("indexed")
+    answered_big = 0
+    for _ in range(600):
+        pattern, target, nvars, injective, allowed = _both_cases(rng)
+        pattern = kernel.order_pattern(pattern) if rng.random() < 0.5 else pattern
+        assert _agrees(pattern, _index(target), target, nvars, injective, allowed)
+        answered_big += len(target) >= 10 and next(
+            ref_homs(pattern, _ref_index(target), nvars, injective, allowed), None) is not None
+    assert answered_big > 50
+
+
+def test_index_kept_current_as_rows_come_and_go():
+    # Columns built before rows are added and removed must show those
+    # changes in the next search, in insertion order.
+    rng = random.Random("current")
+    changed = 0
+    for _ in range(400):
+        pattern, target, nvars, injective, allowed = _both_cases(rng)
+        case = (nvars, injective, allowed)
+        cut = rng.randint(0, len(target))
+        enc = _index(target[:cut])
+        for rel, args in pattern:
+            for j in range(len(args)):
+                enc.column(rel, j)
+        live = list(target[:cut])
+        for row in target[cut:]:  # as the restricted chase adds facts
+            enc.add_row(*row)
+            live.append(row)
+            if rng.random() < 0.3:
+                assert _agrees(pattern, enc, live, *case)
+        for row in rng.sample(live, rng.randint(0, len(live))):  # as a fold drops them
+            enc.remove(*row)
+            live.remove(row)
+            if rng.random() < 0.3:
+                assert _agrees(pattern, enc, live, *case)
+        assert _agrees(pattern, enc, live, *case)
+        changed += cut < len(target)
+    assert changed > 100
+
+
+def test_excluded_row_is_skipped():
+    rng = random.Random("exclude")
+    for _ in range(300):
+        pattern, target, nvars, injective, allowed = _both_cases(rng)
+        if not target:
+            continue
+        gone = rng.choice(target)
+        rest = [row for row in target if row != gone]
+        got = list(kernel.homs(pattern, _index(target), nvars, injective, allowed, exclude=gone))
+        assert got == list(ref_homs(pattern, _ref_index(rest), nvars, injective, allowed))
