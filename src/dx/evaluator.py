@@ -118,11 +118,13 @@ class _Evaluator:
             idx = [ctx.vars.index(v) for v in node.key]
             bad = _project(self.run(node.body, _project(ctx, node.key)), node.key).rows
             return _Rel(ctx.vars, {r for r in ctx.rows if tuple(r[i] for i in idx) not in bad})
-        if kind is Union:  # a filter: every part keeps a subset of ctx
+        if kind is Union:  # every part extends a subset of ctx by node.vars
+            cols = ctx.vars + node.vars
             rows = set()
             for part in node.parts:
-                rows |= self.run(part, ctx).rows
-            return _Rel(ctx.vars, rows)
+                out = self.run(part, ctx)
+                rows |= out.rows if out.vars == cols else _project(out, cols).rows
+            return _Rel(cols, rows)
         raise TypeError(f"not a plan node: {node!r}")
 
     def _closed(self, node: Node) -> _Rel:

@@ -30,7 +30,10 @@ variables without reading the domain), and repeats.  A variable that
 nothing binds reads the active domain.  A disjunction that binds new
 variables is planned once, with positional column names, as a closed
 union; equal unions are one node, which the evaluator computes once and
-SQL emits as one common table expression.  Negated conjuncts equal up to
+SQL emits as one common table expression.  A closed union reads the
+bound variables it shares with the context from the active domain, so a
+disjunction sharing one whose value may lie outside it (from `holds` or
+`certain[...]`) runs each disjunct on the context instead.  Negated conjuncts equal up to
 the names of their quantified variables are planned once.
 """
 
@@ -408,9 +411,10 @@ class Anti(Node):
 
 
 class Union(Node):
-    """A disjunction.  With `cols` it is closed: every part binds exactly
-    those columns from nothing.  Without, every part is a filter on the
-    context, and a row is kept when one of them keeps it."""
+    """A disjunction.  Shared through a `Ref`, it is closed: every part
+    binds exactly the columns `cols` from nothing.  Otherwise every part
+    runs on the context and adds the columns `cols` (none for a filter),
+    and a row is kept when one of them yields it."""
 
     __slots__ = ("parts",)
 
@@ -474,6 +478,17 @@ class Planner:
         if k == "or":
             if n.fv <= bound:
                 return Union(tuple(self.node(p, bound, indom) for p in n.parts))
+            if n.fv & bound - indom:
+                # a closed union reads such a value from the domain, and a
+                # disjunct that ignores it would miss one outside it
+                new = tuple(sorted(n.fv - bound))
+                return Union(
+                    tuple(
+                        self.conj(p.parts if p.kind == "and" else (p,), bound, indom, new)
+                        for p in n.parts
+                    ),
+                    new,
+                )
             return self.union(n)
         if k == "exists":
             body = n.parts[0]

@@ -310,6 +310,8 @@ class _SqlBuilder:
             self.into(node.body, sub, dict(env))
             sel.where.append("NOT " + sub.condition())
         elif kind is Union:  # a filter on bound variables
+            if node.vars:  # planned only for values bound from outside
+                raise TypeError(f"not a filter: {node!r}")
             conds = []
             for part in node.parts:
                 sub = _Select()

@@ -123,6 +123,21 @@ def test_holds_matches_reference(data):
         assert holds(f, i, env) == ref_holds(f, i, env)
 
 
+def test_disjunction_sharing_a_value_outside_the_domain():
+    """`y` is bound outside the active domain, so a union that reads it from
+    the domain would lose the disjunct that does not mention it."""
+    i = Instance(PR, [Fact("P", (Const("a"),)), Fact("R", (Const("b"), Const("a")))])
+    q = Var("q")
+    f = Exists("q", And((
+        RelAtom("P", (q,)),
+        Or((RelAtom("R", (q, Var("y"))), RelAtom("R", (Var("x"), q)))),
+    )))
+    for y in (Const("a"), Const("z")):
+        env = {"x": Const("b"), "y": y}
+        assert holds(f, i, env) and ref_holds(f, i, env)
+    assert not holds(f, i, {"x": Const("z"), "y": Const("z")})
+
+
 def test_negation_of_bound_filter_is_an_anti_join():
     i = Instance(PR, [Fact("R", (Const("a"), Const("b"))), Fact("R", (Const("b"), Const("b")))])
     f = And((RelAtom("R", (Var("x"), Var("y"))), Not(Eq(Var("x"), Var("y")))))
