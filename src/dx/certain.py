@@ -28,6 +28,7 @@ from dx.lang import (
     Or,
     RelAtom,
     SchemaMapping,
+    TGD,
     TrueF,
     Var,
     conj,
@@ -36,6 +37,7 @@ from dx.lang import (
     free_vars,
     mapping_certain_free,
     rename_bound,
+    simplify,
     substitute,
 )
 from dx.model import Const, Instance, MappingError
@@ -132,6 +134,12 @@ class _Unifier:
         self.parent: dict = {}
         self.binding: dict = {}
 
+    def copy(self) -> "_Unifier":
+        uf = _Unifier()
+        uf.parent = dict(self.parent)
+        uf.binding = dict(self.binding)
+        return uf
+
     def find(self, x):
         self.parent.setdefault(x, x)
         while self.parent[x] != x:
@@ -221,6 +229,10 @@ def _term_to_internal(t, branch_idx):
     raise TypeError(f"not a term: {t!r}")
 
 
+def _query_term(t):
+    return ("q", t.name) if isinstance(t, Var) else t
+
+
 def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     """Source rewriting of the certain answers of a conjunctive query.
 
@@ -229,62 +241,42 @@ def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     query arguments (answer variables may only unify with non-proper
     terms), and each success contributes one disjunct: the conjunction
     of the branch conditions under the unifying substitution.
+
+    The atoms are walked depth first, in `itertools.product` order: each
+    branch of an atom unifies on a copy of its prefix's unifier, and a
+    prefix whose unification fails is not extended.
     """
-    return _unfold_cached(m, q)
-
-
-@lru_cache(maxsize=4096)
-def _unfold_cached(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     if not mapping_certain_free(m):
         raise MappingError("unfolding requires a certain[...]-free mapping")
     exist, atoms, eqs = cq_parts(q)
     free = tuple(sorted(free_vars(q)))
     pi = to_term_interpretation(m)
-    per_atom = []
-    for atom in atoms:
-        branches = pi.branches_for(atom.rel)
-        per_atom.append(branches)
-    disjuncts: list = []
-    seen = set()
-    for choice in itertools.product(*per_atom) if atoms else [()]:
-        uf = _Unifier()
-        ok = True
-        for eq in eqs:
-            lhs = ("q", eq.left.name) if isinstance(eq.left, Var) else eq.left
-            rhs = ("q", eq.right.name) if isinstance(eq.right, Var) else eq.right
-            if not uf.unify(lhs, rhs):
-                ok = False
-                break
-        if ok:
-            for idx, (atom, branch) in enumerate(zip(atoms, choice)):
-                for arg, term in zip(atom.args, branch.terms):
-                    qterm = ("q", arg.name) if isinstance(arg, Var) else arg
-                    if not uf.unify(qterm, _term_to_internal(term, idx)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            continue
-        # answer variables and branch variables must stay non-proper
-        for v in free:
-            if uf.term_is_proper(("q", v)):
-                ok = False
-                break
-        if ok:
-            for idx, branch in enumerate(choice):
-                for p in branch.params:
-                    if uf.term_is_proper(("b", idx, p)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            continue
-        d = _build_disjunct(uf, free, atoms, choice)
-        if d is not None and d not in seen:
-            seen.add(d)
-            disjuncts.append(d)
+    per_atom = [pi.branches_for(atom.rel) for atom in atoms]
+    disjuncts: dict = {}  # an ordered set
+
+    def walk(uf: _Unifier, choice: tuple):
+        idx = len(choice)
+        if idx == len(atoms):
+            # answer variables and branch variables must stay non-proper
+            grounded = [("q", v) for v in free] + [
+                ("b", i, p) for i, branch in enumerate(choice) for p in branch.params
+            ]
+            if not any(uf.term_is_proper(n) for n in grounded):
+                d = _build_disjunct(uf, free, atoms, choice)
+                if d is not None:
+                    disjuncts.setdefault(d)
+            return
+        for branch in per_atom[idx]:
+            ext = uf.copy()
+            if all(
+                ext.unify(_query_term(arg), _term_to_internal(term, idx))
+                for arg, term in zip(atoms[idx].args, branch.terms)
+            ):
+                walk(ext, choice + (branch,))
+
+    uf = _Unifier()
+    if all(uf.unify(_query_term(eq.left), _query_term(eq.right)) for eq in eqs):
+        walk(uf, ())
     return UnfoldedRewriting(free, tuple(disjuncts))
 
 
@@ -340,35 +332,38 @@ def _build_disjunct(uf: _Unifier, free, atoms, choice):
 
 def eliminate(f: Formula) -> Formula:
     """Replace every certain[...] node by its unfolded source rewriting."""
-    from dx.lang import simplify
-
-    return simplify(_eliminate(f))
+    return simplify(_eliminate(f, {}))
 
 
-def _eliminate(f: Formula) -> Formula:
+def _eliminate(f: Formula, memo: dict) -> Formula:
+    """`memo` maps (base, query) to its rewriting, for one elimination."""
     if isinstance(f, Certain):
-        return unfold(f.base, f.query).as_formula()
+        key = (f.base, f.query)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = unfold(f.base, f.query).as_formula()
+        return out
     if isinstance(f, And):
-        return And(tuple(_eliminate(p) for p in f.parts))
+        return And(tuple(_eliminate(p, memo) for p in f.parts))
     if isinstance(f, Or):
-        return Or(tuple(_eliminate(p) for p in f.parts))
+        return Or(tuple(_eliminate(p, memo) for p in f.parts))
     if isinstance(f, Not):
-        return Not(_eliminate(f.body))
+        return Not(_eliminate(f.body, memo))
     if isinstance(f, Exists):
-        return Exists(f.var, _eliminate(f.body))
+        return Exists(f.var, _eliminate(f.body, memo))
     if isinstance(f, Forall):
-        return Forall(f.var, _eliminate(f.body))
+        return Forall(f.var, _eliminate(f.body, memo))
     return f
 
 
 def eliminate_mapping(m: SchemaMapping) -> SchemaMapping:
     """Eliminate certain[...] from every antecedent of a mapping."""
-    from dx.lang import TGD
-
+    memo: dict = {}
     return SchemaMapping(
         m.source,
         m.target,
         tuple(
-            TGD(eliminate(t.antecedent), t.exist_vars, t.consequent) for t in m.tgds
+            TGD(simplify(_eliminate(t.antecedent, memo)), t.exist_vars, t.consequent)
+            for t in m.tgds
         ),
     )

@@ -15,7 +15,7 @@ from dx import sqlgen
 from dx import verify as verify_mod
 from dx.certain import certain_answers, eliminate_mapping
 from dx.chase import naive_chase, restricted_chase, to_term_interpretation
-from dx.laconify import generate_block_types, laconify, precondition, side_condition
+from dx.laconify import generate_block_types, laconify, preconditions, side_condition
 from dx.lang import decompose, format_formula, format_mapping, free_vars
 from dx.model import DxError, ParseError, compute_core, format_facts, parse_facts
 from dx.parser import declarations, parse_formula, parse_mapping
@@ -75,9 +75,8 @@ def _cmd_blocks(args) -> int:
     md = decompose(m)
     types = generate_block_types(md)
     lines = []
-    for i, t in enumerate(types, start=1):
+    for i, (t, pre) in enumerate(zip(types, preconditions(types, md)), start=1):
         atoms = " & ".join(format_formula(a) for a in t.atoms)
-        pre = precondition(t, types, md)
         side = side_condition(t)
         lines.append(f"type t{i}({', '.join(t.const_vars)}; {', '.join(t.null_vars)})")
         lines.append(f"  atoms:          {atoms}")

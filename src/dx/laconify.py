@@ -328,7 +328,23 @@ def _separable_for(tgd: TGD, kept_atoms, kept_nulls) -> bool:
 # ---------------------------------------------------------------------------
 # Renamings, embeddings, self-maps.
 
-def _type_homs(t: BlockType, t2: BlockType, injective: bool = False):
+def _encode_type(t2: BlockType) -> Encoding:
+    """t2's canonical instance as a search target: its variables coded
+    in order (constant variables first), one kind row per variable
+    (relation 0 for constant variables, 1 for null variables, never a
+    relation name), then its atoms."""
+    names2 = t2.const_vars + t2.null_vars
+    enc = Encoding()
+    for x in names2:
+        enc.code(Var(x))
+    for k in range(len(names2)):
+        enc.add_row(int(k >= len(t2.const_vars)), (k,))
+    for a in dict.fromkeys(t2.atoms):
+        enc.add(a)
+    return enc
+
+
+def _type_homs(t: BlockType, t2: BlockType, injective: bool = False, enc=None):
     """Homomorphisms of t's atoms into t2's canonical instance sending
     constant variables to constant variables and null variables
     injectively to null variables, as (const map, null map, onto).
@@ -337,31 +353,28 @@ def _type_homs(t: BlockType, t2: BlockType, injective: bool = False):
     lists, constant part first (the order of itertools.product over the
     constant choices times permutations over the null choices).  `onto`
     tells whether every atom of t2 is hit.  `injective` also makes the
-    constant part injective.
+    constant part injective.  `enc` is `_encode_type(t2)`, when the
+    caller searches it more than once; the search adds no code to it.
     """
+    if enc is None:
+        enc = _encode_type(t2)
     names2 = t2.const_vars + t2.null_vars
-    m, m2 = len(t.const_vars), len(t2.const_vars)
-    enc = Encoding()
-    for x in names2:
-        enc.code(Var(x))
-    # relations 0 and 1 (never a relation name) hold the two variable kinds
-    for k in range(len(names2)):
-        enc.add_row(int(k >= m2), (k,))
-    targets = dict.fromkeys(t2.atoms)
-    for a in targets:
-        enc.add(a)
+    m = len(t.const_vars)
     var_ids = {Var(x): -1 - k for k, x in enumerate(t.const_vars + t.null_vars)}
-    atoms = [
-        (a.rel, tuple(var_ids[v] if isinstance(v, Var) else enc.code(v) for v in a.args))
-        for a in t.atoms
-    ]
+    atoms = []
+    for a in t.atoms:
+        args = tuple(var_ids[v] if isinstance(v, Var) else enc.codes.get(v) for v in a.args)
+        if None in args:
+            return  # a literal constant that t2 lacks
+        atoms.append((a.rel, args))
     kinds = [(int(k >= m), (v,)) for k, v in enumerate(var_ids.values())]
+    ntargets = len(dict.fromkeys(t2.atoms))
     found = []
     for asn in kernel.homs(kernel.order_pattern(atoms + kinds), enc, len(var_ids), injective):
         if len(set(asn[m:])) < len(asn) - m:
             continue
         image = {(rel, tuple(c if c >= 0 else asn[-1 - c] for c in args)) for rel, args in atoms}
-        found.append((asn, len(image) == len(targets)))
+        found.append((asn, len(image) == ntargets))
     found.sort()
     for asn, onto in found:
         images = [names2[c] for c in asn]
@@ -396,14 +409,15 @@ class Embedding:
         return dict(self.const_map) | dict(self.null_map)
 
 
-def embeddings_between(t: BlockType, t2: BlockType) -> list:
+def embeddings_between(t: BlockType, t2: BlockType, enc=None) -> list:
     """All embeddings of t into t2: constant variables map (not
     necessarily injectively) into constant variables, null variables
     injectively into null variables, atoms land on atoms.  The strict
-    flag marks embeddings whose image misses some atom of t2."""
+    flag marks embeddings whose image misses some atom of t2.  `enc` is
+    as for `_type_homs`."""
     return [
         Embedding(tuple(sorted(cmap.items())), tuple(sorted(nmap.items())), strict=not onto)
-        for cmap, nmap, onto in _type_homs(t, t2)
+        for cmap, nmap, onto in _type_homs(t, t2, enc=enc)
     ]
 
 
@@ -500,19 +514,39 @@ def _proper_instantiation(t: BlockType, t2: BlockType, emb: Embedding) -> Formul
     return disj(options)
 
 
+def preconditions(types, m: SchemaMapping) -> list:
+    """`precondition(t, types, m)` for every t in `types`, in order.
+
+    Each type's `_precon_prime`, its copy over v1..vm and its encoding
+    are built once, however many types embed into it."""
+    primes = [_precon_prime(t, m) for t in types]
+    targets = [_guard_target(t2, prime) for t2, prime in zip(types, primes)]
+    return [_precondition(t, prime, targets) for t, prime in zip(types, primes)]
+
+
 def precondition(t: BlockType, types, m: SchemaMapping) -> Formula:
     """Formula over the source (free variables: t's constant variables)
     holding at exactly the tuples where t is realized in the core
     universal solution."""
-    base = _precon_prime(t, m)
+    targets = [_guard_target(t2, _precon_prime(t2, m)) for t2 in types]
+    return _precondition(t, _precon_prime(t, m), targets)
+
+
+def _guard_target(t2: BlockType, prime: Formula):
+    """What a guard against t2 needs: t2, its encoding, the renaming of
+    its constant variables to v1..vm, and its `_precon_prime` renamed."""
+    fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
+    return t2, _encode_type(t2), fresh, substitute(prime, fresh)
+
+
+def _precondition(t: BlockType, base: Formula, targets) -> Formula:
+    """`base` (t's `_precon_prime`), guarded by one negated guard per
+    strict embedding of t into a target type."""
     guards = []
-    for t2 in types:
-        embeddings = strict_embeddings(t, t2)
-        if not embeddings:
-            continue
-        fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
-        prime = substitute(_precon_prime(t2, m), fresh)
-        for emb in embeddings:
+    for t2, enc, fresh, prime in targets:
+        for emb in embeddings_between(t, t2, enc):
+            if not emb.strict:
+                continue
             ren = emb.as_dict()
             eqs = [
                 Eq(Var(x), fresh[ren[x]]) for x in t.const_vars
@@ -628,8 +662,7 @@ def laconify(m: SchemaMapping, *, side_conditions: bool = True) -> SchemaMapping
     _reject_consequent_constants(md)
     types = generate_block_types(md)
     tgds = []
-    for t in types:
-        ante = precondition(t, types, md)
+    for t, ante in zip(types, preconditions(types, md)):
         if side_conditions:
             ante = conj([ante, side_condition(t)])
         tgds.append(TGD(ante, t.null_vars, t.atoms))

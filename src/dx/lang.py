@@ -9,61 +9,87 @@ or constants only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Union
 
 from dx.model import Const, MappingError, Schema, quote
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class _Node:
+    """Slots for what a node computes once: its hash and, on a compound
+    formula, its free variables.  Unset until first used; `==` and repr
+    do not read them."""
+
+    __slots__ = ("_hash", "_free")
+
+
+def _node(cls):
+    """Make a `_Node` subclass a frozen, slotted dataclass whose hash is
+    a hash of its fields, computed once."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    key = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
+class Var(_Node):
     name: str
 
 
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True, slots=True)
-class RelAtom:
+@_node
+class RelAtom(_Node):
     rel: str
     args: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
+@_node
+class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
-class Lt:
+@_node
+class Lt(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@_node
+class And(_Node):
     parts: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@_node
+class Or(_Node):
     parts: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@_node
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
+@_node
+class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
+@_node
+class Forall(_Node):
     var: str
     body: "Formula"
 
@@ -73,8 +99,8 @@ class TrueF:
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Certain:
+@_node
+class Certain(_Node):
     """Membership in the certain answers of `query` w.r.t. `base`."""
 
     query: "Formula"
@@ -174,24 +200,38 @@ def _term_vars(t: Term) -> frozenset:
 
 
 def free_vars(f: Formula) -> frozenset:
+    """The free variables of f.
+
+    A compound node keeps its set once computed; an atom's are read off
+    its arguments.  The equal sets one call computes are one object, so
+    a large formula keeps a few sets, not one per node.
+    """
+    return _free_vars(f, {})
+
+
+def _free_vars(f: Formula, sets: dict) -> frozenset:
     if isinstance(f, RelAtom):
         return frozenset(a.name for a in f.args if isinstance(a, Var))
     if isinstance(f, (Eq, Lt)):
         return _term_vars(f.left) | _term_vars(f.right)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for p in f.parts:
-            out |= free_vars(p)
-        return out
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
     if isinstance(f, TrueF):
         return frozenset()
-    if isinstance(f, Certain):
-        return free_vars(f.query)
-    raise TypeError(f"not a formula: {f!r}")
+    out = getattr(f, "_free", None)
+    if out is not None:
+        return out
+    if isinstance(f, (And, Or)):
+        out = frozenset().union(*(_free_vars(p, sets) for p in f.parts))
+    elif isinstance(f, Not):
+        out = _free_vars(f.body, sets)
+    elif isinstance(f, (Exists, Forall)):
+        out = _free_vars(f.body, sets) - {f.var}
+    elif isinstance(f, Certain):
+        out = _free_vars(f.query, sets)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    out = sets.setdefault(out, out)
+    object.__setattr__(f, "_free", out)
+    return out
 
 
 def all_var_names(f: Formula) -> set:
@@ -288,8 +328,8 @@ def rename_bound(f: Formula, taken: set, counter=None) -> Formula:
 # ---------------------------------------------------------------------------
 # Dependencies and mappings.
 
-@dataclass(frozen=True)
-class TGD:
+@_node
+class TGD(_Node):
     """forall x (antecedent -> exists y. /\\ consequent)."""
 
     antecedent: Formula
@@ -351,8 +391,8 @@ def _check_formula_schema(f: Formula, schema: Schema, where: str):
         raise TypeError(f"not a formula: {f!r}")
 
 
-@dataclass(frozen=True)
-class SchemaMapping:
+@_node
+class SchemaMapping(_Node):
     source: Schema
     target: Schema
     tgds: tuple

@@ -7,7 +7,18 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from dx.laconify import BlockType, Embedding, SideCondition, _order_type, _realized_block_form
+from dx.certain import UnfoldedRewriting, _build_disjunct, _term_to_internal, _Unifier, cq_parts
+from dx.chase import to_term_interpretation
+from dx.laconify import (
+    BlockType,
+    Embedding,
+    SideCondition,
+    _order_type,
+    _precon_prime,
+    _proper_instantiation,
+    _realized_block_form,
+    strict_embeddings,
+)
 from dx.lang import (
     TRUE,
     And,
@@ -20,10 +31,14 @@ from dx.lang import (
     Not,
     Or,
     RelAtom,
+    SchemaMapping,
     TrueF,
     Var,
     conj,
+    exists_all,
     free_vars,
+    mapping_certain_free,
+    substitute,
 )
 from dx.model import Const, Fact, Instance, MappingError, Schema
 from dx.parser import parse_mapping
@@ -131,6 +146,24 @@ def cycle_mapping(k: int, tail: bool = False):
     return parse_mapping(
         f"source P/1. target S/2. tgd: P(x) -> exists {ys}: {' & '.join(atoms)}."
     )
+
+
+# Mappings, by name, on which the compile steps are checked against their
+# reference versions: the eliminated families of the benchmark's
+# `rewrite` workload plus star-3, fan-4 and the pure 5-cycle.  The
+# tail-3-cycle's elimination raises RecursionError.
+COMPILE_FAMILIES = {
+    "star_2": lambda: star_blowup_mapping(2),
+    "star_3": lambda: star_blowup_mapping(3),
+    "fan_3": lambda: fan_mapping(3),
+    "fan_4": lambda: fan_mapping(4),
+    "pure_4_cycle": lambda: cycle_mapping(4),
+    "pure_5_cycle": lambda: cycle_mapping(5),
+    "symmetric_join": lambda: pair("symmetric_join")[0],
+    "overlap": overlap_mapping,
+    "split_pair": split_pair_mapping,
+    "tail_3_cycle": lambda: cycle_mapping(3, tail=True),
+}
 
 
 def inst(schema: Schema, *facts) -> Instance:
@@ -945,3 +978,90 @@ def ref_naive_chase(m, inst: Instance) -> Instance:
                 args = tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args)
                 facts.add(Fact(atom.rel, args))
     return Instance(m.target, facts)
+
+
+# ---------------------------------------------------------------------------
+# Reference compile steps: the product loop over branch choices that the
+# depth-first `certain.unfold` replaced, and the per-type precondition
+# that rebuilt `_precon_prime` for every pair of types, kept as oracles.
+
+def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
+    if not mapping_certain_free(m):
+        raise MappingError("unfolding requires a certain[...]-free mapping")
+    exist, atoms, eqs = cq_parts(q)
+    free = tuple(sorted(free_vars(q)))
+    pi = to_term_interpretation(m)
+    per_atom = []
+    for atom in atoms:
+        branches = pi.branches_for(atom.rel)
+        per_atom.append(branches)
+    disjuncts: list = []
+    seen = set()
+    for choice in itertools.product(*per_atom) if atoms else [()]:
+        uf = _Unifier()
+        ok = True
+        for eq in eqs:
+            lhs = ("q", eq.left.name) if isinstance(eq.left, Var) else eq.left
+            rhs = ("q", eq.right.name) if isinstance(eq.right, Var) else eq.right
+            if not uf.unify(lhs, rhs):
+                ok = False
+                break
+        if ok:
+            for idx, (atom, branch) in enumerate(zip(atoms, choice)):
+                for arg, term in zip(atom.args, branch.terms):
+                    qterm = ("q", arg.name) if isinstance(arg, Var) else arg
+                    if not uf.unify(qterm, _term_to_internal(term, idx)):
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if not ok:
+            continue
+        # answer variables and branch variables must stay non-proper
+        for v in free:
+            if uf.term_is_proper(("q", v)):
+                ok = False
+                break
+        if ok:
+            for idx, branch in enumerate(choice):
+                for p in branch.params:
+                    if uf.term_is_proper(("b", idx, p)):
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if not ok:
+            continue
+        d = _build_disjunct(uf, free, atoms, choice)
+        if d is not None and d not in seen:
+            seen.add(d)
+            disjuncts.append(d)
+    return UnfoldedRewriting(free, tuple(disjuncts))
+
+
+def ref_precondition(t: BlockType, types, m: SchemaMapping) -> Formula:
+    """Formula over the source (free variables: t's constant variables)
+    holding at exactly the tuples where t is realized in the core
+    universal solution."""
+    base = _precon_prime(t, m)
+    guards = []
+    for t2 in types:
+        embeddings = strict_embeddings(t, t2)
+        if not embeddings:
+            continue
+        fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
+        prime = substitute(_precon_prime(t2, m), fresh)
+        for emb in embeddings:
+            ren = emb.as_dict()
+            eqs = [
+                Eq(Var(x), fresh[ren[x]]) for x in t.const_vars
+            ]
+            inner = conj(
+                eqs
+                + [prime]
+                + [substitute(_proper_instantiation(t, t2, emb), fresh)]
+            )
+            guards.append(
+                Not(exists_all([v.name for v in fresh.values()], inner))
+            )
+    return conj([base] + guards)

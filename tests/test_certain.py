@@ -1,7 +1,8 @@
 import pytest
-from helpers import all_instances, inst, overlap_mapping
+from helpers import COMPILE_FAMILIES, all_instances, cycle_mapping, inst, overlap_mapping, ref_unfold
 
 from dx.certain import (
+    _Unifier,
     certain_answers,
     cq_parts,
     eliminate,
@@ -10,7 +11,8 @@ from dx.certain import (
 )
 from dx.chase import naive_chase
 from dx.evaluator import eval_formula
-from dx.lang import Certain, Not, RelAtom, Var, free_vars
+from dx.laconify import laconify
+from dx.lang import And, Certain, Exists, Forall, Not, Or, RelAtom, Var, free_vars
 from dx.model import Const, Fact, Instance, MappingError
 from dx.parser import parse_formula, parse_mapping
 from dx.verify import random_cq, random_mapping, random_source_instance
@@ -163,3 +165,68 @@ def test_certain_answers_invariant_under_laconic_rewriting():
         for k in range(2):
             i = random_source_instance(m.source, f"ci:{seed}:{k}", 4, 7)
             assert certain_answers(m, q, i, fv) == certain_answers(flat, q, i, fv)
+
+
+# -- depth-first unfolding against the product loop ---------------------------
+
+def _certain_nodes(f, out):
+    if isinstance(f, Certain):
+        out.setdefault(f)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            _certain_nodes(p, out)
+    elif isinstance(f, (Not, Exists, Forall)):
+        _certain_nodes(f.body, out)
+    return out
+
+
+def _unfold_or_error(m, q, fn):
+    try:
+        return fn(m, q)
+    except RecursionError:
+        return RecursionError
+
+
+def _check_unfold_matches_reference(m) -> int:
+    """unfold == ref_unfold, disjunct order included, on every certain[...]
+    node of m's laconic rewriting; returns how many raised RecursionError."""
+    out = {}
+    for tgd in laconify(m).tgds:
+        _certain_nodes(tgd.antecedent, out)
+    assert out
+    failed = 0
+    for c in out:
+        got = _unfold_or_error(c.base, c.query, unfold)
+        assert got == _unfold_or_error(c.base, c.query, ref_unfold), c
+        failed += got is RecursionError
+    return failed
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_FAMILIES))
+def test_unfold_matches_reference_on_compile_families(name):
+    failed = _check_unfold_matches_reference(COMPILE_FAMILIES[name]())
+    # the occurs check misses a bound node (ROADMAP item 2): both loops fail
+    assert bool(failed) == (name == "tail_3_cycle")
+
+
+def test_unfold_matches_reference_on_random_mappings():
+    for seed in range(50):
+        assert _check_unfold_matches_reference(random_mapping(seed)) == 0, seed
+
+
+def test_unfold_prunes_failed_prefixes(monkeypatch):
+    """The pure 4-cycle's elimination tries 4,352 branch choices in the
+    product loop, each on a fresh unifier; the depth-first walk copies
+    one unifier per surviving prefix and branch."""
+    created = 0
+    init = _Unifier.__init__
+
+    def counting_init(self):
+        nonlocal created
+        created += 1
+        init(self)
+
+    lm = laconify(cycle_mapping(4))
+    monkeypatch.setattr(_Unifier, "__init__", counting_init)
+    eliminate_mapping(lm)
+    assert 0 < created < 4352 // 4

@@ -1,9 +1,12 @@
 import itertools
 import pathlib
 import random
+import sys
+from collections import Counter
 
 import pytest
 from helpers import (
+    COMPILE_FAMILIES,
     all_instances,
     cycle_mapping,
     fan_mapping,
@@ -11,6 +14,7 @@ from helpers import (
     overlap_mapping,
     pair,
     ref_embeddings_between,
+    ref_precondition,
     ref_renamings_between,
     ref_self_maps,
     ref_side_condition,
@@ -33,11 +37,13 @@ from dx.lang import (
     format_formula,
 )
 from dx.laconify import (
+    _encode_type,
     embeddings_between,
     generate_block_types,
     laconify,
     make_block_type,
     precondition,
+    preconditions,
     renaming_between,
     renamings_between,
     self_maps,
@@ -276,6 +282,59 @@ def test_ground_type_precondition_degenerates_to_antecedent():
         # both variable orders
         want_flipped = {(b, a) for a, b in want}
         assert got in (want, want_flipped)
+
+
+def _check_preconditions(m):
+    md = decompose(m)
+    types = generate_block_types(md)
+    want = [ref_precondition(t, types, md) for t in types]
+    assert preconditions(types, md) == want
+    assert [precondition(t, types, md) for t in types] == want
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_FAMILIES))
+def test_preconditions_match_reference_on_compile_families(name):
+    _check_preconditions(COMPILE_FAMILIES[name]())
+
+
+def test_preconditions_match_reference_on_random_mappings():
+    for seed in range(50):
+        _check_preconditions(random_mapping(seed))
+
+
+def test_laconify_builds_each_precon_prime_once(monkeypatch):
+    # `dx.laconify` is the function; the module is reached through sys.modules
+    mod = sys.modules["dx.laconify"]
+    built = Counter()
+    build = mod._precon_prime
+
+    def counting(t, m):
+        built[t] += 1
+        return build(t, m)
+
+    m = star_blowup_mapping(3)
+    types = generate_block_types(decompose(m))
+    monkeypatch.setattr(mod, "_precon_prime", counting)
+    laconify(m)
+    assert built == Counter(types)
+
+
+def test_shared_type_encoding_gains_no_codes():
+    """A literal constant of t that t2 lacks adds no code to t2's shared
+    encoding, and the searches still equal the reference ones."""
+    x, y = Var("x"), Var("y")
+    types = [
+        make_block_type([RelAtom("S", (x, Const("k"))), RelAtom("S", (x, y))], ["x"], ["y"]),
+        make_block_type([RelAtom("S", (x, Const("j"))), RelAtom("S", (x, y))], ["x"], ["y"]),
+        make_block_type([RelAtom("S", (x, y))], ["x"], ["y"]),
+        make_block_type([RelAtom("S", (x, Const("k")))], ["x"], []),
+    ]
+    for t2 in types:
+        enc = _encode_type(t2)
+        codes = list(enc.values)
+        for t in types:
+            assert embeddings_between(t, t2, enc) == ref_embeddings_between(t, t2), (t, t2)
+        assert enc.values == codes
 
 
 # -- side conditions ----------------------------------------------------------

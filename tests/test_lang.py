@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dx.evaluator import eval_formula, ground_answers, holds
 from dx.lang import (
     And,
+    Certain,
     Eq,
     Exists,
     Forall,
@@ -24,6 +25,7 @@ from dx.lang import (
     format_formula,
     format_mapping,
     free_vars,
+    rename_bound,
     simplify,
     substitute,
 )
@@ -305,6 +307,102 @@ def test_substitute_composes_with_eval():
     f = RelAtom("R", (Var("x"), Var("y")))
     g = substitute(f, {"x": Const("a")})
     assert eval_formula(g, i, ("y",)) == {(Const("b"),)}
+
+
+# -- cached hashes and free variables ----------------------------------------
+
+_BASE_TEXT = "source P/1. target S/2. tgd: P(x) -> exists y: S(x,y)."
+_names = st.sampled_from(["x", "y", "z"])
+_terms = st.one_of(_names.map(Var), st.sampled_from(["a", "b"]).map(Const))
+_leaves = st.one_of(
+    st.builds(lambda a: RelAtom("P", (a,)), _terms),
+    st.builds(lambda a, b: RelAtom("R", (a, b)), _terms, _terms),
+    st.builds(Eq, _terms, _terms),
+    st.builds(Lt, _terms, _terms),
+    st.just(TRUE),
+)
+_formulas = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: And(tuple(ps))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: Or(tuple(ps))),
+        sub.map(Not),
+        st.builds(Exists, _names, sub),
+        st.builds(Forall, _names, sub),
+        sub.map(lambda q: Certain(q, parse_mapping(_BASE_TEXT))),
+    ),
+    max_leaves=10,
+)
+
+
+def _rebuilt(f):
+    """An equal copy of f made of new nodes, none hashed yet."""
+    def term(t):
+        return Var(t.name) if isinstance(t, Var) else Const(t.text)
+
+    if isinstance(f, RelAtom):
+        return RelAtom(f.rel, tuple(term(a) for a in f.args))
+    if isinstance(f, (Eq, Lt)):
+        return type(f)(term(f.left), term(f.right))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_rebuilt(p) for p in f.parts))
+    if isinstance(f, Not):
+        return Not(_rebuilt(f.body))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _rebuilt(f.body))
+    if isinstance(f, Certain):
+        return Certain(_rebuilt(f.query), parse_mapping(_BASE_TEXT))
+    return type(f)()
+
+
+def _walked_free_vars(f) -> frozenset:
+    """free_vars by a walk that reads no cache."""
+    if isinstance(f, RelAtom):
+        return frozenset(a.name for a in f.args if isinstance(a, Var))
+    if isinstance(f, (Eq, Lt)):
+        return frozenset(t.name for t in (f.left, f.right) if isinstance(t, Var))
+    if isinstance(f, (And, Or)):
+        return frozenset().union(*(_walked_free_vars(p) for p in f.parts))
+    if isinstance(f, (Not, Exists, Forall)):
+        return _walked_free_vars(f.body) - {getattr(f, "var", None)}
+    if isinstance(f, Certain):
+        return _walked_free_vars(f.query)
+    return frozenset()
+
+
+def _subformulas(f):
+    yield f
+    if isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from _subformulas(p)
+    elif isinstance(f, (Not, Exists, Forall)):
+        yield from _subformulas(f.body)
+    elif isinstance(f, Certain):
+        yield from _subformulas(f.query)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formulas, st.dictionaries(_names, _terms), st.sets(_names))
+def test_cached_hash_and_free_vars(f, sub, taken):
+    h = hash(f)
+    copy = _rebuilt(f)
+    assert copy == f and hash(copy) == h and repr(copy) == repr(f)
+    for g in (f, substitute(f, sub), rename_bound(f, set(taken))):
+        for node in _subformulas(g):
+            assert free_vars(node) == _walked_free_vars(node), node
+            assert free_vars(node) == _walked_free_vars(node), node  # cached
+    assert hash(f) == h and _rebuilt(f) == f
+
+
+def test_two_parses_hash_alike():
+    from helpers import OVERLAP_SOURCE, PAIR_SOURCES, SPLIT_PAIR_SOURCE
+
+    texts = [OVERLAP_SOURCE, SPLIT_PAIR_SOURCE] + [t for pair in PAIR_SOURCES.values() for t in pair]
+    for text in texts:
+        m1, m2 = parse_mapping(text), parse_mapping(text)
+        assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2), text
+        for t1, t2 in zip(m1.tgds, m2.tgds):
+            assert t1 == t2 and hash(t1) == hash(t2), text
 
 
 # -- decomposition ------------------------------------------------------------
