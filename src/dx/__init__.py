@@ -16,10 +16,10 @@ from dx.chase import (
 )
 from dx.certain import certain_answers, eliminate, eliminate_mapping, unfold
 from dx.evaluator import eval_formula, ground_answers
+# No name here shadows a submodule: the rewriting is dx.laconify.laconify.
 from dx.laconify import (
     BlockType,
     generate_block_types,
-    laconify,
     precondition,
     side_condition,
 )
@@ -95,7 +95,6 @@ __all__ = [
     "ground_answers",
     "instances_isomorphic",
     "is_core",
-    "laconify",
     "naive_chase",
     "parse_facts",
     "parse_formula",

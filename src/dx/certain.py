@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from dx.chase import App, naive_chase, to_term_interpretation
 from dx.evaluator import ground_answers
@@ -86,17 +85,17 @@ def certain_answers(m: SchemaMapping, q: Formula, inst: Instance, free=None):
     """Ground answers of the conjunctive query q in the canonical
     universal solution of inst; sound and complete for CQs.
     """
+    require_certain_query(m, q)
+    if free is None:
+        free = tuple(sorted(free_vars(q)))
+    return frozenset(ground_answers(q, naive_chase(m, inst), tuple(free)))
+
+
+def require_certain_query(m: SchemaMapping, q: Formula) -> None:
+    """Raise MappingError unless q is a CQ over a certain[...]-free m."""
     cq_parts(q)
     if not mapping_certain_free(m):
         raise MappingError("certain answers require a certain[...]-free mapping")
-    if free is None:
-        free = tuple(sorted(free_vars(q)))
-    return _certain_cached(m, q, inst, tuple(free))
-
-
-@lru_cache(maxsize=16384)
-def _certain_cached(m, q, inst, free):
-    return frozenset(ground_answers(q, naive_chase(m, inst), free))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Chase procedures and term interpretations.
 
-The naive chase fires every dependency on every satisfying tuple and
-invents labeled nulls for the existential variables.  Nulls are named
-as Skolem terms f<d>_<i>(a...) over the firing tuple, which makes the
-chase output literally equal (not merely isomorphic) to evaluating the
-term interpretation extracted from the same mapping.
+The naive chase is the evaluation of the mapping's term interpretation:
+every dependency fires on every satisfying tuple, and its existential
+variables become labeled nulls named as Skolem terms f<d>_<i>(a...) over
+the firing tuple.  The chase output is thus literally equal (not merely
+isomorphic) to the term interpretation evaluated on the same instance.
+Nothing is cached between calls; `certain[...]` antecedents chase their
+base mapping once per evaluation (see `dx.evaluator`).
 
 The restricted chase skips a firing whenever the consequent is already
 satisfied by the instance built so far; it is order-sensitive, so the
@@ -14,7 +16,6 @@ order is pinned: dependencies in declaration order, tuples sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from dx.evaluator import eval_formula
@@ -128,44 +129,48 @@ def _skolem_symbol(tgd_index: int, var_index: int) -> str:
     return f"f{tgd_index + 1}_{var_index + 1}"
 
 
-def _instantiate_term(t: TTerm, env: dict):
+def _term_value(t: TTerm, params: tuple):
+    """A function from a row of values for `params` to the value of t."""
     if isinstance(t, Var):
-        return env[t.name]
+        i = params.index(t.name)
+        return lambda row: row[i]
     if isinstance(t, Const):
-        return t
-    return SkolemNull(t.symbol, tuple(_instantiate_term(a, env) for a in t.args))
+        return lambda row: t
+    if t.args == tuple(Var(x) for x in params):  # a Skolem term of the whole row
+        return lambda row: SkolemNull(t.symbol, row)
+    args = [_term_value(a, params) for a in t.args]
+    return lambda row: SkolemNull(t.symbol, tuple([f(row) for f in args]))
+
+
+def _branches(m: SchemaMapping) -> tuple:
+    """One branch per consequent atom, each existential variable
+    replaced by a function term over the dependency's universal
+    variables."""
+    branches = []
+    for d, tgd in enumerate(m.tgds):
+        params = tgd.universal_vars
+        term_env: dict = {
+            y: App(_skolem_symbol(d, i), tuple(Var(x) for x in params))
+            for i, y in enumerate(tgd.exist_vars)
+        }
+        for atom in tgd.consequent:
+            terms = tuple(
+                term_env.get(a.name, a) if isinstance(a, Var) else a
+                for a in atom.args
+            )
+            branches.append(Branch(atom.rel, terms, tgd.antecedent, params))
+    return tuple(branches)
 
 
 def naive_chase(m: SchemaMapping, inst: Instance) -> Instance:
-    """Canonical universal solution of `inst` under `m`."""
-    return _naive_chase_cached(m, inst)
-
-
-@lru_cache(maxsize=4096)
-def _naive_chase_cached(m: SchemaMapping, inst: Instance) -> Instance:
+    """Canonical universal solution of `inst` under `m`: the term
+    interpretation of m's Skolemized dependencies, evaluated on inst."""
     if inst.schema != m.source:
         raise MappingError("instance schema differs from the mapping's source schema")
     if not inst.is_source:
         raise MappingError("chase input must be null-free")
     _require_chaseable(m)
-    facts = set()
-    for d, tgd in enumerate(m.tgds):
-        params = tgd.universal_vars
-        for row in eval_formula(tgd.antecedent, inst, params):
-            env = dict(zip(params, row))
-            for i, y in enumerate(tgd.exist_vars):
-                env[y] = SkolemNull(_skolem_symbol(d, i), row)
-            for atom in tgd.consequent:
-                facts.add(
-                    Fact(
-                        atom.rel,
-                        tuple(
-                            env[a.name] if isinstance(a, Var) else a
-                            for a in atom.args
-                        ),
-                    )
-                )
-    return Instance(m.target, facts)
+    return eval_interpretation(TermInterpretation(m.source, m.target, _branches(m)), inst)
 
 
 def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
@@ -216,29 +221,13 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
 
 
 def to_term_interpretation(m: SchemaMapping) -> TermInterpretation:
-    """Skolemize and split the mapping: one branch per consequent atom,
-    existential variables replaced by function terms over the
-    dependency's universal variables.
-    """
+    """Skolemize and split a certain[...]-free mapping (see `_branches`)."""
     if not mapping_certain_free(m):
         raise MappingError(
             "term interpretations require certain[...]-free antecedents; "
             "eliminate them first"
         )
-    branches = []
-    for d, tgd in enumerate(m.tgds):
-        params = tgd.universal_vars
-        term_env: dict = {
-            y: App(_skolem_symbol(d, i), tuple(Var(x) for x in params))
-            for i, y in enumerate(tgd.exist_vars)
-        }
-        for atom in tgd.consequent:
-            terms = tuple(
-                term_env.get(a.name, a) if isinstance(a, Var) else a
-                for a in atom.args
-            )
-            branches.append(Branch(atom.rel, terms, tgd.antecedent, params))
-    return TermInterpretation(m.source, m.target, tuple(branches))
+    return TermInterpretation(m.source, m.target, _branches(m))
 
 
 def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
@@ -253,7 +242,6 @@ def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
         key = (id(b.condition), b.params)
         if key not in answers:
             answers[key] = eval_formula(b.condition, inst, b.params)
-        for row in answers[key]:
-            env = dict(zip(b.params, row))
-            facts.add(Fact(b.rel, tuple(_instantiate_term(t, env) for t in b.terms)))
+        terms = [_term_value(t, b.params) for t in b.terms]
+        facts.update([Fact(b.rel, tuple([f(row) for f in terms])) for row in answers[key]])
     return Instance(pi.target, facts)

@@ -78,13 +78,16 @@ def _picker(t, vars: tuple):
 
 
 class _Evaluator:
-    """Runs plans against one instance; shared unions and atom scans are
-    computed once per evaluator."""
+    """Runs plans against one instance; shared unions, atom scans and
+    `certain[...]` queries are computed once per evaluator, and each
+    `certain[...]` base mapping is chased at most once.  Unions are keyed
+    by plan node identity, so an evaluator runs one plan."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._in_dom = set(inst.dom)
         self._memo: dict = {}
+        self._chases: dict = {}  # certain[...] base mapping -> its chase of inst
 
     def run(self, node: Node, ctx: _Rel) -> _Rel:
         """ctx joined with the rows of node."""
@@ -130,11 +133,12 @@ class _Evaluator:
     def _closed(self, node: Node) -> _Rel:
         """The rows of a node that reads no context."""
         inner = node.node if type(node) is Ref else node
-        key = (inner.rel, inner.args) if type(inner) is Scan else id(inner)
+        kind = type(inner)
+        key = (inner.rel, inner.args) if kind is Scan else inner.formula if kind is Cert else id(inner)
         rel = self._memo.get(key)
         if rel is None:
             rel = self._memo[key] = self._compute(inner)
-        return rel if inner is node else _Rel(node.vars, rel.rows)
+        return rel if rel.vars == node.vars else _Rel(node.vars, rel.rows)
 
     def _compute(self, node: Node) -> _Rel:
         kind = type(node)
@@ -146,10 +150,15 @@ class _Evaluator:
         if kind is Dom:
             return _Rel(node.vars, {(v,) for v in self.inst.dom})
         if kind is Cert:
-            from dx import certain as certain_mod
+            from dx.certain import require_certain_query
+            from dx.chase import naive_chase
 
             f = node.formula
-            return _Rel(node.vars, set(certain_mod.certain_answers(f.base, f.query, self.inst)))
+            require_certain_query(f.base, f.query)
+            chase = self._chases.get(f.base)
+            if chase is None:
+                chase = self._chases[f.base] = naive_chase(f.base, self.inst)
+            return _Rel(node.vars, ground_answers(f.query, chase, sorted(free_vars(f.query))))
         if node.rel not in self.inst.schema:
             raise MappingError(f"undeclared relation {node.rel}")
         rows = set()

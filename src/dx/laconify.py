@@ -40,6 +40,7 @@ from dx.model import (
     FreshNull,
     Instance,
     MappingError,
+    PatternVar,
     Schema,
     blocks,
     is_core,
@@ -216,113 +217,26 @@ def generate_block_types(m: SchemaMapping) -> tuple:
 
 
 def _separable_for(tgd: TGD, kept_atoms, kept_nulls) -> bool:
+    """Whether the consequent atoms touching a kept null map into the
+    kept atoms, fixing the kept nulls and sending each dropped null to
+    one value.  Consequents are variable-only, and a firing tuple may
+    give every universal variable the same constant, so they are all
+    coded as one shared value (None)."""
     ev = set(tgd.exist_vars)
     kept_set = set(kept_atoms)
+
+    def value(v: Var):
+        if v.name in kept_nulls:
+            return v
+        return PatternVar(v.name) if v.name in ev else None
+
     touching = [
-        a
+        (a.rel, tuple(value(v) for v in a.args))
         for a in tgd.consequent
-        if a not in kept_set
-        and any(isinstance(v, Var) and v.name in kept_nulls for v in a.args)
+        if a not in kept_set and any(v.name in kept_nulls for v in a.args)
     ]
-    if not touching:
-        return True
-
-    class UF:
-        def __init__(self):
-            self.parent: dict = {}
-            self.anchor: dict = {}
-
-        def find(self, x):
-            self.parent.setdefault(x, x)
-            while self.parent[x] != x:
-                self.parent[x] = self.parent[self.parent[x]]
-                x = self.parent[x]
-            return x
-
-        def union(self, a, b) -> bool:
-            ra, rb = self.find(a), self.find(b)
-            if ra == rb:
-                return True
-            aa, ab = self.anchor.get(ra), self.anchor.get(rb)
-            if aa is not None and ab is not None and aa != ab:
-                return False
-            self.parent[rb] = ra
-            if ab is not None:
-                self.anchor[ra] = ab
-            return True
-
-        def set_anchor(self, x, lit) -> bool:
-            r = self.find(x)
-            old = self.anchor.get(r)
-            if old is not None and old != lit:
-                return False
-            self.anchor[r] = lit
-            return True
-
-    state = {"uf": UF(), "sigma": {}}
-
-    def entry_of(term):
-        if isinstance(term, Var):
-            if term.name in kept_nulls:
-                return ("null", term.name)
-            return ("cvar", term.name)
-        return ("lit", term.text)
-
-    def agree(e1, e2) -> bool:
-        uf = state["uf"]
-        if e1[0] == "null" or e2[0] == "null":
-            return e1 == e2
-        if e1[0] == "cvar" and e2[0] == "cvar":
-            return uf.union(e1[1], e2[1])
-        if e1[0] == "cvar":
-            return uf.set_anchor(e1[1], e2[1])
-        if e2[0] == "cvar":
-            return uf.set_anchor(e2[1], e1[1])
-        return e1[1] == e2[1]
-
-    def match_atom(a: RelAtom, target: RelAtom) -> bool:
-        if a.rel != target.rel or len(a.args) != len(target.args):
-            return False
-        sigma = state["sigma"]
-        for src, dst in zip(a.args, target.args):
-            dst_entry = entry_of(dst)
-            if isinstance(src, Var) and src.name in kept_nulls:
-                if dst_entry != ("null", src.name):
-                    return False
-            elif isinstance(src, Var) and src.name in ev:
-                prev = sigma.get(src.name)
-                if prev is None:
-                    if dst_entry[0] == "null" and dst_entry[1] not in kept_nulls:
-                        return False
-                    sigma[src.name] = dst_entry
-                elif not agree(prev, dst_entry):
-                    return False
-            else:  # universal variable or literal constant
-                if dst_entry[0] == "null":
-                    return False
-                src_entry = (
-                    ("cvar", src.name) if isinstance(src, Var) else ("lit", src.text)
-                )
-                if not agree(src_entry, dst_entry):
-                    return False
-        return True
-
-    def search(i) -> bool:
-        if i == len(touching):
-            return True
-        for target in kept_atoms:
-            saved = (
-                dict(state["uf"].parent),
-                dict(state["uf"].anchor),
-                dict(state["sigma"]),
-            )
-            if match_atom(touching[i], target) and search(i + 1):
-                return True
-            state["uf"].parent, state["uf"].anchor = dict(saved[0]), dict(saved[1])
-            state["sigma"] = dict(saved[2])
-        return False
-
-    return search(0)
+    target = Encoding(Fact(a.rel, tuple(value(v) for v in a.args)) for a in kept_atoms)
+    return target.search(touching) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from dx.chase import naive_chase
-from dx.evaluator import eval_formula
+from dx.evaluator import holds
 from dx.lang import (
     Eq,
     Formula,
@@ -22,8 +22,10 @@ from dx.lang import (
     TGD,
     Var,
     conj,
+    disj,
     exists_all,
     free_vars,
+    neg,
 )
 from dx.model import (
     Const,
@@ -280,77 +282,11 @@ class DisjunctiveDependency:
 
 def eval_disjunctive(dep: DisjunctiveDependency, inst: Instance) -> bool:
     """Active-domain truth of the dependency in an instance (nulls are
-    ordinary values)."""
-    xs = dep.variables()
+    ordinary values): no antecedent match satisfies none of the
+    disjuncts."""
+    heads = disj(exists_all(d.exist_vars, conj(d.atoms + d.equalities)) for d in dep.disjuncts)
     ante = conj(dep.ante_atoms + dep.ante_equalities)
-    for row in eval_formula(ante, inst, xs):
-        env = dict(zip(xs, row))
-        if not any(_disjunct_holds(d, env, inst) for d in dep.disjuncts):
-            return False
-    return True
-
-
-def _disjunct_holds(d: DepDisjunct, env: dict, inst: Instance) -> bool:
-    # union-find over the existential variables, with value anchors
-    ev = set(d.exist_vars)
-    parent = {y: y for y in ev}
-    anchor: dict = {}
-
-    def find(y):
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        return y
-
-    def side(t):
-        if isinstance(t, Var):
-            if t.name in env:
-                return ("val", env[t.name])
-            if t.name in ev:
-                return ("var", t.name)
-            raise ValueError(f"unbound variable {t.name} in dependency")
-        return ("val", t)
-
-    for eq in d.equalities:
-        l, r = side(eq.left), side(eq.right)
-        if l[0] == "var" and r[0] == "var":
-            rl, rr = find(l[1]), find(r[1])
-            if rl != rr:
-                al, ar = anchor.get(rl), anchor.get(rr)
-                if al is not None and ar is not None and al != ar:
-                    return False
-                parent[rr] = rl
-                if ar is not None:
-                    anchor[rl] = ar
-        elif l[0] == "var" or r[0] == "var":
-            root = find(l[1] if l[0] == "var" else r[1])
-            val = r[1] if l[0] == "var" else l[1]
-            old = anchor.get(root)
-            if old is not None and old != val:
-                return False
-            anchor[root] = val
-        elif l[1] != r[1]:
-            return False
-
-    pvars: dict = {}
-    pattern = []
-    for atom in d.atoms:
-        enc = []
-        for t in atom.args:
-            s = side(t)
-            if s[0] == "val":
-                enc.append(s[1])
-            else:
-                root = find(s[1])
-                val = anchor.get(root)
-                if val is not None:
-                    enc.append(val)
-                else:
-                    enc.append(pvars.setdefault(root, PatternVar(root)))
-        pattern.append((atom.rel, tuple(enc)))
-    if not pattern:
-        return not ev or bool(inst.dom)
-    return match_pattern(pattern, inst.facts_sorted, presorted=True) is not None
+    return not holds(exists_all(dep.variables(), conj([ante, neg(heads)])), inst)
 
 
 def separating_dependency(j_prime: Instance) -> DisjunctiveDependency:

@@ -9,6 +9,7 @@ from typing import Sequence
 
 from dx.certain import UnfoldedRewriting, _build_disjunct, _term_to_internal, _Unifier, cq_parts
 from dx.chase import to_term_interpretation
+from dx.evaluator import eval_formula
 from dx.laconify import (
     BlockType,
     Embedding,
@@ -40,7 +41,7 @@ from dx.lang import (
     mapping_certain_free,
     substitute,
 )
-from dx.model import Const, Fact, Instance, MappingError, Schema
+from dx.model import Const, Fact, Instance, MappingError, PatternVar, Schema, match_pattern
 from dx.parser import parse_mapping
 
 # Non-laconic mappings paired with hand-written equivalent laconic ones.
@@ -525,8 +526,7 @@ def ref_is_core(j: Instance) -> bool:
 def ref_restricted_chase(m, source: Instance) -> Instance:
     """Re-sort and re-encode the facts built so far for every check."""
     from dx.chase import _skolem_symbol
-    from dx.evaluator import eval_formula
-    from dx.model import PatternVar, SkolemNull, value_key
+    from dx.model import SkolemNull, value_key
 
     facts: set = set()
     for d, tgd in enumerate(m.tgds):
@@ -1065,3 +1065,195 @@ def ref_precondition(t: BlockType, types, m: SchemaMapping) -> Formula:
                 Not(exists_all([v.name for v in fresh.values()], inner))
             )
     return conj([base] + guards)
+
+
+# ---------------------------------------------------------------------------
+# Reference matchers: the union-find searches that `laconify._separable_for`
+# and `verify.eval_disjunctive` carried before they became one kernel
+# search and one `holds` call, kept as oracles.
+
+def ref_separable_for(tgd, kept_atoms, kept_nulls) -> bool:
+    ev = set(tgd.exist_vars)
+    kept_set = set(kept_atoms)
+    touching = [
+        a
+        for a in tgd.consequent
+        if a not in kept_set
+        and any(isinstance(v, Var) and v.name in kept_nulls for v in a.args)
+    ]
+    if not touching:
+        return True
+
+    class UF:
+        def __init__(self):
+            self.parent: dict = {}
+            self.anchor: dict = {}
+
+        def find(self, x):
+            self.parent.setdefault(x, x)
+            while self.parent[x] != x:
+                self.parent[x] = self.parent[self.parent[x]]
+                x = self.parent[x]
+            return x
+
+        def union(self, a, b) -> bool:
+            ra, rb = self.find(a), self.find(b)
+            if ra == rb:
+                return True
+            aa, ab = self.anchor.get(ra), self.anchor.get(rb)
+            if aa is not None and ab is not None and aa != ab:
+                return False
+            self.parent[rb] = ra
+            if ab is not None:
+                self.anchor[ra] = ab
+            return True
+
+        def set_anchor(self, x, lit) -> bool:
+            r = self.find(x)
+            old = self.anchor.get(r)
+            if old is not None and old != lit:
+                return False
+            self.anchor[r] = lit
+            return True
+
+    state = {"uf": UF(), "sigma": {}}
+
+    def entry_of(term):
+        if isinstance(term, Var):
+            if term.name in kept_nulls:
+                return ("null", term.name)
+            return ("cvar", term.name)
+        return ("lit", term.text)
+
+    def agree(e1, e2) -> bool:
+        uf = state["uf"]
+        if e1[0] == "null" or e2[0] == "null":
+            return e1 == e2
+        if e1[0] == "cvar" and e2[0] == "cvar":
+            return uf.union(e1[1], e2[1])
+        if e1[0] == "cvar":
+            return uf.set_anchor(e1[1], e2[1])
+        if e2[0] == "cvar":
+            return uf.set_anchor(e2[1], e1[1])
+        return e1[1] == e2[1]
+
+    def match_atom(a: RelAtom, target: RelAtom) -> bool:
+        if a.rel != target.rel or len(a.args) != len(target.args):
+            return False
+        sigma = state["sigma"]
+        for src, dst in zip(a.args, target.args):
+            dst_entry = entry_of(dst)
+            if isinstance(src, Var) and src.name in kept_nulls:
+                if dst_entry != ("null", src.name):
+                    return False
+            elif isinstance(src, Var) and src.name in ev:
+                prev = sigma.get(src.name)
+                if prev is None:
+                    if dst_entry[0] == "null" and dst_entry[1] not in kept_nulls:
+                        return False
+                    sigma[src.name] = dst_entry
+                elif not agree(prev, dst_entry):
+                    return False
+            else:  # universal variable or literal constant
+                if dst_entry[0] == "null":
+                    return False
+                src_entry = (
+                    ("cvar", src.name) if isinstance(src, Var) else ("lit", src.text)
+                )
+                if not agree(src_entry, dst_entry):
+                    return False
+        return True
+
+    def search(i) -> bool:
+        if i == len(touching):
+            return True
+        for target in kept_atoms:
+            saved = (
+                dict(state["uf"].parent),
+                dict(state["uf"].anchor),
+                dict(state["sigma"]),
+            )
+            if match_atom(touching[i], target) and search(i + 1):
+                return True
+            state["uf"].parent, state["uf"].anchor = dict(saved[0]), dict(saved[1])
+            state["sigma"] = dict(saved[2])
+        return False
+
+    return search(0)
+
+
+def ref_eval_disjunctive(dep, inst: Instance) -> bool:
+    """Truth of a disjunctive dependency: one union-find match per
+    antecedent answer and disjunct.  A disjunct without atoms but with
+    existential variables is taken as true on any nonempty instance,
+    even when its equalities pin a variable outside the active domain."""
+    xs = dep.variables()
+    ante = conj(dep.ante_atoms + dep.ante_equalities)
+    for row in eval_formula(ante, inst, xs):
+        env = dict(zip(xs, row))
+        if not any(_ref_disjunct_holds(d, env, inst) for d in dep.disjuncts):
+            return False
+    return True
+
+
+def _ref_disjunct_holds(d, env: dict, inst: Instance) -> bool:
+    # union-find over the existential variables, with value anchors
+    ev = set(d.exist_vars)
+    parent = {y: y for y in ev}
+    anchor: dict = {}
+
+    def find(y):
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        return y
+
+    def side(t):
+        if isinstance(t, Var):
+            if t.name in env:
+                return ("val", env[t.name])
+            if t.name in ev:
+                return ("var", t.name)
+            raise ValueError(f"unbound variable {t.name} in dependency")
+        return ("val", t)
+
+    for eq in d.equalities:
+        l, r = side(eq.left), side(eq.right)
+        if l[0] == "var" and r[0] == "var":
+            rl, rr = find(l[1]), find(r[1])
+            if rl != rr:
+                al, ar = anchor.get(rl), anchor.get(rr)
+                if al is not None and ar is not None and al != ar:
+                    return False
+                parent[rr] = rl
+                if ar is not None:
+                    anchor[rl] = ar
+        elif l[0] == "var" or r[0] == "var":
+            root = find(l[1] if l[0] == "var" else r[1])
+            val = r[1] if l[0] == "var" else l[1]
+            old = anchor.get(root)
+            if old is not None and old != val:
+                return False
+            anchor[root] = val
+        elif l[1] != r[1]:
+            return False
+
+    pvars: dict = {}
+    pattern = []
+    for atom in d.atoms:
+        enc = []
+        for t in atom.args:
+            s = side(t)
+            if s[0] == "val":
+                enc.append(s[1])
+            else:
+                root = find(s[1])
+                val = anchor.get(root)
+                if val is not None:
+                    enc.append(val)
+                else:
+                    enc.append(pvars.setdefault(root, PatternVar(root)))
+        pattern.append((atom.rel, tuple(enc)))
+    if not pattern:
+        return not ev or bool(inst.dom)
+    return match_pattern(pattern, inst.facts_sorted, presorted=True) is not None

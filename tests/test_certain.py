@@ -1,5 +1,13 @@
 import pytest
-from helpers import COMPILE_FAMILIES, all_instances, cycle_mapping, inst, overlap_mapping, ref_unfold
+from helpers import (
+    COMPILE_FAMILIES,
+    all_instances,
+    cycle_mapping,
+    inst,
+    overlap_mapping,
+    ref_eval_formula,
+    ref_unfold,
+)
 
 from dx.certain import (
     _Unifier,
@@ -230,3 +238,30 @@ def test_unfold_prunes_failed_prefixes(monkeypatch):
     monkeypatch.setattr(_Unifier, "__init__", counting_init)
     eliminate_mapping(lm)
     assert 0 < created < 4352 // 4
+
+
+def test_eval_formula_chases_each_certain_base_once(monkeypatch):
+    """A laconified antecedent holds many certain[...] nodes over one
+    base mapping; one evaluation chases that base once and shares it."""
+    import dx.chase as chase_mod
+
+    m = overlap_mapping()
+    lm = laconify(m)
+    tgd = max(lm.tgds, key=lambda t: len(_certain_nodes(t.antecedent, {})))
+    nodes = _certain_nodes(tgd.antecedent, {})
+    assert len(nodes) >= 10 and {n.base for n in nodes} == {m}
+    i = inst(m.source, ("P", "a"), ("Q", "a"), ("Q", "b"))
+    want = ref_eval_formula(tgd.antecedent, i, tgd.universal_vars)
+    chased = []
+    chase = chase_mod.naive_chase
+
+    def counting(base, source):
+        chased.append(base)
+        return chase(base, source)
+
+    monkeypatch.setattr(chase_mod, "naive_chase", counting)
+    assert eval_formula(tgd.antecedent, i, tgd.universal_vars) == want
+    assert chased == [m]
+    # a second evaluation keeps no chase from the first
+    eval_formula(tgd.antecedent, i, tgd.universal_vars)
+    assert chased == [m, m]

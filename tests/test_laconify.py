@@ -1,7 +1,6 @@
 import itertools
 import pathlib
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -16,6 +15,7 @@ from helpers import (
     ref_embeddings_between,
     ref_precondition,
     ref_renamings_between,
+    ref_separable_for,
     ref_self_maps,
     ref_side_condition,
     split_pair_mapping,
@@ -30,6 +30,7 @@ from dx.lang import (
     Not,
     Or,
     RelAtom,
+    TGD,
     TRUE,
     Var,
     conj,
@@ -38,6 +39,7 @@ from dx.lang import (
 )
 from dx.laconify import (
     _encode_type,
+    _separable_for,
     embeddings_between,
     generate_block_types,
     laconify,
@@ -139,6 +141,46 @@ def test_no_constant_type_survives_when_foldable():
         i = random_source_instance(m.source, f"nc:{seed}", 3, 4)
         core, _ = compute_core(naive_chase(m, i))
         assert instances_isomorphic(core, naive_chase(lac, i))
+
+
+def _kept_subsets(tgd):
+    """(kept atoms, kept nulls) for each subset of tgd's existential
+    variables that keeps an atom, as generate_block_types walks them."""
+    ev = tgd.exist_vars
+    for bits in range(2 ** len(ev)):
+        dropped = {y for k, y in enumerate(ev) if not bits >> k & 1}
+        kept = tuple(a for a in tgd.consequent if not any(v.name in dropped for v in a.args))
+        if kept:
+            nulls = {y for y in ev if y not in dropped and any(Var(y) in a.args for a in kept)}
+            yield kept, nulls
+
+
+def _random_tgd(rng):
+    """A variable-only consequent over up to 4 nulls and 3 universals."""
+    xs = [f"x{k}" for k in range(rng.randint(1, 3))]
+    ys = [f"y{k}" for k in range(rng.randint(1, 4))]
+    arities = {"R": 2, "S": 2, "T": 3, "U": 1}
+    atoms = []
+    for _ in range(rng.randint(1, 5)):
+        rel = rng.choice(sorted(arities))
+        atoms.append(RelAtom(rel, tuple(Var(rng.choice(xs + ys)) for _ in range(arities[rel]))))
+    used = {v.name for a in atoms for v in a.args}
+    return TGD(RelAtom("A", tuple(Var(x) for x in xs)), tuple(y for y in ys if y in used), tuple(atoms))
+
+
+def test_separable_for_matches_reference():
+    rng = random.Random(9)
+    mappings = [random_mapping(seed) for seed in range(300)]
+    mappings += [family() for family in COMPILE_FAMILIES.values()]
+    tgds = [tgd for m in mappings for tgd in decompose(m).tgds]
+    tgds += [_random_tgd(rng) for _ in range(3000)]
+    outcomes = []
+    for tgd in tgds:
+        for kept, nulls in _kept_subsets(tgd):
+            got = _separable_for(tgd, kept, nulls)
+            assert got == ref_separable_for(tgd, kept, nulls), (tgd, kept)
+            outcomes.append(got)
+    assert len(outcomes) > 10_000 and 0 < sum(outcomes) < len(outcomes)
 
 
 # -- renamings / embeddings / self maps ---------------------------------------
@@ -303,8 +345,8 @@ def test_preconditions_match_reference_on_random_mappings():
 
 
 def test_laconify_builds_each_precon_prime_once(monkeypatch):
-    # `dx.laconify` is the function; the module is reached through sys.modules
-    mod = sys.modules["dx.laconify"]
+    import dx.laconify as mod
+
     built = Counter()
     build = mod._precon_prime
 

@@ -1,11 +1,11 @@
 import json
 
 import pytest
-from helpers import inst, pair
+from helpers import inst, pair, ref_eval_disjunctive
 
 from dx.chase import naive_chase
 from dx.lang import Eq, RelAtom, Var
-from dx.model import Const, Fact, FreshNull, Schema
+from dx.model import Const, Fact, FreshNull, Schema, compute_core
 from dx.parser import parse_mapping
 from dx.verify import (
     DepDisjunct,
@@ -15,6 +15,7 @@ from dx.verify import (
     check_laconic,
     eval_disjunctive,
     random_disjunctive,
+    random_mapping,
     random_source_instance,
     separating_dependency,
     separating_dependency_holds,
@@ -47,6 +48,37 @@ def test_eval_disjunctive_with_existential_disjunct():
     good = inst(S2, ("S", "a", "b"), ("S", "b", "a"))
     assert eval_disjunctive(dep, good)
     assert not eval_disjunctive(dep, inst(S2, ("S", "a", "b")))
+
+
+def test_eval_disjunctive_existential_stays_in_active_domain():
+    """exists z: z = 'c' is false where 'c' is not a value of the
+    instance, although the disjunct has no atom to range over."""
+    dep = DisjunctiveDependency(
+        (RelAtom("S", (Var("x1"), Var("x2"))),),
+        (),
+        (DepDisjunct(("z",), (), (Eq(Var("z"), Const("c")),)),),
+    )
+    assert not eval_disjunctive(dep, inst(S2, ("S", "a", "b")))
+    assert eval_disjunctive(dep, inst(S2, ("S", "a", "b"), ("S", "c", "c")))
+
+
+def test_eval_disjunctive_matches_reference_on_chases_and_cores():
+    outcomes = []
+    for seed in range(40):
+        m = random_mapping(seed)
+        i = random_source_instance(m.source, seed, 3, 5)
+        j_prime = naive_chase(m, i)
+        core, _ = compute_core(j_prime)
+        deps = [random_disjunctive(m.target, f"{seed}:{k}") for k in range(6)]
+        deps.append(separating_dependency(j_prime))
+        # no generated disjunct has existential variables without atoms,
+        # the one case where the reference answers differently
+        for dep in deps:
+            for target in (j_prime, core):
+                got = eval_disjunctive(dep, target)
+                assert got == ref_eval_disjunctive(dep, target), (seed, dep)
+                outcomes.append(got)
+    assert len(outcomes) > 400 and 0 < sum(outcomes) < len(outcomes)
 
 
 def test_key_dependency_on_core_vs_padded_solution():
