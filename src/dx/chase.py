@@ -5,8 +5,9 @@ every dependency fires on every satisfying tuple, and its existential
 variables become labeled nulls named as Skolem terms f<d>_<i>(a...) over
 the firing tuple.  The chase output is thus literally equal (not merely
 isomorphic) to the term interpretation evaluated on the same instance.
-Nothing is cached between calls; `certain[...]` antecedents chase their
-base mapping once per evaluation (see `dx.evaluator`).
+All its conditions are evaluated together, so `certain[...]` antecedents
+chase their base mapping once per chase (see `dx.evaluator.eval_formulas`);
+nothing is cached between calls.
 
 The restricted chase skips a firing whenever the consequent is already
 satisfied by the instance built so far; it is order-sensitive, so the
@@ -18,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from dx.evaluator import eval_formula
+from dx.evaluator import eval_formulas
 from dx.lang import (
     Formula,
     SchemaMapping,
     Var,
     format_formula,
-    has_certain,
     mapping_certain_free,
 )
 from dx.model import (
@@ -102,15 +102,18 @@ class TermInterpretation:
         return "\n".join(lines) + "\n"
 
 
-def _require_chaseable(m: SchemaMapping):
+def _require_chaseable(m: SchemaMapping, inst: Instance):
+    if inst.schema != m.source:
+        raise MappingError("instance schema differs from the mapping's source schema")
+    if not inst.is_source:
+        raise MappingError("chase input must be null-free")
     for tgd in m.tgds:
-        if has_certain(tgd.antecedent):
-            for node in _certain_nodes(tgd.antecedent):
-                if not mapping_certain_free(node.base):
-                    raise MappingError(
-                        "certain[...] antecedents must reference a mapping "
-                        "without further certain[...] nodes"
-                    )
+        for node in _certain_nodes(tgd.antecedent):
+            if not mapping_certain_free(node.base):
+                raise MappingError(
+                    "certain[...] antecedents must reference a mapping "
+                    "without further certain[...] nodes"
+                )
 
 
 def _certain_nodes(f: Formula):
@@ -136,8 +139,6 @@ def _term_value(t: TTerm, params: tuple):
         return lambda row: row[i]
     if isinstance(t, Const):
         return lambda row: t
-    if t.args == tuple(Var(x) for x in params):  # a Skolem term of the whole row
-        return lambda row: SkolemNull(t.symbol, row)
     args = [_term_value(a, params) for a in t.args]
     return lambda row: SkolemNull(t.symbol, tuple([f(row) for f in args]))
 
@@ -165,11 +166,7 @@ def _branches(m: SchemaMapping) -> tuple:
 def naive_chase(m: SchemaMapping, inst: Instance) -> Instance:
     """Canonical universal solution of `inst` under `m`: the term
     interpretation of m's Skolemized dependencies, evaluated on inst."""
-    if inst.schema != m.source:
-        raise MappingError("instance schema differs from the mapping's source schema")
-    if not inst.is_source:
-        raise MappingError("chase input must be null-free")
-    _require_chaseable(m)
+    _require_chaseable(m, inst)
     return eval_interpretation(TermInterpretation(m.source, m.target, _branches(m)), inst)
 
 
@@ -177,19 +174,13 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
     """Like the naive chase, but a dependency only fires on a tuple if
     its consequent is not yet satisfiable in the instance built so far.
     """
-    if inst.schema != m.source:
-        raise MappingError("instance schema differs from the mapping's source schema")
-    if not inst.is_source:
-        raise MappingError("chase input must be null-free")
-    _require_chaseable(m)
+    _require_chaseable(m, inst)
     facts: set = set()
     built = Encoding()  # `facts`, indexed for the consequent checks
+    answers = eval_formulas([(tgd.antecedent, tgd.universal_vars) for tgd in m.tgds], inst)
     for d, tgd in enumerate(m.tgds):
         params = tgd.universal_vars
-        rows = sorted(
-            eval_formula(tgd.antecedent, inst, params),
-            key=lambda row: tuple(value_key(v) for v in row),
-        )
+        rows = sorted(answers[d], key=lambda row: tuple(value_key(v) for v in row))
         ev = set(tgd.exist_vars)
         for row in rows:
             env = dict(zip(params, row))
@@ -236,12 +227,12 @@ def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
         raise MappingError("instance schema differs from the interpretation's source")
     if not inst.is_source:
         raise MappingError("term interpretations evaluate over null-free instances")
+    # a dependency's branches share its condition
+    queries = {(id(b.condition), b.params): (b.condition, b.params) for b in pi.branches}
+    answers = dict(zip(queries, eval_formulas(list(queries.values()), inst)))
     facts = set()
-    answers: dict = {}  # a dependency's branches share its condition
     for b in pi.branches:
-        key = (id(b.condition), b.params)
-        if key not in answers:
-            answers[key] = eval_formula(b.condition, inst, b.params)
         terms = [_term_value(t, b.params) for t in b.terms]
-        facts.update([Fact(b.rel, tuple([f(row) for f in terms])) for row in answers[key]])
+        rows = answers[id(b.condition), b.params]
+        facts.update([Fact(b.rel, tuple([f(row) for f in terms])) for row in rows])
     return Instance(pi.target, facts)

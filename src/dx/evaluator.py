@@ -81,7 +81,8 @@ class _Evaluator:
     """Runs plans against one instance; shared unions, atom scans and
     `certain[...]` queries are computed once per evaluator, and each
     `certain[...]` base mapping is chased at most once.  Unions are keyed
-    by plan node identity, so an evaluator runs one plan."""
+    by plan node identity, so an evaluator runs the plans of one planner,
+    kept alive while it runs."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -180,14 +181,24 @@ class _Evaluator:
 
 def eval_formula(f: Formula, inst: Instance, free: Sequence[str]) -> set:
     """All assignments to `free` (over the active domain) satisfying f."""
-    fv = free_vars(f)
-    missing = fv - set(free)
-    if missing:
-        raise MappingError(f"unbound free variables: {sorted(missing)}")
-    if len(set(free)) != len(tuple(free)):
-        raise MappingError("duplicate variables in the answer tuple")
-    plan = Planner().plan(f, want=tuple(free))
-    return _project(_Evaluator(inst).run(plan, _UNIT), tuple(free)).rows
+    return eval_formulas([(f, free)], inst)[0]
+
+
+def eval_formulas(queries: Sequence[tuple], inst: Instance) -> list:
+    """eval_formula of each (formula, free) pair.  One planner plans them
+    all and one evaluator runs them, so shared unions, atom scans and
+    `certain[...]` chases are computed once for the whole list."""
+    planner = Planner()
+    plans = []  # kept alive: the evaluator keys unions by node identity
+    for f, free in queries:
+        missing = free_vars(f) - set(free)
+        if missing:
+            raise MappingError(f"unbound free variables: {sorted(missing)}")
+        if len(set(free)) != len(tuple(free)):
+            raise MappingError("duplicate variables in the answer tuple")
+        plans.append(planner.plan(f, want=tuple(free)))
+    ev = _Evaluator(inst)
+    return [_project(ev.run(p, _UNIT), tuple(free)).rows for p, (_f, free) in zip(plans, queries)]
 
 
 def ground_answers(f: Formula, inst: Instance, free: Sequence[str]) -> set:

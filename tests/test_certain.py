@@ -265,3 +265,27 @@ def test_eval_formula_chases_each_certain_base_once(monkeypatch):
     # a second evaluation keeps no chase from the first
     eval_formula(tgd.antecedent, i, tgd.universal_vars)
     assert chased == [m, m]
+
+
+def test_chases_of_a_laconified_mapping_chase_its_base_once(monkeypatch):
+    """Every dependency of a laconified mapping reads certain[...] over the
+    same base; one chase of it (naive or restricted) chases that base once."""
+    import dx.chase as chase_mod
+
+    m = overlap_mapping()
+    lm = laconify(m)
+    assert len(lm.tgds) > 1
+    i = inst(m.source, ("P", "a"), ("Q", "a"), ("Q", "b"))
+    want = naive_chase(lm, i), chase_mod.restricted_chase(lm, i)
+    chased = []
+    chase = chase_mod.naive_chase
+
+    def counting(base, source):
+        chased.append(base)
+        return chase(base, source)
+
+    monkeypatch.setattr(chase_mod, "naive_chase", counting)
+    assert chase_mod.naive_chase(lm, i) == want[0]
+    assert chased == [lm, m]
+    assert chase_mod.restricted_chase(lm, i) == want[1]
+    assert chased == [lm, m, m]
