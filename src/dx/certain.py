@@ -73,14 +73,6 @@ def cq_parts(q: Formula):
     return tuple(exist), tuple(atoms), tuple(eqs)
 
 
-def is_cq(q: Formula) -> bool:
-    try:
-        cq_parts(q)
-        return True
-    except MappingError:
-        return False
-
-
 def certain_answers(m: SchemaMapping, q: Formula, inst: Instance, free=None):
     """Ground answers of the conjunctive query q in the canonical
     universal solution of inst; sound and complete for CQs.

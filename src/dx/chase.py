@@ -60,10 +60,6 @@ def format_tterm(t: TTerm) -> str:
     return f"{t.symbol}({inner})"
 
 
-def is_proper(t: TTerm) -> bool:
-    return isinstance(t, App)
-
-
 @dataclass(frozen=True)
 class Branch:
     """One defining clause of a target relation: a term tuple guarded by

@@ -100,20 +100,32 @@ def _atom_key(atom: RelAtom, cmap: dict, nmap: dict):
     return (atom.rel, tuple(parts))
 
 
+def _least_form(atoms, cmaps, null_vars) -> tuple:
+    """The least sorted set of `_atom_key`s over the constant-variable
+    maps `cmaps` and every numbering of `null_vars` from 1."""
+    best = None
+    for cmap in cmaps:
+        for nperm in itertools.permutations(null_vars):
+            nmap = {y: j + 1 for j, y in enumerate(nperm)}
+            key = tuple(sorted({_atom_key(a, cmap, nmap) for a in atoms}))
+            if best is None or key < best:
+                best = key
+    return best
+
+
 def make_block_type(atoms, const_vars, null_vars) -> BlockType:
     """Canonicalize an atom set into a BlockType (renaming-invariant)."""
     atoms = tuple(dict.fromkeys(atoms))
     const_vars = tuple(dict.fromkeys(const_vars))
     null_vars = tuple(dict.fromkeys(null_vars))
-    best = None
-    for cperm in itertools.permutations(const_vars):
-        cmap = {x: i + 1 for i, x in enumerate(cperm)}
-        for nperm in itertools.permutations(null_vars):
-            nmap = {y: j + 1 for j, y in enumerate(nperm)}
-            key = tuple(sorted(_atom_key(a, cmap, nmap) for a in atoms))
-            if best is None or key < best[0]:
-                best = (key, cmap, nmap)
-    key, cmap, nmap = best
+    key = _least_form(
+        atoms,
+        (
+            {x: i + 1 for i, x in enumerate(cperm)}
+            for cperm in itertools.permutations(const_vars)
+        ),
+        null_vars,
+    )
     renamed = []
     for rel, parts in key:
         args = []
@@ -501,26 +513,7 @@ def _realized_block_form(t: BlockType, values):
     Nulls are canonicalized by minimizing over renamings, so collapsed
     (non-injective) assignments compare correctly.
     """
-    env = dict(zip(t.const_vars, values))
-    best = None
-    for nperm in itertools.permutations(t.null_vars):
-        nmap = {y: k for k, y in enumerate(nperm)}
-        facts = frozenset(
-            (
-                a.rel,
-                tuple(
-                    ("n", nmap[v.name])
-                    if isinstance(v, Var) and v.name in nmap
-                    else ("c", env[v.name]) if isinstance(v, Var) else ("#", v.text)
-                    for v in a.args
-                ),
-            )
-            for a in t.atoms
-        )
-        key = tuple(sorted(facts))
-        if best is None or key < best:
-            best = key
-    return best
+    return _least_form(t.atoms, (dict(zip(t.const_vars, values)),), t.null_vars)
 
 
 def _order_key(values) -> tuple:

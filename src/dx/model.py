@@ -12,7 +12,7 @@ import bisect
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Union
 
 from dx import kernel
 
@@ -219,31 +219,6 @@ class Instance:
         return Instance(self.schema, self.facts - frozenset(facts))
 
 
-@dataclass(frozen=True)
-class FactGraph:
-    """Facts as nodes; an edge joins two facts sharing a null."""
-
-    nodes: tuple
-    edges: tuple
-
-
-def fact_graph(inst: Instance) -> FactGraph:
-    nodes = inst.facts_sorted
-    by_null: dict = {}
-    for f in nodes:
-        for a in f.args:
-            if is_null(a):
-                by_null.setdefault(a, []).append(f)
-    edges = set()
-    for facts in by_null.values():
-        for i in range(len(facts)):
-            for j in range(i + 1, len(facts)):
-                a, b = sorted((facts[i], facts[j]), key=fact_key)
-                if a != b:
-                    edges.add((a, b))
-    return FactGraph(nodes, tuple(sorted(edges, key=lambda e: (fact_key(e[0]), fact_key(e[1])))))
-
-
 def blocks(inst: Instance) -> list[Instance]:
     """Connected components of the fact graph, in canonical order.
 
@@ -379,18 +354,14 @@ def match_pattern(
     *,
     injective: bool = False,
     nulls_only: bool = False,
-    presorted: bool = False,
 ) -> Optional[dict]:
     """Assign pattern variables to target values so that every pattern
     fact becomes a target fact.  Constants and concrete values in the
     pattern must match exactly.  Returns {PatternVar: Value} or None.
 
-    Results are deterministic because targets are scanned in canonical
-    order; pass presorted=True when the caller already supplies them
-    sorted by fact_key to skip the re-sort.
+    `target_facts` come in canonical order (an instance's
+    `facts_sorted`), so the search and its result are deterministic.
     """
-    if not presorted:
-        target_facts = sorted(target_facts, key=fact_key)
     return Encoding(target_facts).search(
         pattern, injective=injective, nulls_only=nulls_only
     )
@@ -441,7 +412,7 @@ def find_homomorphism(i: Instance, j: Instance) -> Optional[Homomorphism]:
     """A homomorphism i -> j fixing constants, or None."""
     if i.schema != j.schema:
         raise MappingError("homomorphism requires a common schema")
-    asn = match_pattern(_pattern_of(i), j.facts_sorted, presorted=True)
+    asn = match_pattern(_pattern_of(i), j.facts_sorted)
     if asn is None:
         return None
     mapping = {v: v for v in i.constants}
@@ -602,8 +573,7 @@ def instances_isomorphic(i: Instance, j: Instance) -> bool:
         if len(bi.facts) != len(bj.facts):
             return False
         asn = match_pattern(
-            _pattern_of(bi), bj.facts_sorted, injective=True, nulls_only=True,
-            presorted=True,
+            _pattern_of(bi), bj.facts_sorted, injective=True, nulls_only=True
         )
         return asn is not None
 
@@ -630,35 +600,34 @@ def instances_isomorphic(i: Instance, j: Instance) -> bool:
 # Tokens and quoted constants, shared by the fact-file and mapping readers.
 
 class Lexer:
-    """Splits text into (kind, text, line, col) tokens.
+    """Splits text into (kind, text, offset) tokens with one regex pass.
 
-    `token_re` is an alternation of named groups; the group that matched
-    names the token kind, and tokens of kind "ws" (whitespace and
-    comments) are dropped.  A character no group matches ends the tokens
-    with one "error" token, which raises once the parser reaches it, so
-    errors are reported in file order.
+    `token_re` is an alternation of named groups that ends with a
+    catch-all `(?P<error>.)`, so every character lands in exactly one
+    token; the group that matched names the token kind, and tokens of
+    kind "ws" (whitespace and comments) are dropped.  An "error" token
+    raises once the parser reaches it, so errors are reported in file
+    order.  A token's line and column are worked out from its offset
+    (`where`) only when an error names it.
     """
 
     def __init__(self, text: str, token_re: re.Pattern):
-        self.tokens = []
-        line, col, pos = 1, 1, 0
-        while pos < len(text):
-            m = token_re.match(text, pos)
-            if not m:
-                self.tokens.append(("error", text[pos], line, col))
-                break
-            kind = m.lastgroup
-            tok = m.group(0)
-            if kind != "ws":
-                self.tokens.append((kind, tok, line, col))
-            newlines = tok.count("\n")
-            if newlines:
-                line += newlines
-                col = len(tok) - tok.rfind("\n")
-            else:
-                col += len(tok)
-            pos = m.end()
+        self.text = text
+        self.tokens = [
+            (m.lastgroup, m.group(), m.start())
+            for m in token_re.finditer(text)
+            if m.lastgroup != "ws"
+        ]
         self.i = 0
+
+    def where(self, tok) -> tuple[int, int]:
+        """The 1-based (line, col) at which `tok` starts."""
+        pos = tok[2]
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
+
+    def fail(self, tok, msg) -> NoReturn:
+        """Raise a ParseError positioned at `tok`."""
+        raise ParseError(msg, *self.where(tok)) from None
 
     def peek(self, ahead: int = 0):
         i = self.i + ahead
@@ -675,11 +644,11 @@ class Lexer:
     def error(self, msg):
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
-            raise ParseError(f"{msg} at end of input", last[2], last[3])
+            last = self.tokens[-1] if self.tokens else (None, "", 0)
+            self.fail(last, f"{msg} at end of input")
         if tok[0] == "error":
-            raise ParseError(f"unexpected character {tok[1]!r}", tok[2], tok[3])
-        raise ParseError(f"{msg}, got {tok[1]!r}", tok[2], tok[3])
+            self.fail(tok, f"unexpected character {tok[1]!r}")
+        self.fail(tok, f"{msg}, got {tok[1]!r}")
 
     def expect(self, value):
         tok = self.peek()
@@ -694,21 +663,20 @@ class Lexer:
             return True
         return False
 
+    def quoted_const(self, tok) -> Const:
+        """The constant written by a quoted token, or a ParseError at it."""
+        body = tok[1][1:-1].replace("\\'", "'").replace("\\\\", "\\")
+        if not body:
+            self.fail(tok, "empty constant")
+        try:
+            return Const(body)
+        except ValueError as exc:
+            self.fail(tok, str(exc))
+
 
 def quote(text: str) -> str:
-    """Constant text as a single-quoted token; `quoted_const` inverts it."""
+    """Constant text as a single-quoted token; `Lexer.quoted_const` inverts it."""
     return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
-
-
-def quoted_const(tok) -> Const:
-    """The constant written by a quoted token, or a ParseError at it."""
-    body = tok[1][1:-1].replace("\\'", "'").replace("\\\\", "\\")
-    if not body:
-        raise ParseError("empty constant", tok[2], tok[3])
-    try:
-        return Const(body)
-    except ValueError as exc:
-        raise ParseError(str(exc), tok[2], tok[3]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +689,7 @@ _FACT_TOKEN = re.compile(
        |(?P<null>\?[A-Za-z_][A-Za-z0-9_]*)
        |(?P<bare>[A-Za-z0-9_]+)
        |(?P<quoted>'(?:[^'\\]|\\.)*')
+       |(?P<error>.)
     """,
     re.VERBOSE,
 )
@@ -760,11 +729,11 @@ def _read_value(lex: Lexer) -> Value:
     if tok is None or tok[0] not in ("bare", "quoted", "null"):
         lex.error("expected a value")
     lex.next()
-    kind, text, line, col = tok
+    kind, text, _pos = tok
     if kind == "bare":
         return Const(text)
     if kind == "quoted":
-        return quoted_const(tok)
+        return lex.quoted_const(tok)
     name = text[1:]
     m = _FRESH.match(name)
     nxt = lex.peek()
@@ -772,7 +741,7 @@ def _read_value(lex: Lexer) -> Value:
         try:
             return FreshNull(int(m.group(1)))
         except ValueError as exc:
-            raise ParseError(str(exc), line, col) from None
+            lex.fail(tok, str(exc))
     return SkolemNull(name, _read_args(lex))
 
 
@@ -784,16 +753,14 @@ def parse_facts(text: str, schema: Schema) -> Instance:
         if tok[0] != "bare":
             lex.error("expected relation name")
         lex.next()
-        _kind, rel, line, col = tok
+        rel = tok[1]
         args = _read_args(lex)
         lex.expect(".")
         if rel not in schema:
-            raise ParseError(f"undeclared relation {rel}", line, col)
+            lex.fail(tok, f"undeclared relation {rel}")
         if len(args) != schema.arity(rel):
-            raise ParseError(
-                f"arity mismatch for {rel}: expected {schema.arity(rel)}, got {len(args)}",
-                line,
-                col,
+            lex.fail(
+                tok, f"arity mismatch for {rel}: expected {schema.arity(rel)}, got {len(args)}"
             )
         facts.append(Fact(rel, args))
     return Instance(schema, facts)

@@ -10,6 +10,10 @@ Operators `&`, `|`, `!`, `exists v:`, `forall v:`, `=`, `<` and
 parentheses; variables are lowercase identifiers, constants are
 single-quoted.  Quantifier bodies extend as far right as possible.
 `certain[...]` occurs only in printed output and is rejected here.
+
+`_TOKEN` feeds the shared `model.Lexer`; a relation lookup answers the
+arity or None, and every error is raised at the token it names, whose
+line and column are worked out then.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dx.lang import (
     TrueF,
     Var,
 )
-from dx.model import Lexer, MappingError, ParseError, Schema, quoted_const
+from dx.model import Lexer, MappingError, ParseError, Schema
 
 _KEYWORDS = {"source", "target", "tgd", "exists", "forall", "true", "certain"}
 
@@ -42,6 +46,7 @@ _TOKEN = re.compile(
        |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
        |(?P<number>[0-9]+)
        |(?P<quoted>'(?:[^'\\]|\\.)*')
+       |(?P<error>.)
     """,
     re.VERBOSE,
 )
@@ -50,7 +55,7 @@ _TOKEN = re.compile(
 class _FormulaParser:
     def __init__(self, lex: Lexer, schema_lookup):
         self.lex = lex
-        self.schema_lookup = schema_lookup  # rel name -> arity, raises on unknown
+        self.schema_lookup = schema_lookup  # rel name -> arity, or None
 
     def formula(self) -> Formula:
         tok = self.lex.peek()
@@ -108,11 +113,10 @@ class _FormulaParser:
             self.lex.next()
             return TrueF()
         if tok[1] == "certain":
-            raise ParseError(
+            self.lex.fail(
+                tok,
                 "certain[...] cannot be parsed back; regenerate the mapping "
                 "with certain answers eliminated",
-                tok[2],
-                tok[3],
             )
         return self.atom()
 
@@ -130,7 +134,7 @@ class _FormulaParser:
             self.lex.error("expected a term")
         if tok[0] == "quoted":
             self.lex.next()
-            return quoted_const(tok)
+            return self.lex.quoted_const(tok)
         if tok[0] == "ident" and tok[1] not in _KEYWORDS:
             if not tok[1][0].islower():
                 self.lex.error(
@@ -155,13 +159,14 @@ class _FormulaParser:
                     while self.lex.accept(","):
                         args.append(self.term())
                     self.lex.expect(")")
-                arity = self.schema_lookup(rel_tok[1], rel_tok[2], rel_tok[3])
+                arity = self.schema_lookup(rel_tok[1])
+                if arity is None:
+                    self.lex.fail(rel_tok, f"undeclared relation {rel_tok[1]}")
                 if arity != len(args):
-                    raise ParseError(
+                    self.lex.fail(
+                        rel_tok,
                         f"arity mismatch for {rel_tok[1]}: declared /{arity}, "
                         f"used with {len(args)} arguments",
-                        rel_tok[2],
-                        rel_tok[3],
                     )
                 return RelAtom(rel_tok[1], tuple(args))
         left = self.term()
@@ -188,7 +193,7 @@ def _parse_decls(lex: Lexer, declared: dict):
             lex.error("expected an arity")
         lex.next()
         if name in rels or name in declared:
-            raise ParseError(f"relation {name} declared twice", tok[2], tok[3])
+            lex.fail(tok, f"relation {name} declared twice")
         rels[name] = int(num[1])
         if lex.accept(","):
             continue
@@ -203,12 +208,8 @@ def parse_mapping(text: str) -> SchemaMapping:
     target: dict = {}
     tgds = []
 
-    def lookup(rel, line, col):
-        if rel in source:
-            return source[rel]
-        if rel in target:
-            return target[rel]
-        raise ParseError(f"undeclared relation {rel}", line, col)
+    def lookup(rel):
+        return source.get(rel, target.get(rel))
 
     while True:
         tok = lex.peek()
@@ -240,32 +241,23 @@ def parse_mapping(text: str) -> SchemaMapping:
             lex.expect(".")
             for a in atoms:
                 if not isinstance(a, RelAtom):
-                    raise ParseError(
+                    lex.fail(
+                        tok,
                         "dependency consequents must be conjunctions of "
                         "relational atoms",
-                        tok[2],
-                        tok[3],
                     )
                 if a.rel not in target:
-                    raise ParseError(
-                        f"consequent relation {a.rel} is not a target relation",
-                        tok[2],
-                        tok[3],
-                    )
+                    lex.fail(tok, f"consequent relation {a.rel} is not a target relation")
             used = {v.name for a in atoms for v in a.args if isinstance(v, Var)}
             for rel_atom in _rel_atoms(antecedent):
                 if rel_atom.rel in target:
-                    raise ParseError(
-                        f"antecedent uses target relation {rel_atom.rel}",
-                        tok[2],
-                        tok[3],
-                    )
+                    lex.fail(tok, f"antecedent uses target relation {rel_atom.rel}")
             try:
                 tgds.append(
                     TGD(antecedent, tuple(v for v in exist_vars if v in used), tuple(atoms))
                 )
             except MappingError as exc:
-                raise ParseError(str(exc), tok[2], tok[3]) from None
+                lex.fail(tok, str(exc))
         else:
             lex.error("expected 'source', 'target' or 'tgd'")
     try:
@@ -277,9 +269,10 @@ def parse_mapping(text: str) -> SchemaMapping:
 def declarations(text: str) -> dict:
     """Relation name -> (arity, line, col) of its declaration, in file
     order, for a mapping text that `parse_mapping` accepts."""
-    toks = Lexer(text, _TOKEN).tokens
+    lex = Lexer(text, _TOKEN)
+    toks = lex.tokens
     return {
-        name[1]: (int(num[1]), name[2], name[3])
+        name[1]: (int(num[1]), *lex.where(name))
         for name, slash, num in zip(toks, toks[1:], toks[2:])
         if name[0] == "ident" and slash[1] == "/"
     }
@@ -298,13 +291,7 @@ def _rel_atoms(f: Formula):
 def parse_formula(text: str, schema: Schema) -> Formula:
     """Parse a standalone formula against one schema (used for queries)."""
     lex = Lexer(text, _TOKEN)
-
-    def lookup(rel, line, col):
-        if rel in schema:
-            return schema.arity(rel)
-        raise ParseError(f"undeclared relation {rel}", line, col)
-
-    parser = _FormulaParser(lex, lookup)
+    parser = _FormulaParser(lex, dict(schema.rels).get)
     f = parser.formula()
     if lex.peek() is not None:
         lex.error("trailing input after formula")

@@ -318,7 +318,7 @@ def separating_dependency_holds(dep: DisjunctiveDependency, inst: Instance) -> b
     pattern = [
         (a.rel, tuple(pvars[v.name] for v in a.args)) for a in dep.ante_atoms
     ]
-    asn = match_pattern(pattern, inst.facts_sorted, injective=True, presorted=True)
+    asn = match_pattern(pattern, inst.facts_sorted, injective=True)
     return asn is None
 
 

@@ -1256,4 +1256,31 @@ def _ref_disjunct_holds(d, env: dict, inst: Instance) -> bool:
         pattern.append((atom.rel, tuple(enc)))
     if not pattern:
         return not ev or bool(inst.dom)
-    return match_pattern(pattern, inst.facts_sorted, presorted=True) is not None
+    return match_pattern(pattern, inst.facts_sorted) is not None
+
+
+def ref_tokens(text: str, token_re) -> list:
+    """Oracle for `model.Lexer`: the eager scanning loop it replaced.
+
+    (kind, text, line, col) tokens, "ws" dropped, positions counted as
+    the scan goes; the first character only the catch-all `error` group
+    matches ends the list with one "error" token.
+    """
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m.lastgroup == "error":
+            tokens.append(("error", text[pos], line, col))
+            break
+        tok = m.group(0)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, tok, line, col))
+        newlines = tok.count("\n")
+        if newlines:
+            line += newlines
+            col = len(tok) - tok.rfind("\n")
+        else:
+            col += len(tok)
+        pos = m.end()
+    return tokens

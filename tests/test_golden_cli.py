@@ -16,6 +16,8 @@ import sys
 import pytest
 
 from dx.cli import main
+from dx.lang import format_mapping
+from dx.parser import parse_mapping
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMO = ROOT / "demo"
@@ -83,6 +85,17 @@ def test_cli_output_matches_golden(name, cmd, tmp_path):
     code, out = run_case(name, cmd, tmp_path)
     assert code == 0
     assert out == gzip.decompress((GOLDEN / f"{name}.{cmd}.txt.gz").read_bytes())
+
+
+ELIMINATED = sorted(GOLDEN.glob("*.eliminate.txt.gz"))
+
+
+@pytest.mark.parametrize("path", ELIMINATED, ids=[p.name.split(".")[0] for p in ELIMINATED])
+def test_eliminated_mapping_reads_back(path):
+    """The flat mappings `dx laconify --eliminate-certain` prints parse
+    back to themselves; fan_4's 2.8 MB is the reader's largest input."""
+    text = gzip.decompress(path.read_bytes()).decode("utf-8")
+    assert format_mapping(parse_mapping(text)) == text
 
 
 if __name__ == "__main__":

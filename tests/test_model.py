@@ -1,29 +1,34 @@
+import re
+
 import pytest
 from helpers import (
     brute_homomorphism,
     brute_is_core,
     brute_isomorphic,
     inst,
+    ref_tokens,
 )
 from hypothesis import given, settings, strategies as st
 
 from dx.model import (
+    _FACT_TOKEN,
     Const,
     Fact,
     FreshNull,
     Instance,
+    Lexer,
     MappingError,
     Schema,
     SkolemNull,
     blocks,
     compute_core,
-    fact_graph,
     find_homomorphism,
     format_facts,
     instances_isomorphic,
     is_core,
     parse_facts,
 )
+from dx.parser import _TOKEN, parse_formula, parse_mapping
 from dx.verify import random_source_instance
 
 S2 = Schema({"S": 2})
@@ -54,13 +59,6 @@ def test_blocks_examples():
     # two facts with distinct nulls stay separate components
     j = inst(R2, ("R", "a", FreshNull(1)), ("R", "a", FreshNull(2)))
     assert [len(b.facts) for b in blocks(j)] == [1, 1]
-
-
-def test_fact_graph_edges():
-    i = inst(ST, ("S", "a", FreshNull(1)), ("T", "b", FreshNull(1)), ("S", "c", "c"))
-    g = fact_graph(i)
-    assert len(g.nodes) == 3
-    assert len(g.edges) == 1
 
 
 def test_find_homomorphism_examples():
@@ -277,13 +275,14 @@ def test_fact_file_reports_first_error_in_file(text, error):
 def test_fact_file_lexical_error_waits_its_turn(text):
     """Text with a stray character fails as the text before it would,
     unless that text fails only for ending early."""
-    from dx.model import _FACT_TOKEN, Lexer, ParseError
+    from dx.model import ParseError
 
-    tokens = Lexer(text, _FACT_TOKEN).tokens
-    if not tokens or tokens[-1][0] != "error":
+    lex = Lexer(text, _FACT_TOKEN)
+    error = next((tok for tok in lex.tokens if tok[0] == "error"), None)
+    if error is None:
         return
-    _kind, _char, line, col = tokens[-1]
-    offset = sum(len(ln) + 1 for ln in text.split("\n")[: line - 1]) + col - 1
+    line, col = lex.where(error)
+    offset = error[2]
     with pytest.raises(ParseError) as full:
         parse_facts(text, S2)
     try:
@@ -293,6 +292,48 @@ def test_fact_file_lexical_error_waits_its_turn(text):
             assert str(full.value) == str(exc)
             return
     assert str(full.value).startswith(f"{line}:{col}: unexpected character")
+
+
+_IGNORED = re.compile(r"(?:\s+|#[^\n]*)*")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(alphabet="S(a, b).?N01_xX\n\t\r #'\\@$-></:&|!=<[]\u00e9\u2028", max_size=60),
+    st.sampled_from([_FACT_TOKEN, _TOKEN]),
+)
+def test_lexer_agrees_with_eager_oracle(text, token_re):
+    """Up to the first error token the one-pass lexer yields the eager
+    scanner's tokens, and `where` its positions; every character lands
+    in a token or in the whitespace and comments between them."""
+    lex = Lexer(text, token_re)
+    ref = ref_tokens(text, token_re)
+    ours = lex.tokens[: len(ref)]
+    assert [tok[:2] for tok in ours] == [tok[:2] for tok in ref]
+    assert [lex.where(tok) for tok in ours] == [tok[2:] for tok in ref]
+    if not ref or ref[-1][0] != "error":
+        assert len(lex.tokens) == len(ref)
+    pieces, pos = [], 0
+    for _kind, tok_text, offset in lex.tokens:
+        assert _IGNORED.fullmatch(text, pos, offset)
+        pieces += [text[pos:offset], tok_text]
+        pos = offset + len(tok_text)
+    assert _IGNORED.fullmatch(text, pos)
+    assert "".join(pieces) + text[pos:] == text
+
+
+def test_valid_texts_work_out_no_positions(monkeypatch):
+    def where(self, tok):
+        raise AssertionError(f"position worked out for {tok!r}")
+
+    monkeypatch.setattr(Lexer, "where", where)
+    m = parse_mapping(
+        "# header\nsource R/2, P/1.\ntarget S/2.\n"
+        "tgd: R(x,y) & x < 'k' & !P(y) -> exists z: S(x,z) & S(y,z).\n"
+    )
+    parse_formula("exists y: (R(x, y) | P(x)) & forall z: x = z", m.source)
+    i = parse_facts("# c\nS('a b', ?N1).\nS(?f(a, ?N2), c). # d\n", S2)
+    assert len(i) == 2
 
 
 def test_fact_file_null_lookahead():
