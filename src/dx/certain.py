@@ -199,10 +199,6 @@ class _Unifier:
             return False  # a proper term never equals a constant
         return a == b  # two constants
 
-    def resolved(self, node):
-        """Final value of a node: a node root, a constant, or an app term."""
-        return self._resolve(node)
-
     def term_is_proper(self, t) -> bool:
         t = self._resolve(t) if self._is_node(t) else t
         if isinstance(t, tuple) and t and t[0] == "app":

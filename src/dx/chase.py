@@ -1,12 +1,15 @@
 """Chase procedures and term interpretations.
 
-The naive chase is the evaluation of the mapping's term interpretation:
-every dependency fires on every satisfying tuple, and its existential
-variables become labeled nulls named as Skolem terms f<d>_<i>(a...) over
-the firing tuple.  The chase output is thus literally equal (not merely
-isomorphic) to the term interpretation evaluated on the same instance.
-All its conditions are evaluated together, so `certain[...]` antecedents
-chase their base mapping once per chase (see `dx.evaluator.eval_formulas`);
+`to_term_interpretation` compiles a mapping once: one rule per
+dependency, whose existential variables become Skolem terms
+f<d>_<i>(a...) over its universal variables, each rule planned once on
+first use.  Both chases, `dx.sqlgen` and `dx.verify` read this form.
+
+The naive chase is the evaluation of the term interpretation: every
+rule fires on every satisfying tuple, so its output is literally equal
+(not merely isomorphic) to the interpretation evaluated on the same
+instance.  All plans run on one evaluator (`dx.evaluator.run_plans`),
+so `certain[...]` antecedents chase their base mapping once per chase;
 nothing is cached between calls.
 
 The restricted chase skips a firing whenever the consequent is already
@@ -17,13 +20,15 @@ order is pinned: dependencies in declaration order, tuples sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
-from dx.evaluator import eval_formulas
+from dx.evaluator import run_plans
 from dx.lang import (
     Formula,
     SchemaMapping,
     Var,
+    certain_nodes,
     format_formula,
     mapping_certain_free,
 )
@@ -38,6 +43,7 @@ from dx.model import (
     SkolemNull,
     value_key,
 )
+from dx.plan import Planner
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,13 +79,37 @@ class Branch:
 
 
 @dataclass(frozen=True)
+class Rule:
+    """One Skolemized dependency: its antecedent with parameters `params`
+    (sorted free variables) and a term tuple per consequent atom."""
+
+    condition: Formula
+    params: tuple
+    heads: tuple  # (relation, terms)
+
+
+@dataclass(frozen=True)
 class TermInterpretation:
+    """A mapping compiled once: one rule per dependency, in order."""
+
     source: Schema
     target: Schema
-    branches: tuple
+    rules: tuple
+
+    @cached_property
+    def plans(self) -> tuple:
+        """One plan per rule, binding its parameters, built on first use
+        by one planner, so rules share their unions."""
+        planner = Planner()
+        return tuple(planner.plan(r.condition, want=r.params) for r in self.rules)
 
     def branches_for(self, rel: str) -> tuple:
-        return tuple(b for b in self.branches if b.rel == rel)
+        return tuple(
+            Branch(rel, terms, r.condition, r.params)
+            for r in self.rules
+            for head, terms in r.heads
+            if head == rel
+        )
 
     def render(self) -> str:
         """Human-readable definition of each target relation."""
@@ -98,32 +128,6 @@ class TermInterpretation:
         return "\n".join(lines) + "\n"
 
 
-def _require_chaseable(m: SchemaMapping, inst: Instance):
-    if inst.schema != m.source:
-        raise MappingError("instance schema differs from the mapping's source schema")
-    if not inst.is_source:
-        raise MappingError("chase input must be null-free")
-    for tgd in m.tgds:
-        for node in _certain_nodes(tgd.antecedent):
-            if not mapping_certain_free(node.base):
-                raise MappingError(
-                    "certain[...] antecedents must reference a mapping "
-                    "without further certain[...] nodes"
-                )
-
-
-def _certain_nodes(f: Formula):
-    from dx.lang import And, Certain, Exists, Forall, Not, Or
-
-    if isinstance(f, Certain):
-        yield f
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from _certain_nodes(p)
-    elif isinstance(f, (Not, Exists, Forall)):
-        yield from _certain_nodes(f.body)
-
-
 def _skolem_symbol(tgd_index: int, var_index: int) -> str:
     return f"f{tgd_index + 1}_{var_index + 1}"
 
@@ -139,46 +143,57 @@ def _term_value(t: TTerm, params: tuple):
     return lambda row: SkolemNull(t.symbol, tuple([f(row) for f in args]))
 
 
-def _branches(m: SchemaMapping) -> tuple:
-    """One branch per consequent atom, each existential variable
+def to_term_interpretation(m: SchemaMapping) -> TermInterpretation:
+    """Compile m: one rule per dependency, each existential variable
     replaced by a function term over the dependency's universal
-    variables."""
-    branches = []
+    variables.  A certain[...] antecedent must name a base mapping
+    without further certain[...] nodes."""
+    rules = []
     for d, tgd in enumerate(m.tgds):
+        if not all(mapping_certain_free(c.base) for c in certain_nodes(tgd.antecedent)):
+            raise MappingError(
+                "certain[...] antecedents must reference a mapping "
+                "without further certain[...] nodes"
+            )
         params = tgd.universal_vars
-        term_env: dict = {
-            y: App(_skolem_symbol(d, i), tuple(Var(x) for x in params))
+        skolem: dict = {
+            Var(y): App(_skolem_symbol(d, i), tuple(Var(x) for x in params))
             for i, y in enumerate(tgd.exist_vars)
         }
-        for atom in tgd.consequent:
-            terms = tuple(
-                term_env.get(a.name, a) if isinstance(a, Var) else a
-                for a in atom.args
-            )
-            branches.append(Branch(atom.rel, terms, tgd.antecedent, params))
-    return tuple(branches)
+        heads = tuple(
+            (atom.rel, tuple(skolem.get(a, a) for a in atom.args)) for atom in tgd.consequent
+        )
+        rules.append(Rule(tgd.antecedent, params, heads))
+    return TermInterpretation(m.source, m.target, tuple(rules))
+
+
+def _answers(pi: TermInterpretation, inst: Instance) -> list:
+    """The parameter rows satisfying each rule's condition in inst."""
+    if inst.schema != pi.source:
+        raise MappingError("instance schema differs from the mapping's source schema")
+    if not inst.is_source:
+        raise MappingError("chase input must be null-free")
+    return run_plans(zip(pi.plans, (r.params for r in pi.rules)), inst)
 
 
 def naive_chase(m: SchemaMapping, inst: Instance) -> Instance:
     """Canonical universal solution of `inst` under `m`: the term
     interpretation of m's Skolemized dependencies, evaluated on inst."""
-    _require_chaseable(m, inst)
-    return eval_interpretation(TermInterpretation(m.source, m.target, _branches(m)), inst)
+    return eval_interpretation(to_term_interpretation(m), inst)
 
 
 def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
     """Like the naive chase, but a dependency only fires on a tuple if
     its consequent is not yet satisfiable in the instance built so far.
     """
-    _require_chaseable(m, inst)
+    pi = to_term_interpretation(m)
     facts: set = set()
     built = Encoding()  # `facts`, indexed for the consequent checks
-    answers = eval_formulas([(tgd.antecedent, tgd.universal_vars) for tgd in m.tgds], inst)
-    for d, tgd in enumerate(m.tgds):
-        params = tgd.universal_vars
-        rows = sorted(answers[d], key=lambda row: tuple(value_key(v) for v in row))
+    for tgd, rule, answers in zip(m.tgds, pi.rules, _answers(pi, inst)):
+        params = rule.params
+        heads = [(rel, [_term_value(t, params) for t in terms]) for rel, terms in rule.heads]
         ev = set(tgd.exist_vars)
-        for row in rows:
+        for row in sorted(answers, key=lambda row: tuple(value_key(v) for v in row)):
             env = dict(zip(params, row))
             pattern = [
                 (
@@ -194,41 +209,19 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
             ]
             if built.search(pattern) is not None:
                 continue
-            for i, y in enumerate(tgd.exist_vars):
-                env[y] = SkolemNull(_skolem_symbol(d, i), row)
-            for atom in tgd.consequent:
-                fact = Fact(
-                    atom.rel,
-                    tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args),
-                )
+            for rel, terms in heads:
+                fact = Fact(rel, tuple([f(row) for f in terms]))
                 if fact not in facts:
                     facts.add(fact)
                     built.add(fact)
     return Instance(m.target, facts)
 
 
-def to_term_interpretation(m: SchemaMapping) -> TermInterpretation:
-    """Skolemize and split a certain[...]-free mapping (see `_branches`)."""
-    if not mapping_certain_free(m):
-        raise MappingError(
-            "term interpretations require certain[...]-free antecedents; "
-            "eliminate them first"
-        )
-    return TermInterpretation(m.source, m.target, _branches(m))
-
-
 def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
     """The target instance generated by a term interpretation."""
-    if inst.schema != pi.source:
-        raise MappingError("instance schema differs from the interpretation's source")
-    if not inst.is_source:
-        raise MappingError("term interpretations evaluate over null-free instances")
-    # a dependency's branches share its condition
-    queries = {(id(b.condition), b.params): (b.condition, b.params) for b in pi.branches}
-    answers = dict(zip(queries, eval_formulas(list(queries.values()), inst)))
     facts = set()
-    for b in pi.branches:
-        terms = [_term_value(t, b.params) for t in b.terms]
-        rows = answers[id(b.condition), b.params]
-        facts.update([Fact(b.rel, tuple([f(row) for f in terms])) for row in rows])
+    for rule, rows in zip(pi.rules, _answers(pi, inst)):
+        for rel, terms in rule.heads:
+            values = [_term_value(t, rule.params) for t in terms]
+            facts.update([Fact(rel, tuple([f(row) for f in values])) for row in rows])
     return Instance(pi.target, facts)

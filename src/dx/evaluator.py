@@ -81,8 +81,7 @@ class _Evaluator:
     """Runs plans against one instance; shared unions, atom scans and
     `certain[...]` queries are computed once per evaluator, and each
     `certain[...]` base mapping is chased at most once.  Unions are keyed
-    by plan node identity, so an evaluator runs the plans of one planner,
-    kept alive while it runs."""
+    by their plan node, so the plans of one planner share them."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -135,7 +134,7 @@ class _Evaluator:
         """The rows of a node that reads no context."""
         inner = node.node if type(node) is Ref else node
         kind = type(inner)
-        key = (inner.rel, inner.args) if kind is Scan else inner.formula if kind is Cert else id(inner)
+        key = (inner.rel, inner.args) if kind is Scan else inner.formula if kind is Cert else inner
         rel = self._memo.get(key)
         if rel is None:
             rel = self._memo[key] = self._compute(inner)
@@ -181,24 +180,21 @@ class _Evaluator:
 
 def eval_formula(f: Formula, inst: Instance, free: Sequence[str]) -> set:
     """All assignments to `free` (over the active domain) satisfying f."""
-    return eval_formulas([(f, free)], inst)[0]
+    free = tuple(free)
+    missing = free_vars(f) - set(free)
+    if missing:
+        raise MappingError(f"unbound free variables: {sorted(missing)}")
+    if len(set(free)) != len(free):
+        raise MappingError("duplicate variables in the answer tuple")
+    return run_plans([(Planner().plan(f, want=free), free)], inst)[0]
 
 
-def eval_formulas(queries: Sequence[tuple], inst: Instance) -> list:
-    """eval_formula of each (formula, free) pair.  One planner plans them
-    all and one evaluator runs them, so shared unions, atom scans and
-    `certain[...]` chases are computed once for the whole list."""
-    planner = Planner()
-    plans = []  # kept alive: the evaluator keys unions by node identity
-    for f, free in queries:
-        missing = free_vars(f) - set(free)
-        if missing:
-            raise MappingError(f"unbound free variables: {sorted(missing)}")
-        if len(set(free)) != len(tuple(free)):
-            raise MappingError("duplicate variables in the answer tuple")
-        plans.append(planner.plan(f, want=tuple(free)))
+def run_plans(plans, inst: Instance) -> list:
+    """The rows of each (plan, columns) pair.  One evaluator runs them
+    all, so shared unions, atom scans and `certain[...]` chases are
+    computed once for the whole list."""
     ev = _Evaluator(inst)
-    return [_project(ev.run(p, _UNIT), tuple(free)).rows for p, (_f, free) in zip(plans, queries)]
+    return [_project(ev.run(p, _UNIT), cols).rows for p, cols in plans]
 
 
 def ground_answers(f: Formula, inst: Instance, free: Sequence[str]) -> set:

@@ -407,14 +407,19 @@ class SchemaMapping(_Node):
                 _check_formula_schema(atom, self.target, "consequent")
 
 
-def has_certain(f: Formula) -> bool:
+def certain_nodes(f: Formula):
+    """The certain[...] nodes of f, not counting those inside their queries."""
     if isinstance(f, Certain):
-        return True
-    if isinstance(f, (And, Or)):
-        return any(has_certain(p) for p in f.parts)
-    if isinstance(f, (Not, Exists, Forall)):
-        return has_certain(f.body)
-    return False
+        yield f
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from certain_nodes(p)
+    elif isinstance(f, (Not, Exists, Forall)):
+        yield from certain_nodes(f.body)
+
+
+def has_certain(f: Formula) -> bool:
+    return next(certain_nodes(f), None) is not None
 
 
 def mapping_certain_free(m: SchemaMapping) -> bool:

@@ -181,8 +181,8 @@ class _SqlBuilder:
         self.counter = 0
         self.uses_dom = False
         self.ctes: list = []  # (name, body), each after those it reads
-        self._names: dict = {}  # id(shared node) -> CTE name
-        self._reads: dict = {}  # id(shared node) -> reads in the statement
+        self._names: dict = {}  # shared node -> CTE name
+        self._reads: dict = {}  # shared node -> reads in the statement
 
     def alias(self, prefix: str) -> str:
         self.counter += 1
@@ -219,7 +219,7 @@ class _SqlBuilder:
         """Record how often the statement reads each shared union."""
         kind = type(node)
         if kind is Ref:
-            n = self._reads[id(node.node)] = self._reads.get(id(node.node), 0) + 1
+            n = self._reads[node.node] = self._reads.get(node.node, 0) + 1
             if n == 1:
                 self.count(node.node)
         elif kind in (Seq, Union):
@@ -246,13 +246,13 @@ class _SqlBuilder:
 
     def shared(self, node: Node) -> str:
         """A FROM item reading a shared union: its CTE, or a subquery."""
-        name = self._names.get(id(node))
+        name = self._names.get(node)
         if name is not None:
             return name
         body = self.query(node, node.vars)
-        if self._reads.get(id(node), 0) < 2:
+        if self._reads.get(node, 0) < 2:
             return f"(\n{body}\n)"
-        name = self._names[id(node)] = f"u{len(self._names) + 1}"
+        name = self._names[node] = f"u{len(self._names) + 1}"
         self.ctes.append((name, body))
         return name
 
@@ -356,39 +356,36 @@ def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
     """DDL, adom view, and one view per target relation computing the
     interpretation's output under the text encoding of values.
 
-    Each view plans every dependency condition its branches read once,
-    as a CTE `kN` whose columns are the condition's parameters; the
-    branches only build their term tuples from it."""
+    Each view prints the plan of every rule with a head in it once, as a
+    CTE `kN` whose columns are the rule's parameters; the heads only
+    build their term tuples from it."""
     queries = []
     for rel, arity in pi.target.rels:
         if arity == 0:
             raise MappingError(f"cannot emit SQL for 0-ary relation {rel}")
-        branches = pi.branches_for(rel)
         view = _ident(f"target_{rel}")
-        if not branches:
+        uses = [
+            (rule, plan)
+            for rule, plan in zip(pi.rules, pi.plans)
+            if any(head == rel for head, _terms in rule.heads)
+        ]
+        if not uses:
             empty_cols = ", ".join(f"'' AS c{i + 1}" for i in range(arity))
             queries.append((rel, f"CREATE VIEW {view} AS\nSELECT {empty_cols} WHERE 0;"))
             continue
         builder = _SqlBuilder(pi.source)
-        planner = Planner()
-        plans = {}
-        for b in branches:  # a dependency's branches share its condition
-            key = (id(b.condition), b.params)
-            if key not in plans:
-                plans[key] = planner.plan(b.condition, want=b.params)
-                builder.count(plans[key])
-        names = {}
-        for (cond, params), plan in plans.items():
-            names[cond, params] = name = f"k{len(names) + 1}"
-            builder.ctes.append((name, builder.query(plan, params)))
+        for _rule, plan in uses:
+            builder.count(plan)
         branch_sqls = []
-        for b in branches:
-            name = names[id(b.condition), b.params]
-            env = {v: f"{name}.c{i + 1}" for i, v in enumerate(b.params)}
-            cols = ", ".join(
-                f"{builder.term(t, env)} AS c{i + 1}" for i, t in enumerate(b.terms)
-            )
-            branch_sqls.append(f"SELECT {cols} FROM {name}")
+        for k, (rule, plan) in enumerate(uses, 1):
+            builder.ctes.append((f"k{k}", builder.query(plan, rule.params)))
+            env = {v: f"k{k}.c{i + 1}" for i, v in enumerate(rule.params)}
+            for head, terms in rule.heads:
+                if head == rel:
+                    cols = ", ".join(
+                        f"{builder.term(t, env)} AS c{i + 1}" for i, t in enumerate(terms)
+                    )
+                    branch_sqls.append(f"SELECT {cols} FROM k{k}")
         outer_cols = ", ".join(f"c{i + 1}" for i in range(arity))
         union = "\nUNION ALL\n".join(branch_sqls)
         queries.append((rel, (

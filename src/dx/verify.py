@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from dx.chase import naive_chase
+from dx.chase import eval_interpretation, to_term_interpretation
 from dx.evaluator import holds
 from dx.lang import (
     Eq,
@@ -227,9 +227,10 @@ def check_laconic(
     m: SchemaMapping, samples: int = 200, seed: int = 0, bounds: Bounds = Bounds()
 ) -> CheckReport:
     """Sampled check that every canonical solution of m is a core."""
+    pi = to_term_interpretation(m)
 
     def predicate(inst):
-        if not is_core(naive_chase(m, inst)):
+        if not is_core(eval_interpretation(pi, inst)):
             return "canonical solution is not a core"
         return None
 
@@ -246,10 +247,11 @@ def check_cq_equivalent(
     """Sampled check that both mappings induce isomorphic core solutions."""
     if m.source != m2.source or m.target != m2.target:
         raise ValueError("mappings must share source and target schemas")
+    pi, pi2 = to_term_interpretation(m), to_term_interpretation(m2)
 
     def predicate(inst):
-        c1, _ = compute_core(naive_chase(m, inst))
-        c2, _ = compute_core(naive_chase(m2, inst))
+        c1, _ = compute_core(eval_interpretation(pi, inst))
+        c2, _ = compute_core(eval_interpretation(pi2, inst))
         if not instances_isomorphic(c1, c2):
             return "core solutions are not isomorphic"
         return None
@@ -367,6 +369,7 @@ def check_disjunctive_preservation(
     dependencies true on the canonical solution must be true on the
     core (part 1), and the constructed separating dependency must hold
     on the core but fail on the canonical solution (part 2)."""
+    pi = to_term_interpretation(m)
     records = []
     failures = []
     found = 0
@@ -377,7 +380,7 @@ def check_disjunctive_preservation(
         inst = random_source_instance(
             m.source, sample_seed, bounds.max_consts, bounds.max_facts
         )
-        j_prime = naive_chase(m, inst)
+        j_prime = eval_interpretation(pi, inst)
         core, _ = compute_core(j_prime)
         if core.facts == j_prime.facts:
             continue

@@ -16,9 +16,9 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 
 from dx.certain import eliminate_mapping
-from dx.chase import eval_interpretation, naive_chase, to_term_interpretation
+from dx.chase import App, eval_interpretation, naive_chase, to_term_interpretation
 from dx.evaluator import eval_formula
-from dx.lang import And, Exists, Lt, Not, Or, RelAtom, Var
+from dx.lang import TGD, And, Exists, Lt, Not, Or, RelAtom, SchemaMapping, Var
 from dx.laconify import laconify
 from dx.model import (
     Const,
@@ -275,6 +275,33 @@ def test_interpretation_sql_matches_evaluator(seed):
     load_instance(conn, i)
     run_artifact(conn, art)
     assert read_target(conn, m.target) == eval_interpretation(pi, i)
+
+
+def test_equal_antecedents_stay_two_rules():
+    """Dependencies sharing one antecedent object are two rules: each
+    has its own Skolem symbols and its own condition CTE."""
+    ante = RelAtom("P", (Var("x"),))
+    m = SchemaMapping(
+        Schema({"P": 1}),
+        Schema({"S": 2}),
+        (
+            TGD(ante, ("y",), (RelAtom("S", (Var("x"), Var("y"))),)),
+            TGD(ante, ("y",), (RelAtom("S", (Var("y"), Var("x"))),)),
+        ),
+    )
+    pi = to_term_interpretation(m)
+    assert [r.heads[0][1] for r in pi.rules] == [
+        (Var("x"), App("f1_1", (Var("x"),))),
+        (App("f2_1", (Var("x"),)), Var("x")),
+    ]
+    ((_rel, stmt),) = interpretation_to_sql(pi).queries
+    assert re.findall(r"^(?:WITH |, )(k\d+) AS \($", stmt, re.M) == ["k1", "k2"]
+    i = inst(m.source, ("P", "a"), ("P", "b"))
+    conn = sqlite3.connect(":memory:")
+    load_instance(conn, i)
+    run_artifact(conn, interpretation_to_sql(pi))
+    assert read_target(conn, m.target) == naive_chase(m, i)
+    assert len(naive_chase(m, i)) == 4
 
 
 @pytest.mark.parametrize("mapping", ["split_pair", "symmetric_join"])

@@ -3,7 +3,9 @@ import json
 import pytest
 from helpers import inst, pair, ref_eval_disjunctive
 
+from dx.certain import eliminate_mapping
 from dx.chase import naive_chase
+from dx.laconify import laconify
 from dx.lang import Eq, RelAtom, Var
 from dx.model import Const, Fact, FreshNull, Schema, compute_core
 from dx.parser import parse_mapping
@@ -115,6 +117,22 @@ def test_check_laconic_passes_on_full_tgds():
 def test_check_laconic_passes_on_laconic_pair():
     _, right = pair("loop_absorbs_null")
     assert check_laconic(right, samples=60, seed=1).passed
+
+
+def test_check_laconic_plans_each_dependency_once(monkeypatch):
+    from dx.plan import Planner
+
+    m = eliminate_mapping(laconify(pair("symmetric_join")[0]))
+    calls = []
+    plan = Planner.plan
+
+    def counted(self, f, *args, **kwargs):
+        calls.append(f)
+        return plan(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(Planner, "plan", counted)
+    assert check_laconic(m, samples=50, seed=7).passed
+    assert calls == [t.antecedent for t in m.tgds]
 
 
 def test_check_cq_equivalent_pairs():
