@@ -12,9 +12,12 @@ instance.  All plans run on one evaluator (`dx.evaluator.run_plans`),
 so `certain[...]` antecedents chase their base mapping once per chase;
 nothing is cached between calls.
 
-The restricted chase skips a firing whenever the consequent is already
-satisfied by the instance built so far; it is order-sensitive, so the
-order is pinned: dependencies in declaration order, tuples sorted.
+The restricted chase reads only the rules.  A rule's heads give one
+consequent check, ordered once, whose Skolem terms are search
+variables; a firing is skipped whenever the check, filled in with the
+tuple's values, is satisfied by the instance built so far.  It is
+order-sensitive, so the order is pinned: dependencies in declaration
+order, tuples sorted.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
+from dx import kernel
 from dx.evaluator import run_plans
 from dx.lang import (
     Formula,
@@ -38,7 +42,6 @@ from dx.model import (
     Fact,
     Instance,
     MappingError,
-    PatternVar,
     Schema,
     SkolemNull,
     value_key,
@@ -189,25 +192,20 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
     pi = to_term_interpretation(m)
     facts: set = set()
     built = Encoding()  # `facts`, indexed for the consequent checks
-    for tgd, rule, answers in zip(m.tgds, pi.rules, _answers(pi, inst)):
-        params = rule.params
-        heads = [(rel, [_term_value(t, params) for t in terms]) for rel, terms in rule.heads]
-        ev = set(tgd.exist_vars)
+    for rule, answers in zip(pi.rules, _answers(pi, inst)):
+        heads = [(rel, [_term_value(t, rule.params) for t in terms]) for rel, terms in rule.heads]
+        nulls: dict = {}  # a Skolem term -> its search variable
+        slots: dict = {}  # any other term -> the slot of its value's code
+        check = kernel.order_pattern([
+            (rel, tuple(-1 - nulls.setdefault(t, len(nulls)) if isinstance(t, App)
+                        else slots.setdefault(t, len(slots)) for t in terms))
+            for rel, terms in rule.heads
+        ])
+        values = [_term_value(t, rule.params) for t in slots]
         for row in sorted(answers, key=lambda row: tuple(value_key(v) for v in row)):
-            env = dict(zip(params, row))
-            pattern = [
-                (
-                    atom.rel,
-                    tuple(
-                        PatternVar(a.name)
-                        if isinstance(a, Var) and a.name in ev
-                        else (env[a.name] if isinstance(a, Var) else a)
-                        for a in atom.args
-                    ),
-                )
-                for atom in tgd.consequent
-            ]
-            if built.search(pattern) is not None:
+            codes = [built.code(f(row)) for f in values]
+            pattern = [(rel, tuple(a if a < 0 else codes[a] for a in args)) for rel, args in check]
+            if kernel.find_hom(pattern, built, len(nulls)) is not None:
                 continue
             for rel, terms in heads:
                 fact = Fact(rel, tuple([f(row) for f in terms]))

@@ -17,7 +17,7 @@ from dx.certain import certain_answers, eliminate_mapping
 from dx.chase import naive_chase, restricted_chase, to_term_interpretation
 from dx.laconify import generate_block_types, laconify, preconditions, side_condition
 from dx.lang import decompose, format_formula, format_mapping, free_vars
-from dx.model import DxError, ParseError, compute_core, format_facts, parse_facts
+from dx.model import DxError, MappingError, ParseError, compute_core, format_facts, parse_facts
 from dx.parser import declarations, parse_formula, parse_mapping
 
 
@@ -116,6 +116,8 @@ def _cmd_certain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise DxError(f"--samples must not be negative, not {args.samples}")
     bounds = verify_mod.Bounds(args.max_consts, args.max_facts)
     m = _load_mapping(args.mapping)
     if args.kind == "laconic":
@@ -125,6 +127,10 @@ def _cmd_verify(args) -> int:
             print("verify equivalent requires --against", file=sys.stderr)
             return 2
         m2 = _load_mapping(args.against)
+        if (m.source, m.target) != (m2.source, m2.target):
+            raise MappingError(
+                f"{args.mapping} and {args.against} must share source and target schemas"
+            )
         report = verify_mod.check_cq_equivalent(m, m2, args.samples, args.seed, bounds)
     else:
         report = verify_mod.check_disjunctive_preservation(

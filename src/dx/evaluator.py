@@ -11,8 +11,10 @@ returns the context joined with its rows.  Scans and the active domain
 are hash joins, comparisons and domain checks filter, a copy adds a
 column, a negation is one anti-join against its body evaluated once on
 the distinct bound tuples, and a shared union is computed once per
-evaluation.  Values bound from outside (by `holds`) or by `certain[...]`
-may lie outside the active domain, so the plan checks them before an
+evaluation.  A `certain[...]` query runs, with its planner's one plan,
+on one evaluator over its base's chase; its answers are the all-constant
+rows.  Values bound from outside (by `holds`) or by `certain[...]` may
+lie outside the active domain, so the plan checks them before an
 equality copies them.  `holds` runs the plan on a one-row context.
 """
 
@@ -78,16 +80,16 @@ def _picker(t, vars: tuple):
 
 
 class _Evaluator:
-    """Runs plans against one instance; shared unions, atom scans and
-    `certain[...]` queries are computed once per evaluator, and each
-    `certain[...]` base mapping is chased at most once.  Unions are keyed
-    by their plan node, so the plans of one planner share them."""
+    """Runs plans against one instance; shared unions (keyed by plan node,
+    so one planner's plans share them), atom scans and `certain[...]`
+    queries are computed once per evaluator, and each `certain[...]` base
+    is chased once, into one evaluator that runs its queries."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._in_dom = set(inst.dom)
         self._memo: dict = {}
-        self._chases: dict = {}  # certain[...] base mapping -> its chase of inst
+        self._bases: dict = {}  # certain[...] base mapping -> evaluator of its chase
 
     def run(self, node: Node, ctx: _Rel) -> _Rel:
         """ctx joined with the rows of node."""
@@ -155,10 +157,11 @@ class _Evaluator:
 
             f = node.formula
             require_certain_query(f.base, f.query)
-            chase = self._chases.get(f.base)
-            if chase is None:
-                chase = self._chases[f.base] = naive_chase(f.base, self.inst)
-            return _Rel(node.vars, ground_answers(f.query, chase, sorted(free_vars(f.query))))
+            sub = self._bases.get(f.base)
+            if sub is None:
+                sub = self._bases[f.base] = _Evaluator(naive_chase(f.base, self.inst))
+            rows = _project(sub.run(node.planner.query(f), _UNIT), sorted(free_vars(f.query))).rows
+            return _Rel(node.vars, {r for r in rows if all(isinstance(v, Const) for v in r)})
         if node.rel not in self.inst.schema:
             raise MappingError(f"undeclared relation {node.rel}")
         rows = set()

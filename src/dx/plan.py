@@ -145,7 +145,7 @@ class Normaliser:
 
     def __init__(self):
         self._subs: dict = {}
-        self._queries: list = []  # keeps the ids in certain[...] keys unique
+        self._certs: dict = {}  # certain[...] node -> its number in keys
 
     def formula(self, f: Formula, sub: dict | None = None, depth: int = 1) -> _N:
         """The normal form of f (see the module docstring)."""
@@ -281,10 +281,9 @@ class Normaliser:
                 fix[qv] = t if first is None else Var(first)
             else:
                 pairs[qv] = t.name
-        node = Certain(substitute(query, fix), node.base)
-        self._queries.append(node.query)
-        b = tuple(pairs.items())
-        return _N("certain", f"C{id(node.query)}:{b}", frozenset(pairs.values()), node, b, cert=True)
+        node, b = Certain(substitute(query, fix), node.base), tuple(pairs.items())
+        num = self._certs.setdefault(node, len(self._certs))
+        return _N("certain", f"C{num}:{b}", frozenset(pairs.values()), node, b, cert=True)
 
     def rename(self, n: _N, sub: dict, prefix: str = "%", depth: int = 1) -> _N:
         """n with free variables replaced by `sub` and each quantified
@@ -434,14 +433,13 @@ class Ref(Node):
 
 
 class Cert(Node):
-    """The certain answers of a target query (evaluator only), its
-    columns (the query's sorted free variables) renamed to `vars`."""
+    """The certain answers of a target query (evaluator only), its columns
+    (the query's sorted free variables) renamed to `vars`; `planner.query` plans it."""
 
-    __slots__ = ("formula",)
+    __slots__ = ("formula", "planner")
 
-    def __init__(self, formula: Certain, vars: tuple):
-        self.formula = formula
-        self.vars = vars
+    def __init__(self, formula: Certain, vars: tuple, planner: "Planner"):
+        self.formula, self.vars, self.planner = formula, vars, planner
 
 
 UNIT = Seq(())
@@ -451,13 +449,14 @@ _FILTER_RANK = {"eq": 0, "lt": 0, "dom": 0, "not": 1}
 
 
 class Planner:
-    """Plans normal forms.  Closed unions are memoised by canonical key,
-    so one planner shares them across every formula it plans."""
+    """Plans normal forms.  Closed unions are memoised by canonical key and
+    certain[...] queries by node, so one planner shares them all."""
 
     def __init__(self):
         self._canon: dict = {}  # canonical key -> union node
         self._unions: dict = {}  # key -> (union node, its columns' names)
         self._bound_by: dict = {}  # key -> the variables it binds
+        self._queries: dict = {}  # certain[...] node -> the plan of its query
         self.norm = Normaliser()
 
     def plan(self, f: Formula, want=(), bound=()) -> Node:
@@ -467,12 +466,18 @@ class Planner:
         n = self.norm.formula(f)
         return self.conj(n.parts if n.kind == "and" else (n,), bound, (), want)
 
+    def query(self, node: Certain) -> Node:
+        """The plan of a certain[...] node's query, binding its sorted free variables."""
+        if node not in self._queries:
+            self._queries[node] = self.plan(node.query, sorted(free_vars(node.query)))
+        return self._queries[node]
+
     def node(self, n: _N, bound, indom) -> Node:
         k = n.kind
         if k == "atom":
             return Scan(n.a, n.b)
         if k == "certain":
-            return Cert(n.a, tuple(o for _q, o in n.b))
+            return Cert(n.a, tuple(o for _q, o in n.b), self)
         if k == "true":
             return UNIT
         if k == "or":

@@ -31,6 +31,7 @@ from dx.model import (
     Const,
     Fact,
     Instance,
+    MappingError,
     PatternVar,
     Schema,
     compute_core,
@@ -43,10 +44,23 @@ from dx.model import (
 _CONST_POOL = "abcdefghijkl"
 
 
+def _check_bounds(max_consts: int, max_facts: int) -> None:
+    if not 1 <= max_consts <= len(_CONST_POOL):
+        raise MappingError(f"max_consts must be 1 to {len(_CONST_POOL)}, not {max_consts}")
+    if max_facts < 0:
+        raise MappingError(f"max_facts must not be negative, not {max_facts}")
+
+
 @dataclass(frozen=True)
 class Bounds:
+    """Sampled instances use at most `max_consts` (1 to 12) constants
+    and `max_facts` facts."""
+
     max_consts: int = 6
     max_facts: int = 12
+
+    def __post_init__(self):
+        _check_bounds(self.max_consts, self.max_facts)
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,9 @@ class CheckReport:
 def random_source_instance(
     schema: Schema, seed, max_consts: int = 6, max_facts: int = 12
 ) -> Instance:
-    """Deterministic pseudo-random null-free instance within bounds."""
+    """Deterministic pseudo-random null-free instance within bounds (see
+    `Bounds`)."""
+    _check_bounds(max_consts, max_facts)
     rng = random.Random(str(seed))
     consts = [Const(ch) for ch in _CONST_POOL[:max_consts]]
     n = rng.randint(0, max_facts)

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from helpers import inst, pair, ref_restricted_chase, split_pair_mapping
+from helpers import inst, overlap_mapping, pair, ref_restricted_chase, split_pair_mapping
 
 from dx.chase import (
     App,
@@ -109,6 +111,56 @@ def test_restricted_chase_matches_reference_with_order_atoms():
             assert format_facts(restricted_chase(m, i)) == format_facts(
                 ref_restricted_chase(m, i)
             )
+
+
+def _scaled_instance(schema, seed, consts: int, facts: int) -> Instance:
+    """`facts` random facts over `consts` constants, past the verify bounds."""
+    rng = random.Random(seed)
+    pool = [Const(f"c{k}") for k in range(consts)]
+    rels = [rng.choice(schema.rels) for _ in range(facts)]
+    return Instance(schema, [Fact(r, tuple(rng.choice(pool) for _ in range(n))) for r, n in rels])
+
+
+@pytest.mark.parametrize(
+    "name, consts, facts",
+    [
+        ("symmetric_join", 100, 400),
+        ("overlap", 400, 300),
+        ("double_witness", 400, 200),
+        ("laconified_overlap", 400, 300),
+    ],
+)
+def test_restricted_chase_matches_reference_at_scale(name, consts, facts):
+    """Beyond the 6-constant, 12-fact verify bounds; the laconified
+    overlap's antecedents hold certain[...] nodes."""
+    if name.endswith("overlap"):
+        m = overlap_mapping()
+        m = laconify(m) if name.startswith("laconified") else m
+    else:
+        m = pair(name)[0]
+    i = _scaled_instance(m.source, f"rc-scale:{name}", consts, facts)
+    assert len(i.facts) >= 150
+    assert format_facts(restricted_chase(m, i)) == format_facts(ref_restricted_chase(m, i))
+
+
+def test_restricted_chase_orders_each_consequent_check_once(monkeypatch):
+    """The check's shape is one per dependency, so it is ordered once,
+    not once per antecedent row."""
+    import dx.kernel as kernel
+
+    m = pair("symmetric_join")[0]
+    i = _scaled_instance(m.source, "rc-order", 500, 1000)
+    ordered = []
+    order = kernel.order_pattern
+
+    def counting(pattern):
+        ordered.append(pattern)
+        return order(pattern)
+
+    monkeypatch.setattr(kernel, "order_pattern", counting)
+    out = restricted_chase(m, i)
+    assert len(out.facts) > len(i.facts)
+    assert len(ordered) == len(m.tgds)
 
 
 @pytest.mark.parametrize("name", ["symmetric_join", "double_witness", "split_pair"])

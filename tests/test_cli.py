@@ -175,6 +175,29 @@ def test_verify_equivalent_requires_against(capsys, double_map):
     assert main(["verify", "equivalent", "-m", double_map, "--samples", "3"]) == 2
 
 
+def test_verify_equivalent_rejects_other_schemas(capsys, double_map, overlap_map):
+    code, out, err = run(
+        capsys, "verify", "equivalent", "-m", double_map, "--against", overlap_map
+    )
+    message = f"dx: {double_map} and {overlap_map} must share source and target schemas\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-consts", "0", "max_consts must be 1 to 12, not 0"),
+        ("--max-consts", "13", "max_consts must be 1 to 12, not 13"),
+        ("--max-facts", "-1", "max_facts must not be negative, not -1"),
+        ("--samples", "-1", "--samples must not be negative, not -1"),
+    ],
+)
+def test_verify_rejects_bounds_out_of_range(capsys, double_map, flag, value, message):
+    for kind in ("laconic", "disjunctive"):
+        code, out, err = run(capsys, "verify", kind, "-m", double_map, flag, value)
+        assert (code, out, err) == (2, "", f"dx: {message}\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 

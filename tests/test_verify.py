@@ -1,15 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
-from helpers import inst, pair, ref_eval_disjunctive
+from helpers import inst, pair, ref_eval_disjunctive, star_blowup_mapping
 
 from dx.certain import eliminate_mapping
 from dx.chase import naive_chase
 from dx.laconify import laconify
 from dx.lang import Eq, RelAtom, Var
-from dx.model import Const, Fact, FreshNull, Schema, compute_core
+from dx.model import Const, Fact, FreshNull, MappingError, Schema, compute_core
 from dx.parser import parse_mapping
 from dx.verify import (
+    Bounds,
     DepDisjunct,
     DisjunctiveDependency,
     check_cq_equivalent,
@@ -135,6 +137,30 @@ def test_check_laconic_plans_each_dependency_once(monkeypatch):
     assert calls == [t.antecedent for t in m.tgds]
 
 
+def test_check_laconic_plans_each_certain_query_once(monkeypatch):
+    """A laconified mapping is compiled once per check: its antecedents
+    and each certain[...] query are planned once, on first use.  Only
+    the base, compiled again by each sample's chase of it, is planned
+    once per sample."""
+    from dx.plan import Planner
+
+    m = star_blowup_mapping(3)
+    lm = laconify(m)
+    planned = []
+    plan = Planner.plan
+
+    def counting(self, f, *args, **kwargs):
+        planned.append(f)
+        return plan(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(Planner, "plan", counting)
+    assert check_laconic(lm, 50, 0).passed
+    base = Counter(t.antecedent for t in m.tgds)
+    counts = Counter(planned)
+    assert {f: n for f, n in counts.items() if f in base} == {f: 50 * n for f, n in base.items()}
+    assert all(n == 1 for f, n in counts.items() if f not in base)
+
+
 def test_check_cq_equivalent_pairs():
     left, right = pair("view_overlap")
     assert check_cq_equivalent(left, right, samples=60, seed=5).passed
@@ -217,3 +243,19 @@ def test_bounds_respected():
     i = random_source_instance(S2, 5, max_consts=3, max_facts=4)
     assert len(i.facts) <= 4
     assert len(i.constants) <= 3
+
+
+@pytest.mark.parametrize("max_consts, max_facts", [(0, 4), (13, 4), (3, -1)])
+def test_bounds_out_of_range_are_rejected(max_consts, max_facts):
+    """The pool holds 12 constants; a larger bound would be reported
+    but not sampled."""
+    with pytest.raises(MappingError):
+        random_source_instance(S2, 5, max_consts, max_facts)
+    with pytest.raises(MappingError):
+        Bounds(max_consts, max_facts)
+
+
+def test_bounds_at_the_edges_are_sampled():
+    i = random_source_instance(S2, 5, max_consts=12, max_facts=200)
+    assert len(i.constants) == 12
+    assert random_source_instance(S2, 5, max_consts=1, max_facts=0).facts == frozenset()
