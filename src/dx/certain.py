@@ -117,8 +117,10 @@ class _Unifier:
 
     Nodes are ('q', name) for query variables and ('b', i, name) for
     variables of the i-th chosen branch.  A class may be bound to a
-    constant or to a function term whose arguments are again nodes,
-    constants, or terms.
+    constant or to a function term ('app', symbol, args) whose
+    arguments are again nodes, constants, or terms.  Nodes and terms are
+    plain tuples, told apart from constants by `type(t) is tuple`, since
+    a `Const` is a tuple subclass.
     """
 
     def __init__(self):
@@ -139,9 +141,9 @@ class _Unifier:
         return x
 
     def _occurs(self, node, term) -> bool:
-        if isinstance(term, tuple) and term and term[0] == "app":
+        if type(term) is tuple and term and term[0] == "app":
             return any(self._occurs(node, a) for a in term[2])
-        if isinstance(term, tuple) and len(term) in (2, 3) and term[0] in ("q", "b"):
+        if type(term) is tuple and len(term) in (2, 3) and term[0] in ("q", "b"):
             return self.find(term) == node
         return False
 
@@ -168,7 +170,7 @@ class _Unifier:
         return self._unify_terms(a, b)
 
     def _is_node(self, t) -> bool:
-        return isinstance(t, tuple) and len(t) in (2, 3) and t[0] in ("q", "b")
+        return type(t) is tuple and len(t) in (2, 3) and t[0] in ("q", "b")
 
     def _resolve(self, t):
         if self._is_node(t):
@@ -189,8 +191,8 @@ class _Unifier:
         return self._unify_terms(old, term)
 
     def _unify_terms(self, a, b) -> bool:
-        a_app = isinstance(a, tuple) and a and a[0] == "app"
-        b_app = isinstance(b, tuple) and b and b[0] == "app"
+        a_app = type(a) is tuple and a and a[0] == "app"
+        b_app = type(b) is tuple and b and b[0] == "app"
         if a_app and b_app:
             if a[1] != b[1] or len(a[2]) != len(b[2]):
                 return False
@@ -201,7 +203,7 @@ class _Unifier:
 
     def term_is_proper(self, t) -> bool:
         t = self._resolve(t) if self._is_node(t) else t
-        if isinstance(t, tuple) and t and t[0] == "app":
+        if type(t) is tuple and t and t[0] == "app":
             return True
         return False
 

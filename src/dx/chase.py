@@ -44,7 +44,6 @@ from dx.model import (
     MappingError,
     Schema,
     SkolemNull,
-    value_key,
 )
 from dx.plan import Planner
 
@@ -202,7 +201,7 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
             for rel, terms in rule.heads
         ])
         values = [_term_value(t, rule.params) for t in slots]
-        for row in sorted(answers, key=lambda row: tuple(value_key(v) for v in row)):
+        for row in sorted(answers):
             codes = [built.code(f(row)) for f in values]
             pattern = [(rel, tuple(a if a < 0 else codes[a] for a in args)) for rel, args in check]
             if kernel.find_hom(pattern, built, len(nulls)) is not None:

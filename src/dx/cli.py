@@ -105,10 +105,7 @@ def _cmd_certain(args) -> int:
     q = parse_formula(args.query, m.target)
     inst = parse_facts(_read(args.instance), m.source)
     free = tuple(sorted(free_vars(q)))
-    answers = sorted(
-        certain_answers(m, q, inst, free),
-        key=lambda row: tuple(v.text for v in row),
-    )
+    answers = sorted(certain_answers(m, q, inst, free))
     lines = [f"# answer variables: ({', '.join(free)})"]
     lines += ["(" + ", ".join(v.text for v in row) + ")" for row in answers]
     _emit("\n".join(lines) + "\n", args.output)

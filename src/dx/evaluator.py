@@ -152,15 +152,14 @@ class _Evaluator:
         if kind is Dom:
             return _Rel(node.vars, {(v,) for v in self.inst.dom})
         if kind is Cert:
-            from dx.certain import require_certain_query
             from dx.chase import naive_chase
 
             f = node.formula
-            require_certain_query(f.base, f.query)
+            plan = node.planner.query(f)
             sub = self._bases.get(f.base)
             if sub is None:
                 sub = self._bases[f.base] = _Evaluator(naive_chase(f.base, self.inst))
-            rows = _project(sub.run(node.planner.query(f), _UNIT), sorted(free_vars(f.query))).rows
+            rows = _project(sub.run(plan, _UNIT), sorted(free_vars(f.query))).rows
             return _Rel(node.vars, {r for r in rows if all(isinstance(v, Const) for v in r)})
         if node.rel not in self.inst.schema:
             raise MappingError(f"undeclared relation {node.rel}")

@@ -1,14 +1,22 @@
 """Values, facts, instances, fact blocks, homomorphisms, cores, isomorphism.
 
-Constants carry a total order (byte-wise lexicographic on their UTF-8
-text, which coincides with Python's str ordering and with SQLite's
-binary collation).  Labeled nulls are either numbered ("fresh") or
-Skolem terms over values.  Everything here is immutable and hashable.
+A value is a tagged tuple: a constant is `(0, text)`, a numbered
+("fresh") labeled null `(1, id)`, and a Skolem null `(2, symbol, args)`,
+a function symbol applied to values.  A fact is `(rel, args)`.  So
+hashing, equality and ordering are Python's own tuple operations, and
+their order is the canonical one: constants first, by text (byte-wise
+lexicographic on the UTF-8 text, which coincides with Python's str
+ordering and with SQLite's binary collation), then fresh nulls by
+label, then Skolem nulls by symbol and argument by argument.  The one
+caveat: a value equals the plain tuple of its items (`Const('a') ==
+(0, 'a')`), so the engine never mixes the two in one set or dict.
+Everything here is immutable and hashable.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,45 +44,65 @@ class MappingError(DxError):
     """Semantic problem in a schema, mapping, or formula."""
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    """A constant value; ordered by its text."""
+def _field(i: int) -> property:
+    """A read-only named field at tuple position i."""
+    return property(operator.itemgetter(i))
 
-    text: str
 
-    def __post_init__(self):
-        if not self.text:
+class Const(tuple):
+    """A constant value, (0, text); ordered by its text."""
+
+    __slots__ = ()
+    text = _field(1)
+
+    def __new__(cls, text: str):
+        if not text:
             raise ValueError("constant text must be nonempty")
-        if self.text.startswith(RESERVED_PREFIX):
+        if text.startswith(RESERVED_PREFIX):
             raise ValueError(f"constant text may not start with {RESERVED_PREFIX!r}")
+        return tuple.__new__(cls, (0, text))
+
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return f"Const({self.text!r})"
+        return f"Const({self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class FreshNull:
-    """A labeled null with a numeric label."""
+class FreshNull(tuple):
+    """A labeled null with a numeric label, (1, id)."""
 
-    id: int
+    __slots__ = ()
+    id = _field(1)
 
-    def __post_init__(self):
-        if self.id <= 0:
+    def __new__(cls, id: int):
+        if id <= 0:
             raise ValueError("fresh null id must be positive")
+        return tuple.__new__(cls, (1, id))
+
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return f"FreshNull({self.id})"
+        return f"FreshNull({self[1]})"
 
 
-@dataclass(frozen=True, slots=True)
-class SkolemNull:
-    """A labeled null that is a term: a function symbol applied to values."""
+class SkolemNull(tuple):
+    """A labeled null that is a term, (2, symbol, args): a function
+    symbol applied to values."""
 
-    symbol: str
-    args: tuple
+    __slots__ = ()
+    symbol = _field(1)
+    args = _field(2)
+
+    def __new__(cls, symbol: str, args: tuple):
+        return tuple.__new__(cls, (2, symbol, args))
+
+    def __getnewargs__(self):
+        return self[1:]
 
     def __repr__(self):
-        return f"SkolemNull({self.symbol!r}, {self.args!r})"
+        return f"SkolemNull({self[1]!r}, {self[2]!r})"
 
 
 Value = Union[Const, FreshNull, SkolemNull]
@@ -84,23 +112,21 @@ def is_null(v: Value) -> bool:
     return not isinstance(v, Const)
 
 
-def value_key(v: Value):
-    """Total order over all values: constants first, then nulls."""
-    if isinstance(v, Const):
-        return ("a", v.text)
-    if isinstance(v, FreshNull):
-        return ("b", v.id)
-    return ("c", v.symbol, tuple(value_key(a) for a in v.args))
+class Fact(tuple):
+    """A fact, (rel, args): a relation name applied to values."""
 
+    __slots__ = ()
+    rel = _field(0)
+    args = _field(1)
 
-@dataclass(frozen=True, slots=True)
-class Fact:
-    rel: str
-    args: tuple
+    def __new__(cls, rel: str, args: tuple):
+        return tuple.__new__(cls, (rel, args))
 
+    def __getnewargs__(self):
+        return tuple(self)
 
-def fact_key(f: Fact):
-    return (f.rel, tuple(value_key(a) for a in f.args))
+    def __repr__(self):
+        return f"Fact(rel={self[0]!r}, args={self[1]!r})"
 
 
 class Schema:
@@ -186,12 +212,12 @@ class Instance:
 
     @cached_property
     def facts_sorted(self) -> tuple:
-        return tuple(sorted(self.facts, key=fact_key))
+        return tuple(sorted(self.facts))
 
     @cached_property
     def dom(self) -> tuple:
         vals = {a for f in self.facts for a in f.args}
-        return tuple(sorted(vals, key=value_key))
+        return tuple(sorted(vals))
 
     @cached_property
     def nulls(self) -> tuple:
@@ -706,32 +732,39 @@ def format_value(v: Value) -> str:
 
 
 def format_facts(inst: Instance) -> str:
+    # each distinct value is formatted once; the order comes from facts_sorted
+    text = {v: format_value(v) for v in {a for _rel, args in inst.facts for a in args}}
     lines = [
-        f"{f.rel}({', '.join(format_value(a) for a in f.args)})."
-        for f in inst.facts_sorted
+        f"{rel}({', '.join([text[a] for a in args])})."
+        for rel, args in inst.facts_sorted
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _read_args(lex: Lexer) -> tuple:
+def _read_args(lex: Lexer, consts: dict) -> tuple:
     lex.expect("(")
     args = []
     if not lex.accept(")"):
-        args.append(_read_value(lex))
+        args.append(_read_value(lex, consts))
         while lex.accept(","):
-            args.append(_read_value(lex))
+            args.append(_read_value(lex, consts))
         lex.expect(")")
     return tuple(args)
 
 
-def _read_value(lex: Lexer) -> Value:
+def _read_value(lex: Lexer, consts: dict) -> Value:
+    """The value at the next token; `consts` maps each bare token text
+    read so far to its one constant."""
     tok = lex.peek()
     if tok is None or tok[0] not in ("bare", "quoted", "null"):
         lex.error("expected a value")
     lex.next()
     kind, text, _pos = tok
     if kind == "bare":
-        return Const(text)
+        c = consts.get(text)
+        if c is None:
+            c = consts[text] = Const(text)
+        return c
     if kind == "quoted":
         return lex.quoted_const(tok)
     name = text[1:]
@@ -742,19 +775,20 @@ def _read_value(lex: Lexer) -> Value:
             return FreshNull(int(m.group(1)))
         except ValueError as exc:
             lex.fail(tok, str(exc))
-    return SkolemNull(name, _read_args(lex))
+    return SkolemNull(name, _read_args(lex, consts))
 
 
 def parse_facts(text: str, schema: Schema) -> Instance:
     """Read a fact file into an instance over the given schema."""
     lex = Lexer(text, _FACT_TOKEN)
+    consts: dict = {}
     facts = []
     while (tok := lex.peek()) is not None:
         if tok[0] != "bare":
             lex.error("expected relation name")
         lex.next()
         rel = tok[1]
-        args = _read_args(lex)
+        args = _read_args(lex, consts)
         lex.expect(".")
         if rel not in schema:
             lex.fail(tok, f"undeclared relation {rel}")

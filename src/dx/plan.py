@@ -467,8 +467,13 @@ class Planner:
         return self.conj(n.parts if n.kind == "and" else (n,), bound, (), want)
 
     def query(self, node: Certain) -> Node:
-        """The plan of a certain[...] node's query, binding its sorted free variables."""
+        """The plan of a certain[...] node's query, binding its sorted free
+        variables; the node is checked (a CQ over a certain[...]-free base)
+        when it is first planned."""
         if node not in self._queries:
+            from dx.certain import require_certain_query
+
+            require_certain_query(node.base, node.query)
             self._queries[node] = self.plan(node.query, sorted(free_vars(node.query)))
         return self._queries[node]
 

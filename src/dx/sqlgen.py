@@ -460,11 +460,19 @@ def run_artifact(conn, artifact: SqlArtifact):
 
 
 def read_target(conn, target: Schema) -> Instance:
-    """Decode the target views back into an instance."""
+    """Decode the target views back into an instance.  Each distinct cell
+    text is decoded once, so equal values share one object."""
     cur = conn.cursor()
+    decoded: dict = {}
     facts = []
     for name, arity in target.rels:
         cur.execute(f"SELECT * FROM {_ident(f'target_{name}')}")
         for row in cur.fetchall():
-            facts.append(Fact(name, tuple(decode_value(v) for v in row)))
+            args = []
+            for text in row:
+                v = decoded.get(text)
+                if v is None:
+                    v = decoded[text] = decode_value(text)
+                args.append(v)
+            facts.append(Fact(name, tuple(args)))
     return Instance(target, facts)

@@ -41,7 +41,7 @@ from dx.lang import (
     mapping_certain_free,
     substitute,
 )
-from dx.model import Const, Fact, Instance, MappingError, PatternVar, Schema, match_pattern
+from dx.model import Const, Fact, FreshNull, Instance, MappingError, PatternVar, Schema, match_pattern
 from dx.parser import parse_mapping
 
 # Non-laconic mappings paired with hand-written equivalent laconic ones.
@@ -201,7 +201,7 @@ def all_instances(schema: Schema, consts):
 def type_copies(t, a_vals, b_vals) -> bool:
     """Blocks t(a_vals) and t(b_vals) are copies (same facts up to a
     renaming of nulls)."""
-    from dx.model import FreshNull, instances_isomorphic
+    from dx.model import instances_isomorphic
 
     def build(vals, offset):
         env = dict(zip(t.const_vars, vals))
@@ -300,6 +300,23 @@ def brute_isomorphic(i: Instance, j: Instance) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference canonical order: the sort keys the engine used before values
+# became tagged tuples whose native order is this one.
+
+def ref_value_key(v):
+    """Total order over all values: constants first, then nulls."""
+    if isinstance(v, Const):
+        return ("a", v.text)
+    if isinstance(v, FreshNull):
+        return ("b", v.id)
+    return ("c", v.symbol, tuple(ref_value_key(a) for a in v.args))
+
+
+def ref_fact_key(f: Fact):
+    return (f.rel, tuple(ref_value_key(a) for a in f.args))
+
+
+# ---------------------------------------------------------------------------
 # Reference core and restricted-chase paths: the per-call encoding and
 # the full-scan search that `compute_core`, `is_core` and
 # `restricted_chase` replaced, kept as an oracle for their encode-once,
@@ -389,10 +406,8 @@ def ref_homs(pattern, index, nvars, injective=False, allowed=None):
 def ref_match_pattern(pattern, target_facts, presorted=False):
     """Encode the whole target afresh, then search it."""
     from dx import kernel
-    from dx.model import PatternVar, fact_key
-
     if not presorted:
-        target_facts = sorted(target_facts, key=fact_key)
+        target_facts = sorted(target_facts, key=ref_fact_key)
     val_codes: dict = {}
     code_vals: list = []
 
@@ -425,7 +440,7 @@ def ref_match_pattern(pattern, target_facts, presorted=False):
 
 def ref_blocks(inst: Instance) -> list:
     """Union-find over the facts themselves, components sorted by first fact."""
-    from dx.model import fact_key, is_null
+    from dx.model import is_null
 
     parent: dict = {f: f for f in inst.facts_sorted}
 
@@ -449,7 +464,7 @@ def ref_blocks(inst: Instance) -> list:
     for f in inst.facts_sorted:
         groups.setdefault(find(f), []).append(f)
     comps = [Instance(inst.schema, fs) for fs in groups.values()]
-    comps.sort(key=lambda c: fact_key(c.facts_sorted[0]))
+    comps.sort(key=lambda c: ref_fact_key(c.facts_sorted[0]))
     return comps
 
 
@@ -526,14 +541,14 @@ def ref_is_core(j: Instance) -> bool:
 def ref_restricted_chase(m, source: Instance) -> Instance:
     """Re-sort and re-encode the facts built so far for every check."""
     from dx.chase import _skolem_symbol
-    from dx.model import SkolemNull, value_key
+    from dx.model import SkolemNull
 
     facts: set = set()
     for d, tgd in enumerate(m.tgds):
         params = tgd.universal_vars
         rows = sorted(
             eval_formula(tgd.antecedent, source, params),
-            key=lambda row: tuple(value_key(v) for v in row),
+            key=lambda row: tuple(ref_value_key(v) for v in row),
         )
         ev = set(tgd.exist_vars)
         for row in rows:

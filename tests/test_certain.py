@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from helpers import (
     COMPILE_FAMILIES,
@@ -21,7 +23,7 @@ from dx.chase import naive_chase
 from dx.evaluator import eval_formula
 from dx.laconify import laconify
 from dx.lang import And, Certain, Exists, Forall, Not, Or, RelAtom, Var, free_vars
-from dx.model import Const, Fact, Instance, MappingError
+from dx.model import Const, Fact, FreshNull, Instance, MappingError, SkolemNull
 from dx.parser import parse_formula, parse_mapping
 from dx.verify import random_cq, random_mapping, random_source_instance
 
@@ -289,3 +291,31 @@ def test_chases_of_a_laconified_mapping_chase_its_base_once(monkeypatch):
     assert chased == [lm, m]
     assert chase_mod.restricted_chase(lm, i) == want[1]
     assert chased == [lm, m, m]
+
+
+@pytest.mark.parametrize("laconic_base, query, message", [
+    (False, "!R1(x,x)", "not a conjunctive query"),
+    (True, "exists y: R1(x,y)", "certain answers require a certain[...]-free mapping"),
+])
+def test_certain_node_evaluation_rejects_what_certain_answers_rejects(laconic_base, query, message):
+    m = parse_mapping("source P/1. target R1/2. tgd: P(x) -> exists y: R1(x,y).")
+    base = laconify(m) if laconic_base else m
+    node = Certain(parse_formula(query, m.target), base)
+    with pytest.raises(MappingError, match=re.escape(message)):
+        eval_formula(node, inst(m.source, ("P", "a")), ("x",))
+
+
+@pytest.mark.parametrize("value", [
+    Const("q"), Const("b"), Const("app"), FreshNull(2),
+    SkolemNull("q", (Const("x"),)), SkolemNull("app", ()),
+])
+def test_unifier_treats_values_as_constants(value):
+    """Unifier nodes and terms are plain tuples tagged by a string; a
+    value is a tuple subclass tagged by an int, and never reads as one."""
+    uf = _Unifier()
+    assert not uf._is_node(value)
+    assert not uf.term_is_proper(value)
+    assert uf.unify(("q", "x"), value)
+    assert uf._resolve(("q", "x")) == value
+    assert not uf.unify(value, ("app", "f", ()))
+    assert not uf.unify(value, Const("other"))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -6,7 +8,9 @@ from helpers import (
     brute_is_core,
     brute_isomorphic,
     inst,
+    ref_fact_key,
     ref_tokens,
+    ref_value_key,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +45,80 @@ def test_const_rejects_reserved_prefix():
         Const("@x")
     with pytest.raises(ValueError):
         Const("")
+
+
+def test_value_checks_keep_their_messages():
+    for make, message in [
+        (lambda: Const(""), "constant text must be nonempty"),
+        (lambda: Const("@x"), "constant text may not start with '@'"),
+        (lambda: FreshNull(0), "fresh null id must be positive"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            make()
+
+
+def test_values_and_facts_keep_their_reprs_and_fields():
+    n = SkolemNull("f", (Const("a"), FreshNull(3)))
+    f = Fact("R", (Const("it's"), n))
+    assert repr(n) == "SkolemNull('f', (Const('a'), FreshNull(3)))"
+    assert repr(f) == "Fact(rel='R', args=(Const(\"it's\"), " + repr(n) + "))"
+    assert (n.symbol, n.args) == ("f", (Const("a"), FreshNull(3)))
+    assert (f.rel, f.args) == ("R", (Const("it's"), n))
+    assert (Const("a").text, FreshNull(3).id) == ("a", 3)
+    for v in (Const("a"), FreshNull(3), n, f):
+        assert copy.copy(v) == v and pickle.loads(pickle.dumps(v)) == v
+        with pytest.raises(AttributeError):
+            v.extra = 1
+
+
+# Values for the order properties: constants whose text holds quoting and
+# escape characters, digit strings such as '10' and '9' and mixed case;
+# fresh nulls; and Skolem nulls nested up to depth 3.
+_order_leaves = st.one_of(
+    st.one_of(
+        st.sampled_from(["10", "9", "A", "a", "x,y", "f(a)", "it's", "\\", "a@b"]),
+        st.text(alphabet="aAzZ09' ,()\\@", min_size=1, max_size=5),
+    ).filter(lambda t: not t.startswith("@")).map(Const),
+    st.integers(min_value=1, max_value=12).map(FreshNull),
+)
+
+
+def _nest(children):
+    return st.one_of(_order_leaves, st.builds(
+        SkolemNull,
+        st.sampled_from(["f", "g", "f1_2"]),
+        st.lists(children, max_size=3).map(tuple),
+    ))
+
+
+_order_values = _nest(_nest(_nest(_order_leaves)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_order_values, max_size=12))
+def test_native_value_order_is_the_reference_order(values):
+    assert sorted(values) == sorted(values, key=ref_value_key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(_order_values, _order_values).map(lambda args: Fact("R", args)),
+    st.tuples(_order_values).map(lambda args: Fact("Q", args)),
+), max_size=10))
+def test_facts_sorted_is_the_reference_order(facts):
+    i = Instance(Schema({"R": 2, "Q": 1}), facts)
+    assert list(i.facts_sorted) == sorted(set(facts), key=ref_fact_key)
+    assert list(i.dom) == sorted({a for f in facts for a in f.args}, key=ref_value_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_order_values, _order_values)
+def test_values_are_equal_exactly_when_their_reference_keys_are(a, b):
+    assert (a == b) == (ref_value_key(a) == ref_value_key(b))
+    if type(a) is not type(b):
+        assert a != b
+    if isinstance(a, SkolemNull):
+        assert Fact(a.symbol, a.args) != a
 
 
 def test_instance_checks_arity():
@@ -238,6 +316,11 @@ _values = st.recursive(
 def test_fact_file_round_trip(pairs):
     i = Instance(S2, [Fact("S", pair) for pair in pairs])
     assert parse_facts(format_facts(i), S2) == i
+
+
+def test_fact_file_reads_each_bare_constant_once():
+    (x, y), (_b, n) = (f.args for f in parse_facts("S(a, a).\nS(b, ?f(a)).\n", S2).facts_sorted)
+    assert x is y is n.args[0]
 
 
 def test_fact_file_rejects_garbage():

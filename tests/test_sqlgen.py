@@ -328,6 +328,39 @@ def test_sql_term_matches_encode_value():
     assert decode_value(got) == want
 
 
+def test_read_target_decodes_each_cell_text_once(monkeypatch):
+    import dx.sqlgen
+
+    schema = Schema({"S": 2, "T": 1})
+    n = SkolemNull("f", (Const("a,b"), SkolemNull("g", ())))
+    rows = {"S": [(A, n), (B, n), (n, A), (A, A)], "T": [(n,), (B,)]}
+    conn = sqlite3.connect(":memory:")
+    for name, facts in rows.items():
+        cols = ", ".join(f"c{i} TEXT" for i in range(len(facts[0])))
+        conn.execute(f"CREATE TABLE target_{name} ({cols})")
+        marks = ", ".join("?" * len(facts[0]))
+        conn.executemany(
+            f"INSERT INTO target_{name} VALUES ({marks})",
+            [[encode_value(v) for v in row] for row in facts],
+        )
+    each = Instance(schema, [
+        Fact(name, tuple(decode_value(text) for text in row))
+        for name in rows
+        for row in conn.execute(f"SELECT * FROM target_{name}")
+    ])
+    decoded = []
+
+    def counting(text):
+        decoded.append(text)
+        return decode_value(text)
+
+    monkeypatch.setattr(dx.sqlgen, "decode_value", counting)
+    got = read_target(conn, schema)
+    assert got == each
+    assert sorted(decoded) == sorted({encode_value(v) for v in (A, B, n)})
+    assert len({id(v) for f in got.facts for v in f.args if v == n}) == 1
+
+
 def test_laconified_symmetric_join_two_rows_one_null():
     m, _ = pair("symmetric_join")
     flat = eliminate_mapping(laconify(m))

@@ -161,6 +161,27 @@ def test_check_laconic_plans_each_certain_query_once(monkeypatch):
     assert all(n == 1 for f, n in counts.items() if f not in base)
 
 
+def test_check_laconic_checks_each_certain_node_once(monkeypatch):
+    """A certain[...] node is checked (CQ query, certain[...]-free base)
+    when its query is planned, so once per compiled mapping, not once
+    per sample's evaluator."""
+    import dx.certain
+    from dx.lang import certain_nodes
+
+    lm = laconify(star_blowup_mapping(3))
+    checked = Counter()
+    check = dx.certain.require_certain_query
+
+    def counting(base, query):
+        checked[base, query] += 1
+        return check(base, query)
+
+    monkeypatch.setattr(dx.certain, "require_certain_query", counting)
+    assert check_laconic(lm, 50, 0).passed
+    nodes = {n for t in lm.tgds for n in certain_nodes(t.antecedent)}
+    assert checked == Counter({(n.base, n.query): 1 for n in nodes})
+
+
 def test_check_cq_equivalent_pairs():
     left, right = pair("view_overlap")
     assert check_cq_equivalent(left, right, samples=60, seed=5).passed
