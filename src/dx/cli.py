@@ -17,7 +17,9 @@ from dx.certain import certain_answers, eliminate_mapping
 from dx.chase import naive_chase, restricted_chase, to_term_interpretation
 from dx.laconify import generate_block_types, laconify, preconditions, side_condition
 from dx.lang import decompose, format_formula, format_mapping, free_vars
-from dx.model import DxError, MappingError, ParseError, compute_core, format_facts, parse_facts
+from dx.model import (
+    DxError, MappingError, ParseError, compute_core, format_facts, format_value, parse_facts,
+)
 from dx.parser import declarations, parse_formula, parse_mapping
 
 
@@ -107,7 +109,7 @@ def _cmd_certain(args) -> int:
     free = tuple(sorted(free_vars(q)))
     answers = sorted(certain_answers(m, q, inst, free))
     lines = [f"# answer variables: ({', '.join(free)})"]
-    lines += ["(" + ", ".join(v.text for v in row) + ")" for row in answers]
+    lines += ["(" + ", ".join(map(format_value, row)) + ")" for row in answers]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

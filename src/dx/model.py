@@ -626,14 +626,16 @@ def instances_isomorphic(i: Instance, j: Instance) -> bool:
 # Tokens and quoted constants, shared by the fact-file and mapping readers.
 
 class Lexer:
-    """Splits text into (kind, text, offset) tokens with one regex pass.
+    """A cursor over (kind, text, offset) tokens split with one regex pass.
 
     `token_re` is an alternation of named groups that ends with a
     catch-all `(?P<error>.)`, so every character lands in exactly one
     token; the group that matched names the token kind, and tokens of
-    kind "ws" (whitespace and comments) are dropped.  An "error" token
-    raises once the parser reaches it, so errors are reported in file
-    order.  A token's line and column are worked out from its offset
+    kind "ws" (whitespace and comments) are dropped.  Past the last token
+    `peek` answers an "end" token at the last token's offset, so a reader
+    never tests for a missing token.  An "error" token raises once the
+    reader takes it or reports an error at it, so errors are reported in
+    file order.  A token's line and column are worked out from its offset
     (`where`) only when an error names it.
     """
 
@@ -644,6 +646,7 @@ class Lexer:
             for m in token_re.finditer(text)
             if m.lastgroup != "ws"
         ]
+        self.end = ("end", "", self.tokens[-1][2] if self.tokens else 0)
         self.i = 0
 
     def where(self, tok) -> tuple[int, int]:
@@ -656,38 +659,39 @@ class Lexer:
         raise ParseError(msg, *self.where(tok)) from None
 
     def peek(self, ahead: int = 0):
-        i = self.i + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+        try:
+            return self.tokens[self.i + ahead]
+        except IndexError:
+            return self.end
 
-    def next(self):
+    def take(self):
+        """The next token, consumed; an "error" token raises instead."""
         tok = self.peek()
-        if tok is not None:
-            if tok[0] == "error":
-                self.error("")
-            self.i += 1
+        if tok[0] == "error":
+            self.error("")
+        self.i += 1
         return tok
 
-    def error(self, msg):
+    def error(self, msg) -> NoReturn:
+        """Raise `msg` at the next token."""
         tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 0)
-            self.fail(last, f"{msg} at end of input")
+        if tok[0] == "end":
+            self.fail(tok, f"{msg} at end of input")
         if tok[0] == "error":
             self.fail(tok, f"unexpected character {tok[1]!r}")
         self.fail(tok, f"{msg}, got {tok[1]!r}")
 
-    def expect(self, value):
-        tok = self.peek()
-        if tok is None or tok[1] != value:
-            self.error(f"expected {value!r}")
-        return self.next()
-
-    def accept(self, value):
-        tok = self.peek()
-        if tok is not None and tok[1] == value:
-            self.next()
+    def accept(self, value) -> bool:
+        """Consume the next token if its text is `value`, a punctuation
+        mark or keyword (never an "error" token's text)."""
+        if self.peek()[1] == value:
+            self.i += 1
             return True
         return False
+
+    def expect(self, value) -> None:
+        if not self.accept(value):
+            self.error(f"expected {value!r}")
 
     def quoted_const(self, tok) -> Const:
         """The constant written by a quoted token, or a ParseError at it."""
@@ -756,10 +760,9 @@ def _read_value(lex: Lexer, consts: dict) -> Value:
     """The value at the next token; `consts` maps each bare token text
     read so far to its one constant."""
     tok = lex.peek()
-    if tok is None or tok[0] not in ("bare", "quoted", "null"):
+    if tok[0] not in ("bare", "quoted", "null"):
         lex.error("expected a value")
-    lex.next()
-    kind, text, _pos = tok
+    kind, text, _pos = lex.take()
     if kind == "bare":
         c = consts.get(text)
         if c is None:
@@ -769,8 +772,7 @@ def _read_value(lex: Lexer, consts: dict) -> Value:
         return lex.quoted_const(tok)
     name = text[1:]
     m = _FRESH.match(name)
-    nxt = lex.peek()
-    if m and (nxt is None or nxt[1] != "("):
+    if m and lex.peek()[1] != "(":
         try:
             return FreshNull(int(m.group(1)))
         except ValueError as exc:
@@ -783,11 +785,10 @@ def parse_facts(text: str, schema: Schema) -> Instance:
     lex = Lexer(text, _FACT_TOKEN)
     consts: dict = {}
     facts = []
-    while (tok := lex.peek()) is not None:
+    while (tok := lex.peek())[0] != "end":
         if tok[0] != "bare":
             lex.error("expected relation name")
-        lex.next()
-        rel = tok[1]
+        rel = lex.take()[1]
         args = _read_args(lex, consts)
         lex.expect(".")
         if rel not in schema:

@@ -11,9 +11,11 @@ parentheses; variables are lowercase identifiers, constants are
 single-quoted.  Quantifier bodies extend as far right as possible.
 `certain[...]` occurs only in printed output and is rejected here.
 
-`_TOKEN` feeds the shared `model.Lexer`; a relation lookup answers the
-arity or None, and every error is raised at the token it names, whose
-line and column are worked out then.
+`_TOKEN` feeds the shared `model.Lexer`.  `_FormulaParser` is a plain
+precedence parser with one method per level (`|`, `&`, unary).  Each
+relational atom is checked where it is read: an antecedent names source
+relations, a consequent target ones.  Every error is raised at the token
+it names, whose line and column are worked out then.
 """
 
 from __future__ import annotations
@@ -53,129 +55,133 @@ _TOKEN = re.compile(
 
 
 class _FormulaParser:
-    def __init__(self, lex: Lexer, schema_lookup):
+    """`formula` (|), `conjunction` (&) and `unary` (!, parentheses,
+    quantifiers, `true`, atoms), one per level; a quantifier body is a
+    whole `formula`.  `rels` maps every declared relation to its arity;
+    an atom of `formula` must name one in `allowed`.
+    """
+
+    def __init__(self, lex: Lexer, rels: dict, allowed):
         self.lex = lex
-        self.schema_lookup = schema_lookup  # rel name -> arity, or None
+        self.rels = rels
+        self.allowed = allowed
 
     def formula(self) -> Formula:
-        tok = self.lex.peek()
-        if tok and tok[1] in ("exists", "forall"):
-            return self.quantified()
-        return self.disjunction()
-
-    def quantified(self) -> Formula:
-        kw = self.lex.next()[1]
-        names = [self._var_name()]
-        while self.lex.accept(","):
-            names.append(self._var_name())
-        self.lex.expect(":")
-        body = self.formula()
-        node = Exists if kw == "exists" else Forall
-        for name in reversed(names):
-            body = node(name, body)
-        return body
-
-    def disjunction(self) -> Formula:
         parts = [self.conjunction()]
         while self.lex.accept("|"):
-            tok = self.lex.peek()
-            if tok and tok[1] in ("exists", "forall"):
-                parts.append(self.quantified())
-                break
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
         while self.lex.accept("&"):
-            tok = self.lex.peek()
-            if tok and tok[1] in ("exists", "forall"):
-                parts.append(self.quantified())
-                break
             parts.append(self.unary())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unary(self) -> Formula:
-        tok = self.lex.peek()
-        if tok is None:
-            self.lex.error("expected a formula")
+        lex = self.lex
+        tok = lex.peek()
+        if self._at_rel_atom(tok):
+            return self.rel_atom(self.allowed, "antecedent uses target relation {}")
+        if tok[0] == "end":
+            lex.error("expected a formula")
         if tok[1] == "!":
-            self.lex.next()
+            lex.take()
             return Not(self.unary())
         if tok[1] == "(":
-            self.lex.next()
+            lex.take()
             inner = self.formula()
-            self.lex.expect(")")
+            lex.expect(")")
             return inner
         if tok[1] in ("exists", "forall"):
-            return self.quantified()
+            lex.take()
+            names = self.var_names()
+            body = self.formula()
+            node = Exists if tok[1] == "exists" else Forall
+            for name in reversed(names):
+                body = node(name, body)
+            return body
         if tok[1] == "true":
-            self.lex.next()
+            lex.take()
             return TrueF()
         if tok[1] == "certain":
-            self.lex.fail(
+            lex.fail(
                 tok,
                 "certain[...] cannot be parsed back; regenerate the mapping "
                 "with certain answers eliminated",
             )
-        return self.atom()
+        left = self.term()
+        if lex.accept("="):
+            return Eq(left, self.term())
+        if lex.accept("<"):
+            return Lt(left, self.term())
+        lex.error("expected '=' or '<'")
+
+    def var_names(self) -> list:
+        """`v1, ..., vn:`, as after a quantifier or a consequent's `exists`."""
+        names = [self._var_name()]
+        while self.lex.accept(","):
+            names.append(self._var_name())
+        self.lex.expect(":")
+        return names
 
     def _var_name(self) -> str:
         tok = self.lex.peek()
-        if tok is None or tok[0] != "ident" or tok[1] in _KEYWORDS:
+        if tok[0] != "ident" or tok[1] in _KEYWORDS:
             self.lex.error("expected a variable name")
         if not tok[1][0].islower():
             self.lex.error("variables must start with a lowercase letter")
-        return self.lex.next()[1]
+        return self.lex.take()[1]
 
     def term(self):
         tok = self.lex.peek()
-        if tok is None:
-            self.lex.error("expected a term")
         if tok[0] == "quoted":
-            self.lex.next()
+            self.lex.take()
             return self.lex.quoted_const(tok)
         if tok[0] == "ident" and tok[1] not in _KEYWORDS:
             if not tok[1][0].islower():
                 self.lex.error(
                     "expected a variable (lowercase) or quoted constant"
                 )
-            self.lex.next()
+            self.lex.take()
             return Var(tok[1])
         self.lex.error("expected a term")
 
-    def atom(self) -> Formula:
-        tok = self.lex.peek()
-        if tok is None:
-            self.lex.error("expected an atom")
-        if tok[0] == "ident" and tok[1] not in _KEYWORDS:
-            nxt = self.lex.peek(1)
-            if nxt and nxt[1] == "(":
-                rel_tok = self.lex.next()
-                self.lex.expect("(")
-                args = []
-                if not self.lex.accept(")"):
-                    args.append(self.term())
-                    while self.lex.accept(","):
-                        args.append(self.term())
-                    self.lex.expect(")")
-                arity = self.schema_lookup(rel_tok[1])
-                if arity is None:
-                    self.lex.fail(rel_tok, f"undeclared relation {rel_tok[1]}")
-                if arity != len(args):
-                    self.lex.fail(
-                        rel_tok,
-                        f"arity mismatch for {rel_tok[1]}: declared /{arity}, "
-                        f"used with {len(args)} arguments",
-                    )
-                return RelAtom(rel_tok[1], tuple(args))
-        left = self.term()
-        op = self.lex.peek()
-        if op is None or op[1] not in ("=", "<"):
-            self.lex.error("expected '=' or '<'")
-        self.lex.next()
-        right = self.term()
-        return Eq(left, right) if op[1] == "=" else Lt(left, right)
+    def _at_rel_atom(self, tok) -> bool:
+        return tok[0] == "ident" and tok[1] not in _KEYWORDS and self.lex.peek(1)[1] == "("
+
+    def rel_atom(self, allowed, misuse: str) -> RelAtom:
+        """`R(t1, ..., tn)` for a relation R in `allowed`; a relation
+        declared but not allowed fails with `misuse` at R.  A consequent
+        reads its atoms here: a comparison fails at its first term, and a
+        token that starts no term fails as `term` fails at it."""
+        lex = self.lex
+        tok = lex.peek()
+        if not self._at_rel_atom(tok):
+            if tok[0] == "end":
+                lex.error("expected an atom")
+            self.term()
+            lex.fail(tok, "dependency consequents must be conjunctions of relational atoms")
+        name = lex.take()[1]
+        lex.expect("(")
+        args = []
+        if not lex.accept(")"):
+            args.append(self.term())
+            while lex.accept(","):
+                args.append(self.term())
+            lex.expect(")")
+        arity = self.rels.get(name)
+        if arity is None:
+            lex.fail(tok, f"undeclared relation {name}")
+        if arity != len(args):
+            lex.fail(
+                tok,
+                f"arity mismatch for {name}: declared /{arity}, "
+                f"used with {len(args)} arguments",
+            )
+        if name not in allowed:
+            lex.fail(tok, misuse.format(name))
+        return RelAtom(name, tuple(args))
 
 
 def _parse_decls(lex: Lexer, declared: dict):
@@ -184,17 +190,16 @@ def _parse_decls(lex: Lexer, declared: dict):
     rels = {}
     while True:
         tok = lex.peek()
-        if tok is None or tok[0] != "ident" or tok[1] in _KEYWORDS:
+        if tok[0] != "ident" or tok[1] in _KEYWORDS:
             lex.error("expected a relation declaration like R/2")
-        name = lex.next()[1]
+        name = lex.take()[1]
         lex.expect("/")
-        num = lex.peek()
-        if num is None or num[0] != "number":
+        if lex.peek()[0] != "number":
             lex.error("expected an arity")
-        lex.next()
+        arity = int(lex.take()[1])
         if name in rels or name in declared:
             lex.fail(tok, f"relation {name} declared twice")
-        rels[name] = int(num[1])
+        rels[name] = arity
         if lex.accept(","):
             continue
         lex.expect(".")
@@ -204,54 +209,35 @@ def _parse_decls(lex: Lexer, declared: dict):
 def parse_mapping(text: str) -> SchemaMapping:
     """Parse the mapping DSL into a schema mapping."""
     lex = Lexer(text, _TOKEN)
+    try:
+        return _read_mapping(lex)
+    except RecursionError:
+        lex.fail(lex.peek(), "formula nested too deeply")
+
+
+def _read_mapping(lex: Lexer) -> SchemaMapping:
     source: dict = {}
     target: dict = {}
+    declared: dict = {}
     tgds = []
-
-    def lookup(rel):
-        return source.get(rel, target.get(rel))
-
-    while True:
-        tok = lex.peek()
-        if tok is None:
-            break
-        if tok[1] == "source":
-            lex.next()
-            source.update(_parse_decls(lex, {**source, **target}))
-        elif tok[1] == "target":
-            lex.next()
-            target.update(_parse_decls(lex, {**source, **target}))
-        elif tok[1] == "tgd":
-            lex.next()
+    consequent = "consequent relation {} is not a target relation"
+    while (tok := lex.peek())[0] != "end":
+        if tok[1] in ("source", "target"):
+            lex.take()
+            rels = _parse_decls(lex, declared)
+            (source if tok[1] == "source" else target).update(rels)
+            declared.update(rels)
+        elif lex.accept("tgd"):
             lex.expect(":")
-            parser = _FormulaParser(lex, lookup)
+            parser = _FormulaParser(lex, declared, source)
             antecedent = parser.formula()
             lex.expect("->")
-            exist_vars: list = []
-            nxt = lex.peek()
-            if nxt and nxt[1] == "exists":
-                lex.next()
-                exist_vars.append(parser._var_name())
-                while lex.accept(","):
-                    exist_vars.append(parser._var_name())
-                lex.expect(":")
-            atoms = [parser.atom()]
+            exist_vars = parser.var_names() if lex.accept("exists") else []
+            atoms = [parser.rel_atom(target, consequent)]
             while lex.accept("&"):
-                atoms.append(parser.atom())
+                atoms.append(parser.rel_atom(target, consequent))
             lex.expect(".")
-            for a in atoms:
-                if not isinstance(a, RelAtom):
-                    lex.fail(
-                        tok,
-                        "dependency consequents must be conjunctions of "
-                        "relational atoms",
-                    )
-                if a.rel not in target:
-                    lex.fail(tok, f"consequent relation {a.rel} is not a target relation")
             used = {v.name for a in atoms for v in a.args if isinstance(v, Var)}
-            for rel_atom in _rel_atoms(antecedent):
-                if rel_atom.rel in target:
-                    lex.fail(tok, f"antecedent uses target relation {rel_atom.rel}")
             try:
                 tgds.append(
                     TGD(antecedent, tuple(v for v in exist_vars if v in used), tuple(atoms))
@@ -278,21 +264,14 @@ def declarations(text: str) -> dict:
     }
 
 
-def _rel_atoms(f: Formula):
-    if isinstance(f, RelAtom):
-        yield f
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from _rel_atoms(p)
-    elif isinstance(f, (Not, Exists, Forall)):
-        yield from _rel_atoms(f.body)
-
-
 def parse_formula(text: str, schema: Schema) -> Formula:
     """Parse a standalone formula against one schema (used for queries)."""
     lex = Lexer(text, _TOKEN)
-    parser = _FormulaParser(lex, dict(schema.rels).get)
-    f = parser.formula()
-    if lex.peek() is not None:
+    rels = dict(schema.rels)
+    try:
+        f = _FormulaParser(lex, rels, rels).formula()
+    except RecursionError:
+        lex.fail(lex.peek(), "formula nested too deeply")
+    if lex.peek()[0] != "end":
         lex.error("trailing input after formula")
     return f

@@ -112,6 +112,39 @@ def test_certain_answers_command(capsys, overlap_map, p_a):
     assert "(a)" in out
 
 
+def test_certain_answers_print_values_as_fact_files_do(capsys):
+    """A constant that is not bare is quoted, so `'x,y'` reads as one value."""
+    code, out, _ = run(
+        capsys, "certain", "-m", str(DEMO / "symmetric_join.map"),
+        "-i", str(DEMO / "quoted_pairs.facts"), "-q", "exists z: S(x,z) & S(y,z)",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# answer variables: (x, y)"
+    assert "('x,y', 'f(a)')" in lines
+    assert "(a, b)" in lines
+    assert "('it\\'s', 'back\\\\slash')" in lines
+
+
+def test_deeply_nested_formula_is_a_parse_error(capsys, tmp_path, p_a):
+    """Nesting past the recursion limit exits 2 with a positioned message."""
+    mp = tmp_path / "deep.map"
+    mp.write_text(
+        "source P/1. target T/1.\ntgd: " + "(" * 1000 + "P(x)" + ")" * 1000 + " -> T(x).\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "chase", "-m", str(mp), "-i", p_a)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"dx: 2:\d+: formula nested too deeply\n", err)
+    code, _, err = run(
+        capsys, "certain", "-m", str(DEMO / "symmetric_join.map"),
+        "-i", str(DEMO / "r_pairs.facts"), "-q", "!" * 5000 + "S(x,x)",
+    )
+    assert code == 2
+    assert re.fullmatch(r"dx: 1:\d+: formula nested too deeply\n", err)
+
+
 def test_verify_exit_codes(capsys, tmp_path, double_map):
     code, out, _ = run(
         capsys, "verify", "laconic", "-m", double_map, "--samples", "20", "--seed", "7"

@@ -74,6 +74,22 @@ def test_mapping_reports_first_error_in_file(text, error):
         parse_formula("R(x, y) $ & x = y", PR)
 
 
+@pytest.mark.parametrize("tgd, error", [
+    ("tgd: P(x) -> P(x).", "2:14: consequent relation P is not a target relation"),
+    ("tgd: P(x) & T(x) -> T(x).", "2:13: antecedent uses target relation T"),
+    (
+        "tgd: P(x) -> T(x) & x = 'a'.",
+        "2:21: dependency consequents must be conjunctions of relational atoms",
+    ),
+])
+def test_relation_errors_point_at_the_atom(tgd, error):
+    """A relation on the wrong side of `->`, or a comparison in the
+    consequent, fails at its own token, not at `tgd`."""
+    with pytest.raises(ParseError) as exc:
+        parse_mapping("source P/1. target T/1.\n" + tgd)
+    assert str(exc.value) == error
+
+
 def test_parse_rejects_unsafe_tgd():
     with pytest.raises(ParseError):
         parse_mapping("source P/1. target S/2. tgd: P(x) -> S(x,w).")
@@ -98,6 +114,25 @@ def test_operator_precedence():
     assert isinstance(g, Not) and isinstance(g.body, And)
     q = parse_formula("exists v: P(v) & P(x)", PR)
     assert isinstance(q, Exists) and isinstance(q.body, And)
+
+
+def test_unparenthesized_quantifier_bodies_extend_right():
+    """A quantifier after `&`, `|` or `!` takes every `&` and `|` after it;
+    `format_formula` parenthesizes these forms, so the random round trip
+    never reads them."""
+    x, y = Var("x"), Var("y")
+    px, py, rxy = RelAtom("P", (x,)), RelAtom("P", (y,)), RelAtom("R", (x, y))
+    body = Or((And((rxy, py)), px))
+    cases = {
+        "P(x) & exists y: R(x,y) & P(y) | P(x)": And((px, Exists("y", body))),
+        "P(x) | exists y: R(x,y) & P(y) | P(x)": Or((px, Exists("y", body))),
+        "!exists y: R(x,y) & P(y) | P(x)": Not(Exists("y", body)),
+        "P(x) & !forall y: R(x,y) & P(y) | P(x)": And((px, Not(Forall("y", body)))),
+        "exists x, y: R(x,y) & P(y) | P(x)": Exists("x", Exists("y", body)),
+        "(exists y: R(x,y)) & P(x) | P(y)": Or((And((Exists("y", rxy), px)), py)),
+    }
+    for text, tree in cases.items():
+        assert parse_formula(text, PR) == tree, text
 
 
 def test_quoted_constants():
