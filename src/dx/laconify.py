@@ -48,6 +48,13 @@ from dx.model import (
 
 SideCondition = Formula
 
+# Budgets on the exponential phases; an input that exceeds one fails with
+# a MappingError instead of running for hours.  Each sits above the
+# largest value that the golden, acceptance and benchmark mappings reach.
+TYPES_BUDGET = 2**14  # existential-variable subsets of one dependency
+SIDE_CONDITION_BUDGET = 10**5  # constant assignments (m^m) of one type
+NAMING_BUDGET = 10**5  # search nodes of one canonical naming
+
 
 @dataclass(frozen=True)
 class BlockType:
@@ -87,29 +94,83 @@ class BlockType:
         return exists_all(self.null_vars, conj(self.atoms))
 
 
-def _atom_key(atom: RelAtom, cmap: dict, nmap: dict):
-    parts = []
-    for a in atom.args:
-        if isinstance(a, Var):
-            if a.name in cmap:
-                parts.append(("x", cmap[a.name]))
+def _least_form(atoms, cmap, const_vars, null_vars) -> tuple:
+    """The least sorted set of atom keys `(rel, parts)` over every
+    numbering from 1 of `const_vars` and of `null_vars`.  A part is
+    `("x", n)` for a constant variable, `("y", n)` for a null variable
+    and `("k", text)` for a literal constant; `cmap` fixes the number of
+    each constant variable it names (callers fix all of them or none).
+
+    Branch and bound over partial numberings: numbers go out one
+    variable at a time, constant variables first.  The bound of a
+    partial numbering reads each unnumbered variable as the next free
+    number of its kind, so every completion gives each atom a key at
+    least its bound key, and sorting keeps that order position by
+    position.  Atoms that `cmap` collapses onto one are merged first;
+    then distinct atoms get distinct keys under every numbering, the
+    completed keys sorted are the set, and the bound is at most the
+    completed form.  Children are tried in the order of their bounds,
+    ties in variable order; a child whose bound reaches the best form
+    found is cut with its later siblings.  Variables that occur in no
+    atom take the top numbers, which leaves the form unchanged.
+    """
+    index: dict = {}
+    templates = {}
+    for a in atoms:
+        args = []
+        for v in a.args:
+            if not isinstance(v, Var):
+                args.append(("k", v.text))
+            elif v.name in cmap:
+                args.append(("x", cmap[v.name]))
             else:
-                parts.append(("y", nmap[a.name]))
-        else:
-            parts.append(("k", a.text))
-    return (atom.rel, tuple(parts))
-
-
-def _least_form(atoms, cmaps, null_vars) -> tuple:
-    """The least sorted set of `_atom_key`s over the constant-variable
-    maps `cmaps` and every numbering of `null_vars` from 1."""
+                args.append(index.setdefault(v.name, len(index)))
+        templates[(a.rel, tuple(args))] = None
+    kinds = {v: "y" for v in null_vars} | {v: "x" for v in const_vars}
+    kind = [kinds[v] for v in index]
+    order = sorted(range(len(index)), key=kind.__getitem__)  # constant variables first
+    nodes = 0
     best = None
-    for cmap in cmaps:
-        for nperm in itertools.permutations(null_vars):
-            nmap = {y: j + 1 for j, y in enumerate(nperm)}
-            key = tuple(sorted({_atom_key(a, cmap, nmap) for a in atoms}))
-            if best is None or key < best:
-                best = key
+
+    def form(val):
+        return tuple(sorted(
+            [(rel, tuple([val[a] if a.__class__ is int else a for a in args])) for rel, args in templates]
+        ))
+
+    def search(val, free, n):
+        """Give number n to one of the unnumbered variables `free`."""
+        nonlocal best, nodes
+        k = kind[free[0]]
+        children = []
+        for i in free:
+            if kind[i] != k:
+                break
+            child = val.copy()
+            for j in free:
+                if kind[j] == k:
+                    child[j] = (k, n + 1)
+            child[i] = (k, n)
+            children.append((form(child), i, child))
+        nodes += len(children)
+        if nodes > NAMING_BUDGET:
+            raise MappingError(
+                f"canonical naming: the search for one block's form "
+                f"exceeds the budget of {NAMING_BUDGET} nodes"
+            )
+        children.sort(key=lambda c: c[0])
+        for bound, i, child in children:
+            if best is not None and bound >= best:
+                return
+            rest = [j for j in free if j != i]
+            if rest:
+                search(child, rest, n + 1 if kind[rest[0]] == k else 1)
+            else:
+                best = bound
+
+    val = [(kind[i], 1) for i in range(len(index))]
+    if not order:
+        return form(val)
+    search(val, order, 1)
     return best
 
 
@@ -118,14 +179,7 @@ def make_block_type(atoms, const_vars, null_vars) -> BlockType:
     atoms = tuple(dict.fromkeys(atoms))
     const_vars = tuple(dict.fromkeys(const_vars))
     null_vars = tuple(dict.fromkeys(null_vars))
-    key = _least_form(
-        atoms,
-        (
-            {x: i + 1 for i, x in enumerate(cperm)}
-            for cperm in itertools.permutations(const_vars)
-        ),
-        null_vars,
-    )
+    key = _least_form(atoms, {}, const_vars, null_vars)
     renamed = []
     for rel, parts in key:
         args = []
@@ -186,6 +240,11 @@ def generate_block_types(m: SchemaMapping) -> tuple:
     for tgd in m.tgds:
         atoms = tgd.consequent
         ev = list(tgd.exist_vars)
+        if 2 ** len(ev) > TYPES_BUDGET:
+            raise MappingError(
+                f"block types: {2 ** len(ev)} subsets of one dependency's "
+                f"{len(ev)} existential variables exceed the budget of {TYPES_BUDGET}"
+            )
         for bits in range(2 ** len(ev)):
             dropped = {ev[i] for i in range(len(ev)) if not bits >> i & 1}
             kept_atoms = tuple(
@@ -513,7 +572,7 @@ def _realized_block_form(t: BlockType, values):
     Nulls are canonicalized by minimizing over renamings, so collapsed
     (non-injective) assignments compare correctly.
     """
-    return _least_form(t.atoms, (dict(zip(t.const_vars, values)),), t.null_vars)
+    return _least_form(t.atoms, dict(zip(t.const_vars, values)), (), t.null_vars)
 
 
 def _order_key(values) -> tuple:
@@ -539,6 +598,11 @@ def side_condition(t: BlockType) -> SideCondition:
     m = len(names)
     if m <= 1:
         return TRUE
+    if m**m > SIDE_CONDITION_BUDGET:
+        raise MappingError(
+            f"side conditions: {m**m} assignments of one type's {m} constant "
+            f"variables exceed the budget of {SIDE_CONDITION_BUDGET}"
+        )
     excluded: dict = {}  # order patterns, in the order of exclusion
     first_of_form: dict = {}
     for values in itertools.product(range(m), repeat=m):

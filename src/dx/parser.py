@@ -41,6 +41,12 @@ from dx.model import Lexer, MappingError, ParseError, Schema
 
 _KEYWORDS = {"source", "target", "tgd", "exists", "forall", "true", "certain"}
 
+# Deepest nesting of `!`, parentheses and quantified variables that a
+# formula may have.  An explicit bound puts the error at a position the
+# text alone fixes, and keeps every recursive walk of the formula well
+# inside Python's stack.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"""(?P<ws>\s+|\#[^\n]*)
        |(?P<arrow>->)
@@ -65,6 +71,17 @@ class _FormulaParser:
         self.lex = lex
         self.rels = rels
         self.allowed = allowed
+        self.depth = 0
+
+    def nested(self, tok, levels: int, parse) -> Formula:
+        """`parse()`, `levels` deeper: one for `!` or `(`, one per
+        variable for a quantifier.  Past MAX_NESTING it fails at `tok`."""
+        if self.depth + levels > MAX_NESTING:
+            self.lex.fail(tok, "formula nested too deeply")
+        self.depth += levels
+        f = parse()
+        self.depth -= levels
+        return f
 
     def formula(self) -> Formula:
         parts = [self.conjunction()]
@@ -87,16 +104,16 @@ class _FormulaParser:
             lex.error("expected a formula")
         if tok[1] == "!":
             lex.take()
-            return Not(self.unary())
+            return Not(self.nested(tok, 1, self.unary))
         if tok[1] == "(":
             lex.take()
-            inner = self.formula()
+            inner = self.nested(tok, 1, self.formula)
             lex.expect(")")
             return inner
         if tok[1] in ("exists", "forall"):
             lex.take()
             names = self.var_names()
-            body = self.formula()
+            body = self.nested(tok, len(names), self.formula)
             node = Exists if tok[1] == "exists" else Forall
             for name in reversed(names):
                 body = node(name, body)
@@ -209,13 +226,6 @@ def _parse_decls(lex: Lexer, declared: dict):
 def parse_mapping(text: str) -> SchemaMapping:
     """Parse the mapping DSL into a schema mapping."""
     lex = Lexer(text, _TOKEN)
-    try:
-        return _read_mapping(lex)
-    except RecursionError:
-        lex.fail(lex.peek(), "formula nested too deeply")
-
-
-def _read_mapping(lex: Lexer) -> SchemaMapping:
     source: dict = {}
     target: dict = {}
     declared: dict = {}
@@ -268,10 +278,7 @@ def parse_formula(text: str, schema: Schema) -> Formula:
     """Parse a standalone formula against one schema (used for queries)."""
     lex = Lexer(text, _TOKEN)
     rels = dict(schema.rels)
-    try:
-        f = _FormulaParser(lex, rels, rels).formula()
-    except RecursionError:
-        lex.fail(lex.peek(), "formula nested too deeply")
+    f = _FormulaParser(lex, rels, rels).formula()
     if lex.peek()[0] != "end":
         lex.error("trailing input after formula")
     return f

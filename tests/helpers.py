@@ -17,7 +17,6 @@ from dx.laconify import (
     _order_type,
     _precon_prime,
     _proper_instantiation,
-    _realized_block_form,
     strict_embeddings,
 )
 from dx.lang import (
@@ -688,6 +687,33 @@ def _ref_order_formula_holds(f: Formula, env: dict) -> bool:
     raise TypeError(f"not an order formula: {f!r}")
 
 
+def _ref_atom_key(atom: RelAtom, cmap: dict, nmap: dict):
+    parts = []
+    for a in atom.args:
+        if isinstance(a, Var):
+            if a.name in cmap:
+                parts.append(("x", cmap[a.name]))
+            else:
+                parts.append(("y", nmap[a.name]))
+        else:
+            parts.append(("k", a.text))
+    return (atom.rel, tuple(parts))
+
+
+def ref_least_form(atoms, cmaps, null_vars) -> tuple:
+    """The least sorted set of atom keys over the constant-variable maps
+    `cmaps` and every numbering of `null_vars` from 1, by trying them
+    all (the oracle for `laconify._least_form`)."""
+    best = None
+    for cmap in cmaps:
+        for nperm in itertools.permutations(null_vars):
+            nmap = {y: j + 1 for j, y in enumerate(nperm)}
+            key = tuple(sorted({_ref_atom_key(a, cmap, nmap) for a in atoms}))
+            if best is None or key < best:
+                best = key
+    return best
+
+
 def ref_side_condition(t: BlockType) -> SideCondition:
     """Order constraint making the type rigid without losing any block.
 
@@ -709,7 +735,7 @@ def ref_side_condition(t: BlockType) -> SideCondition:
         for values in itertools.product(universe, repeat=m):
             if not _ref_order_formula_holds(phi, dict(zip(names, values))):
                 continue
-            form = _realized_block_form(t, values)
+            form = ref_least_form(t.atoms, (dict(zip(names, values)),), t.null_vars)
             prev = first_of_form.setdefault(form, values)
             if prev != values:
                 witness = prev

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dx.cli import main
+from dx.parser import MAX_NESTING
 
 DEMO = pathlib.Path(__file__).resolve().parents[1] / "demo"
 
@@ -127,7 +128,7 @@ def test_certain_answers_print_values_as_fact_files_do(capsys):
 
 
 def test_deeply_nested_formula_is_a_parse_error(capsys, tmp_path, p_a):
-    """Nesting past the recursion limit exits 2 with a positioned message."""
+    """Nesting past the parser's bound exits 2 with a positioned message."""
     mp = tmp_path / "deep.map"
     mp.write_text(
         "source P/1. target T/1.\ntgd: " + "(" * 1000 + "P(x)" + ")" * 1000 + " -> T(x).\n",
@@ -143,6 +144,21 @@ def test_deeply_nested_formula_is_a_parse_error(capsys, tmp_path, p_a):
     )
     assert code == 2
     assert re.fullmatch(r"dx: 1:\d+: formula nested too deeply\n", err)
+
+
+def test_nesting_error_position_depends_only_on_the_text(capsys, tmp_path, p_a):
+    """Every command reports a too-deep formula at the same token: the
+    one that opens level MAX_NESTING + 1, here the `(` of the 51st
+    `(exists y:`, since each opens two levels."""
+    mp = tmp_path / "deep.map"
+    mp.write_text(
+        "source P/1. target T/1.\n\ntgd: P(x) & " + "(exists y: " * 200 + "P(y)" + ")" * 200
+        + " -> T(x).\n",
+        encoding="utf-8",
+    )
+    col = len("tgd: P(x) & ") + len("(exists y: ") * (MAX_NESTING // 2) + 1
+    for argv in (["chase", "-m", str(mp), "-i", p_a], ["emit-sql", "-m", str(mp)]):
+        assert run(capsys, *argv) == (2, "", f"dx: 3:{col}: formula nested too deeply\n")
 
 
 def test_verify_exit_codes(capsys, tmp_path, double_map):

@@ -1,9 +1,11 @@
 import itertools
+import math
 import pathlib
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from helpers import (
     COMPILE_FAMILIES,
     all_instances,
@@ -13,6 +15,7 @@ from helpers import (
     overlap_mapping,
     pair,
     ref_embeddings_between,
+    ref_least_form,
     ref_precondition,
     ref_renamings_between,
     ref_separable_for,
@@ -23,6 +26,7 @@ from helpers import (
 )
 
 from dx.chase import naive_chase, restricted_chase
+from dx.cli import main
 from dx.evaluator import eval_formula
 from dx.lang import (
     And,
@@ -39,6 +43,7 @@ from dx.lang import (
 )
 from dx.laconify import (
     _encode_type,
+    _least_form,
     _separable_for,
     embeddings_between,
     generate_block_types,
@@ -54,11 +59,12 @@ from dx.laconify import (
 )
 from dx.model import (
     Const,
+    Schema,
     compute_core,
     instances_isomorphic,
     is_core,
 )
-from dx.parser import parse_mapping
+from dx.parser import parse_formula, parse_mapping
 from dx.verify import random_mapping, random_source_instance
 
 
@@ -183,6 +189,107 @@ def test_separable_for_matches_reference():
     assert len(outcomes) > 10_000 and 0 < sum(outcomes) < len(outcomes)
 
 
+# -- canonical naming -----------------------------------------------------------
+
+# (constant variables, null variables) whose numberings the brute-force
+# oracle tries in at most 8! steps, up to 9 variables in all
+_SPLITS = [
+    (m, n)
+    for m in range(10)
+    for n in range(10 - m)
+    if 0 < m + n and math.factorial(m) * math.factorial(n) <= math.factorial(8)
+]
+_ARITY = {"U": 1, "S": 2, "T": 3}
+
+
+@st.composite
+def _naming_input(draw):
+    """Atoms over unary, binary and ternary relations with repeated
+    variables and literal constants, the constant and null variables in
+    a drawn order (some may occur in no atom), and maybe a constant map
+    whose values collapse variables, as a side-condition assignment's
+    do.  The null variables then number at most 8."""
+    fixed = draw(st.booleans())
+    m, n = draw(st.sampled_from([(m, n) for m, n in _SPLITS if not fixed or n <= 8]))
+    xs = draw(st.permutations([f"x{i}" for i in range(m)]))
+    ys = draw(st.permutations([f"y{i}" for i in range(n)]))
+    term = st.sampled_from([Var(v) for v in xs + ys] + [Const("a"), Const("b")])
+    atoms = draw(st.lists(
+        st.sampled_from(sorted(_ARITY)).flatmap(
+            lambda rel: st.tuples(st.just(rel), st.lists(term, min_size=_ARITY[rel], max_size=_ARITY[rel]))
+        ),
+        min_size=1, max_size=14,
+    ))
+    atoms = tuple(dict.fromkeys(RelAtom(rel, tuple(args)) for rel, args in atoms))
+    cmap = dict(zip(xs, draw(st.lists(st.integers(0, max(m - 1, 0)), min_size=m, max_size=m)))) if fixed else None
+    return atoms, xs, ys, cmap
+
+
+def _atoms(text):
+    return tuple(parse_formula(text, Schema(_ARITY)).parts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_naming_input())
+# A bound that merges equal keys is not a lower bound, and here it cuts
+# the branch that holds the least form.
+@example((_atoms("S(x0,x1) & S(x1,x2) & S(x2,x1) & U(x2)"), ["x0", "x1", "x2"], [], None))
+# The constant map collapses S(x0,y0) and S(x1,y0) into one atom.
+@example((_atoms("S(x0,y0) & S(x1,y0) & T(x2,y1,y0)"), ["x0", "x1", "x2"], ["y0", "y1"], {"x0": 0, "x1": 0, "x2": 1}))
+def test_least_form_matches_trying_every_numbering(case):
+    atoms, xs, ys, cmap = case
+    if cmap is not None:
+        assert _least_form(atoms, cmap, (), ys) == ref_least_form(atoms, (cmap,), ys)
+    else:
+        cmaps = ({x: i + 1 for i, x in enumerate(perm)} for perm in itertools.permutations(xs))
+        assert _least_form(atoms, {}, xs, ys) == ref_least_form(atoms, cmaps, ys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_naming_input(), st.randoms(use_true_random=False))
+def test_block_type_does_not_depend_on_names_or_order(case, rng):
+    atoms, xs, ys, _cmap = case
+    names = xs + ys
+    fresh = dict(zip(names, rng.sample([f"v{i}" for i in range(20)], len(names))))
+    renamed = [
+        RelAtom(a.rel, tuple(Var(fresh[v.name]) if isinstance(v, Var) else v for v in a.args))
+        for a in atoms
+    ]
+    rng.shuffle(renamed)
+    xs2 = [fresh[x] for x in xs]
+    ys2 = [fresh[y] for y in ys]
+    rng.shuffle(xs2)
+    rng.shuffle(ys2)
+    assert make_block_type(renamed, xs2, ys2) == make_block_type(atoms, xs, ys)
+
+
+_CYCLE_3 = "source P/1. target S/2.\ntgd: P(x) -> exists y0, y1, y2: S(y0,y1) & S(y1,y2) & S(y2,y0).\n"
+_FAN_3 = "source R/3. target S/2.\ntgd: R(x0,x1,x2) -> exists y: S(x0,y) & S(x1,y) & S(x2,y).\n"
+
+
+@pytest.mark.parametrize("command", ["laconify", "blocks"])
+@pytest.mark.parametrize("budget,value,text,message", [
+    ("TYPES_BUDGET", 7, _CYCLE_3,
+     "block types: 8 subsets of one dependency's 3 existential variables exceed the budget of 7"),
+    ("SIDE_CONDITION_BUDGET", 26, _FAN_3,
+     "side conditions: 27 assignments of one type's 3 constant variables exceed the budget of 26"),
+    ("NAMING_BUDGET", 2, _CYCLE_3,
+     "canonical naming: the search for one block's form exceeds the budget of 2 nodes"),
+], ids=["types", "side_condition", "naming"])
+def test_exceeded_budget_exits_2(capsys, monkeypatch, tmp_path, command, budget, value, text, message):
+    """Each exponential phase of the rewriting stops past its budget with
+    a one-line error; the subsets and assignments also run at the limit."""
+    path = tmp_path / "m.map"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(f"dx.laconify.{budget}", value)
+    code = main([command, "-m", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"dx: {message}\n")
+    if budget != "NAMING_BUDGET":
+        monkeypatch.setattr(f"dx.laconify.{budget}", value + 1)
+        assert main([command, "-m", str(path)]) == 0
+
+
 # -- renamings / embeddings / self maps ---------------------------------------
 
 def test_renaming_examples():
@@ -237,7 +344,10 @@ def test_self_maps_examples():
 def _oracle_mappings():
     demo = pathlib.Path(__file__).resolve().parents[1] / "demo"
     for path in sorted(demo.glob("*.map")):
-        yield path.stem, parse_mapping(path.read_text(encoding="utf-8"))
+        # cycle_8's brute-force oracles try 8! null maps (seconds);
+        # the golden files pin its output instead
+        if path.stem != "cycle_8":
+            yield path.stem, parse_mapping(path.read_text(encoding="utf-8"))
     yield "split_pair", split_pair_mapping()
     yield "star_3", star_blowup_mapping(3)
     yield "fan_4", fan_mapping(4)
