@@ -3,9 +3,11 @@
 This is the hot inner loop of the whole engine: a backtracking search
 that maps a pattern (a set of facts whose arguments are integer codes,
 negative codes standing for variables) into a target fact set.  Every
-homomorphism, retraction, core and isomorphism question reduces to calls
-into `find_hom`; the symmetry searches of the laconic rewriting
-(embeddings, renamings, self-maps) enumerate all answers with `homs`.
+homomorphism, retraction and core question reduces to calls into
+`find_hom`; the symmetry searches of the laconic rewriting (embeddings,
+renamings, self-maps) enumerate all answers with `homs`.  Isomorphism
+is not a search here: it compares canonical block forms
+(`model.least_form`).
 
 Encoding convention: argument codes >= 0 are fixed values and must match
 target codes exactly; a code a < 0 denotes variable number (-1 - a).
@@ -18,7 +20,7 @@ order.  Callers that search one fact set many times encode it once.
 from __future__ import annotations
 
 
-def homs(pattern, target, nvars, injective=False, allowed=None, exclude=None):
+def homs(pattern, target, nvars, injective=False, exclude=None):
     """Every assignment of the pattern variables into the target.
 
     pattern: sequence of (relation, args) with int args, negatives = vars.
@@ -27,7 +29,6 @@ def homs(pattern, target, nvars, injective=False, allowed=None, exclude=None):
              maps a code to the rows holding it at `pos`, in that order.
     nvars:   number of distinct variables in the pattern.
     injective: require pairwise-distinct variable values.
-    allowed: optional set of codes variables may take.
     exclude: optional (relation, row): a target row the search skips.
 
     All facts of one relation must have the same arity (callers encode
@@ -97,9 +98,6 @@ def homs(pattern, target, nvars, injective=False, allowed=None, exclude=None):
                     v = -1 - a
                     cur = asn[v]
                     if cur < 0:
-                        if allowed is not None and c not in allowed:
-                            ok = False
-                            break
                         if injective and c in used:
                             ok = False
                             break
@@ -137,9 +135,9 @@ def homs(pattern, target, nvars, injective=False, allowed=None, exclude=None):
             asn[v] = -1
 
 
-def find_hom(pattern, target, nvars, injective=False, allowed=None, exclude=None):
+def find_hom(pattern, target, nvars, injective=False, exclude=None):
     """The first assignment `homs` yields, or None."""
-    return next(homs(pattern, target, nvars, injective, allowed, exclude), None)
+    return next(homs(pattern, target, nvars, injective, exclude), None)
 
 
 def order_pattern(pattern):

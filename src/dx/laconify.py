@@ -44,6 +44,7 @@ from dx.model import (
     Schema,
     blocks,
     is_core,
+    least_form,
 )
 
 SideCondition = Formula
@@ -51,9 +52,10 @@ SideCondition = Formula
 # Budgets on the exponential phases; an input that exceeds one fails with
 # a MappingError instead of running for hours.  Each sits above the
 # largest value that the golden, acceptance and benchmark mappings reach.
+# The canonical naming's budget is `model.NAMING_BUDGET`.
 TYPES_BUDGET = 2**14  # existential-variable subsets of one dependency
 SIDE_CONDITION_BUDGET = 10**5  # constant assignments (m^m) of one type
-NAMING_BUDGET = 10**5  # search nodes of one canonical naming
+PRECONDITION_BUDGET = 10**4  # strict embeddings guarded in one precondition
 
 
 @dataclass(frozen=True)
@@ -94,28 +96,14 @@ class BlockType:
         return exists_all(self.null_vars, conj(self.atoms))
 
 
-def _least_form(atoms, cmap, const_vars, null_vars) -> tuple:
-    """The least sorted set of atom keys `(rel, parts)` over every
-    numbering from 1 of `const_vars` and of `null_vars`.  A part is
-    `("x", n)` for a constant variable, `("y", n)` for a null variable
-    and `("k", text)` for a literal constant; `cmap` fixes the number of
-    each constant variable it names (callers fix all of them or none).
-
-    Branch and bound over partial numberings: numbers go out one
-    variable at a time, constant variables first.  The bound of a
-    partial numbering reads each unnumbered variable as the next free
-    number of its kind, so every completion gives each atom a key at
-    least its bound key, and sorting keeps that order position by
-    position.  Atoms that `cmap` collapses onto one are merged first;
-    then distinct atoms get distinct keys under every numbering, the
-    completed keys sorted are the set, and the bound is at most the
-    completed form.  Children are tried in the order of their bounds,
-    ties in variable order; a child whose bound reaches the best form
-    found is cut with its later siblings.  Variables that occur in no
-    atom take the top numbers, which leaves the form unchanged.
-    """
+def _atom_form(atoms, cmap, const_vars, null_vars) -> tuple:
+    """`least_form` of the atoms over the numberings from 1 of
+    `const_vars` (kind "x") and of `null_vars` (kind "y"), constant
+    variables first.  A literal constant is the part `("k", text)`, and
+    `cmap` fixes the number of each constant variable it names (callers
+    fix all of them or none)."""
     index: dict = {}
-    templates = {}
+    templates = []
     for a in atoms:
         args = []
         for v in a.args:
@@ -125,53 +113,9 @@ def _least_form(atoms, cmap, const_vars, null_vars) -> tuple:
                 args.append(("x", cmap[v.name]))
             else:
                 args.append(index.setdefault(v.name, len(index)))
-        templates[(a.rel, tuple(args))] = None
+        templates.append((a.rel, tuple(args)))
     kinds = {v: "y" for v in null_vars} | {v: "x" for v in const_vars}
-    kind = [kinds[v] for v in index]
-    order = sorted(range(len(index)), key=kind.__getitem__)  # constant variables first
-    nodes = 0
-    best = None
-
-    def form(val):
-        return tuple(sorted(
-            [(rel, tuple([val[a] if a.__class__ is int else a for a in args])) for rel, args in templates]
-        ))
-
-    def search(val, free, n):
-        """Give number n to one of the unnumbered variables `free`."""
-        nonlocal best, nodes
-        k = kind[free[0]]
-        children = []
-        for i in free:
-            if kind[i] != k:
-                break
-            child = val.copy()
-            for j in free:
-                if kind[j] == k:
-                    child[j] = (k, n + 1)
-            child[i] = (k, n)
-            children.append((form(child), i, child))
-        nodes += len(children)
-        if nodes > NAMING_BUDGET:
-            raise MappingError(
-                f"canonical naming: the search for one block's form "
-                f"exceeds the budget of {NAMING_BUDGET} nodes"
-            )
-        children.sort(key=lambda c: c[0])
-        for bound, i, child in children:
-            if best is not None and bound >= best:
-                return
-            rest = [j for j in free if j != i]
-            if rest:
-                search(child, rest, n + 1 if kind[rest[0]] == k else 1)
-            else:
-                best = bound
-
-    val = [(kind[i], 1) for i in range(len(index))]
-    if not order:
-        return form(val)
-    search(val, order, 1)
-    return best
+    return least_form(templates, [kinds[v] for v in index])
 
 
 def make_block_type(atoms, const_vars, null_vars) -> BlockType:
@@ -179,7 +123,7 @@ def make_block_type(atoms, const_vars, null_vars) -> BlockType:
     atoms = tuple(dict.fromkeys(atoms))
     const_vars = tuple(dict.fromkeys(const_vars))
     null_vars = tuple(dict.fromkeys(null_vars))
-    key = _least_form(atoms, {}, const_vars, null_vars)
+    key = _atom_form(atoms, {}, const_vars, null_vars)
     renamed = []
     for rel, parts in key:
         args = []
@@ -532,6 +476,11 @@ def _precondition(t: BlockType, base: Formula, targets) -> Formula:
         for emb in embeddings_between(t, t2, enc):
             if not emb.strict:
                 continue
+            if len(guards) == PRECONDITION_BUDGET:
+                raise MappingError(
+                    f"preconditions: one type's strict embeddings exceed "
+                    f"the budget of {PRECONDITION_BUDGET}"
+                )
             ren = emb.as_dict()
             eqs = [
                 Eq(Var(x), fresh[ren[x]]) for x in t.const_vars
@@ -572,7 +521,7 @@ def _realized_block_form(t: BlockType, values):
     Nulls are canonicalized by minimizing over renamings, so collapsed
     (non-injective) assignments compare correctly.
     """
-    return _least_form(t.atoms, dict(zip(t.const_vars, values)), (), t.null_vars)
+    return _atom_form(t.atoms, dict(zip(t.const_vars, values)), (), t.null_vars)
 
 
 def _order_key(values) -> tuple:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Union
@@ -353,8 +354,9 @@ class Encoding:
                 col.setdefault(row[pos], {})[row] = None
         return col
 
-    def search(self, pattern, *, injective=False, nulls_only=False) -> Optional[dict]:
-        """`match_pattern` against the facts added so far."""
+    def search(self, pattern, *, injective=False) -> Optional[dict]:
+        """`match_pattern` against the facts added so far: one kernel
+        search, `injective` asking for pairwise-distinct values."""
         var_ids: dict = {}
         pat = []
         for rel, args in pattern:
@@ -363,12 +365,7 @@ class Encoding:
                 if isinstance(a, PatternVar) else self.code(a)
                 for a in args
             )))
-        allowed = None
-        if nulls_only:
-            allowed = frozenset(c for c, v in enumerate(self.values) if is_null(v))
-        asn = kernel.find_hom(
-            kernel.order_pattern(pat), self, len(var_ids), injective, allowed
-        )
+        asn = kernel.find_hom(kernel.order_pattern(pat), self, len(var_ids), injective)
         if asn is None:
             return None
         return {var: self.values[asn[idx]] for var, idx in var_ids.items() if asn[idx] >= 0}
@@ -379,7 +376,6 @@ def match_pattern(
     target_facts: Iterable[Fact],
     *,
     injective: bool = False,
-    nulls_only: bool = False,
 ) -> Optional[dict]:
     """Assign pattern variables to target values so that every pattern
     fact becomes a target fact.  Constants and concrete values in the
@@ -388,9 +384,7 @@ def match_pattern(
     `target_facts` come in canonical order (an instance's
     `facts_sorted`), so the search and its result are deterministic.
     """
-    return Encoding(target_facts).search(
-        pattern, injective=injective, nulls_only=nulls_only
-    )
+    return Encoding(target_facts).search(pattern, injective=injective)
 
 
 # ---------------------------------------------------------------------------
@@ -559,67 +553,106 @@ def is_core(j: Instance) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism.
+# Canonical forms and isomorphism.
 
-def _block_signature(block: Instance):
-    return tuple(
-        sorted(
-            (f.rel, tuple(("n",) if is_null(a) else ("c", a.text) for a in f.args))
-            for f in block.facts
-        )
-    )
+NAMING_BUDGET = 10**5  # search nodes of one canonical naming
+
+
+def least_form(templates, kind) -> tuple:
+    """The least sorted set of atom keys `(rel, parts)` over every
+    numbering of the variables, each kind numbered from 1.  A template
+    is `(rel, args)`: an int arg is a variable, and `kind[v]` is the kind
+    of variable v; any other arg is a literal, kept as it is.  Variable v
+    numbered n becomes the part `(kind[v], n)`, so literals must compare
+    with such parts.  Two template sets have equal forms iff a renaming
+    within each kind maps one onto the other.
+
+    Branch and bound over partial numberings: numbers go out one
+    variable at a time, kinds in ascending order.  The bound of a
+    partial numbering reads each unnumbered variable as the next free
+    number of its kind, so every completion gives each template a key
+    at least its bound key, and sorting keeps that order position by
+    position.  Equal templates are merged first; then distinct
+    templates get distinct keys under every numbering, the completed
+    keys sorted are the set, and the bound is at most the completed
+    form.  Children are tried in the order of their bounds, ties in
+    variable order; a child whose bound reaches the best form found is
+    cut with its later siblings.  Past `NAMING_BUDGET` nodes (bounds
+    computed) the search raises a MappingError.
+    """
+    templates = list(dict.fromkeys(templates))
+
+    def form(val):
+        return tuple(sorted(
+            [(rel, tuple([val[a] if a.__class__ is int else a for a in args])) for rel, args in templates]
+        ))
+
+    val = [(k, 1) for k in kind]
+    order = sorted(range(len(kind)), key=kind.__getitem__)
+    if not order:
+        return form(val)
+    nodes = 0
+    best = None
+    stack = [(None, val, order, 1)]  # depth first: the last entry is tried next
+    while stack:
+        bound, val, free, n = stack.pop()
+        if best is not None and bound >= best:
+            continue
+        if not free:
+            best = bound
+            continue
+        k = kind[free[0]]
+        same = [i for i in free if kind[i] == k]
+        nodes += len(same)
+        if nodes > NAMING_BUDGET:
+            raise MappingError(
+                f"canonical naming: the search for one block's form "
+                f"exceeds the budget of {NAMING_BUDGET} nodes"
+            )
+        children = []
+        for i in same:
+            child = val.copy()
+            for j in same:
+                child[j] = (k, n + 1)
+            child[i] = (k, n)
+            children.append((form(child), i, child))
+        children.sort(key=lambda c: c[0])
+        for bound, i, child in reversed(children):
+            rest = [j for j in free if j != i]
+            stack.append((bound, child, rest, n + 1 if rest and kind[rest[0]] == k else 1))
+    return best
+
+
+def _block_forms(inst: Instance) -> Counter:
+    """The multiset of the instance's block forms: nulls are variables
+    of kind 1 (a numbered null `(1, n)` sorts after every constant
+    `(0, text)`, as values do) and constants are literals, so a ground
+    fact is its own form."""
+    enc, rows, null = _encoded(inst)
+    values = enc.values
+    forms: Counter = Counter()
+    for comp in _components(range(len(rows)), rows, null):
+        var: dict = {}
+        templates = [
+            (rel, tuple([var.setdefault(c, len(var)) if null[c] else values[c] for c in row]))
+            for rel, row in (rows[p] for p in comp)
+        ]
+        forms[least_form(templates, [1] * len(var))] += 1
+    return forms
 
 
 def instances_isomorphic(i: Instance, j: Instance) -> bool:
     """Isomorphism test: identity on constants, a bijection on nulls.
 
-    Blocks must map onto blocks, so the search pairs up blocks with
-    matching constant signatures and runs an injective null-to-null
-    match inside each pair.
+    Blocks must map onto blocks, so two instances are isomorphic iff
+    their multisets of block forms (`least_form`) are equal.  Fact,
+    constant and null counts are compared first.
     """
     if i.schema != j.schema:
         raise MappingError("isomorphism requires a common schema")
-    if len(i.facts) != len(j.facts) or len(i.dom) != len(j.dom):
+    if len(i.facts) != len(j.facts) or len(i.nulls) != len(j.nulls) or i.constants != j.constants:
         return False
-    if i.constants != j.constants or len(i.nulls) != len(j.nulls):
-        return False
-    iground = {f for f in i.facts if not any(is_null(a) for a in f.args)}
-    jground = {f for f in j.facts if not any(is_null(a) for a in f.args)}
-    if iground != jground:
-        return False
-    iblocks = [b for b in blocks(i) if b.facts_sorted[0] not in iground]
-    jblocks = [b for b in blocks(j) if b.facts_sorted[0] not in jground]
-    if len(iblocks) != len(jblocks):
-        return False
-    jsigs: dict = {}
-    for idx, b in enumerate(jblocks):
-        jsigs.setdefault(_block_signature(b), []).append(idx)
-
-    def blocks_match(bi: Instance, bj: Instance) -> bool:
-        if len(bi.facts) != len(bj.facts):
-            return False
-        asn = match_pattern(
-            _pattern_of(bi), bj.facts_sorted, injective=True, nulls_only=True
-        )
-        return asn is not None
-
-    taken = [False] * len(jblocks)
-
-    def assign(k: int) -> bool:
-        if k == len(iblocks):
-            return True
-        sig = _block_signature(iblocks[k])
-        for idx in jsigs.get(sig, ()):
-            if taken[idx]:
-                continue
-            if blocks_match(iblocks[k], jblocks[idx]):
-                taken[idx] = True
-                if assign(k + 1):
-                    return True
-                taken[idx] = False
-        return False
-
-    return assign(0)
+    return _block_forms(i) == _block_forms(j)
 
 
 # ---------------------------------------------------------------------------

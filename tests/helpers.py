@@ -298,6 +298,67 @@ def brute_isomorphic(i: Instance, j: Instance) -> bool:
     return False
 
 
+def ref_instances_isomorphic(i: Instance, j: Instance) -> bool:
+    """The block matcher that `instances_isomorphic` replaced with block
+    forms: equal counts and ground facts, then a pairing of the null
+    blocks with equal constant signatures, each pair checked by an
+    injective search of `ref_homs` that sends nulls to nulls only.
+
+    The pairing is greedy where the matcher backtracked: block
+    isomorphism is an equivalence, so a block may take any free block
+    of its class, and backtracking over the choice only multiplied the
+    work on a negative answer (factorially in a class's size)."""
+    from dx import kernel
+    from dx.model import is_null
+
+    if len(i.facts) != len(j.facts) or len(i.dom) != len(j.dom):
+        return False
+    if i.constants != j.constants or len(i.nulls) != len(j.nulls):
+        return False
+    iground = {f for f in i.facts if not any(is_null(a) for a in f.args)}
+    jground = {f for f in j.facts if not any(is_null(a) for a in f.args)}
+    if iground != jground:
+        return False
+    iblocks = [b for b in ref_blocks(i) if b.facts_sorted[0] not in iground]
+    jblocks = [b for b in ref_blocks(j) if b.facts_sorted[0] not in jground]
+    if len(iblocks) != len(jblocks):
+        return False
+
+    def signature(block):
+        return tuple(sorted(
+            (f.rel, tuple(("n",) if is_null(a) else ("c", a.text) for a in f.args))
+            for f in block.facts
+        ))
+
+    def blocks_match(bi, bj) -> bool:
+        codes: dict = {}
+        index: dict = {}
+        for f in bj.facts_sorted:
+            index.setdefault(f.rel, []).append(tuple(codes.setdefault(a, len(codes)) for a in f.args))
+        var: dict = {}
+        pattern = []
+        for f in bi.facts_sorted:
+            if not all(is_null(a) or a in codes for a in f.args):
+                return False
+            pattern.append((f.rel, tuple(
+                -1 - var.setdefault(a, len(var)) if is_null(a) else codes[a] for a in f.args
+            )))
+        nulls = frozenset(c for v, c in codes.items() if is_null(v))
+        return next(ref_homs(kernel.order_pattern(pattern), index, len(var), True, nulls), None) is not None
+
+    jsigs: dict = {}
+    for idx, b in enumerate(jblocks):
+        jsigs.setdefault(signature(b), []).append(idx)
+    taken = [False] * len(jblocks)
+    for bi in iblocks:
+        idx = next((idx for idx in jsigs.get(signature(bi), ())
+                    if not taken[idx] and blocks_match(bi, jblocks[idx])), None)
+        if idx is None:
+            return False
+        taken[idx] = True
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Reference canonical order: the sort keys the engine used before values
 # became tagged tuples whose native order is this one.
@@ -703,7 +764,7 @@ def _ref_atom_key(atom: RelAtom, cmap: dict, nmap: dict):
 def ref_least_form(atoms, cmaps, null_vars) -> tuple:
     """The least sorted set of atom keys over the constant-variable maps
     `cmaps` and every numbering of `null_vars` from 1, by trying them
-    all (the oracle for `laconify._least_form`)."""
+    all (the oracle for `model.least_form`, through `laconify._atom_form`)."""
     best = None
     for cmap in cmaps:
         for nperm in itertools.permutations(null_vars):

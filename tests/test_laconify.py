@@ -42,8 +42,8 @@ from dx.lang import (
     format_formula,
 )
 from dx.laconify import (
+    _atom_form,
     _encode_type,
-    _least_form,
     _separable_for,
     embeddings_between,
     generate_block_types,
@@ -239,10 +239,10 @@ def _atoms(text):
 def test_least_form_matches_trying_every_numbering(case):
     atoms, xs, ys, cmap = case
     if cmap is not None:
-        assert _least_form(atoms, cmap, (), ys) == ref_least_form(atoms, (cmap,), ys)
+        assert _atom_form(atoms, cmap, (), ys) == ref_least_form(atoms, (cmap,), ys)
     else:
         cmaps = ({x: i + 1 for i, x in enumerate(perm)} for perm in itertools.permutations(xs))
-        assert _least_form(atoms, {}, xs, ys) == ref_least_form(atoms, cmaps, ys)
+        assert _atom_form(atoms, {}, xs, ys) == ref_least_form(atoms, cmaps, ys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,24 +269,27 @@ _FAN_3 = "source R/3. target S/2.\ntgd: R(x0,x1,x2) -> exists y: S(x0,y) & S(x1,
 
 @pytest.mark.parametrize("command", ["laconify", "blocks"])
 @pytest.mark.parametrize("budget,value,text,message", [
-    ("TYPES_BUDGET", 7, _CYCLE_3,
+    ("dx.laconify.TYPES_BUDGET", 7, _CYCLE_3,
      "block types: 8 subsets of one dependency's 3 existential variables exceed the budget of 7"),
-    ("SIDE_CONDITION_BUDGET", 26, _FAN_3,
+    ("dx.laconify.SIDE_CONDITION_BUDGET", 26, _FAN_3,
      "side conditions: 27 assignments of one type's 3 constant variables exceed the budget of 26"),
-    ("NAMING_BUDGET", 2, _CYCLE_3,
+    ("dx.laconify.PRECONDITION_BUDGET", 20, _FAN_3,
+     "preconditions: one type's strict embeddings exceed the budget of 20"),
+    ("dx.model.NAMING_BUDGET", 2, _CYCLE_3,
      "canonical naming: the search for one block's form exceeds the budget of 2 nodes"),
-], ids=["types", "side_condition", "naming"])
+], ids=["types", "side_condition", "precondition", "naming"])
 def test_exceeded_budget_exits_2(capsys, monkeypatch, tmp_path, command, budget, value, text, message):
     """Each exponential phase of the rewriting stops past its budget with
-    a one-line error; the subsets and assignments also run at the limit."""
+    a one-line error; the subsets, assignments and embeddings also run
+    at the limit (fan-3 has 21 strict embeddings of its type)."""
     path = tmp_path / "m.map"
     path.write_text(text, encoding="utf-8")
-    monkeypatch.setattr(f"dx.laconify.{budget}", value)
+    monkeypatch.setattr(budget, value)
     code = main([command, "-m", str(path)])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", f"dx: {message}\n")
-    if budget != "NAMING_BUDGET":
-        monkeypatch.setattr(f"dx.laconify.{budget}", value + 1)
+    if budget != "dx.model.NAMING_BUDGET":
+        monkeypatch.setattr(budget, value + 1)
         assert main([command, "-m", str(path)]) == 0
 
 

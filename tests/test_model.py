@@ -1,6 +1,9 @@
 import copy
+import pathlib
 import pickle
+import random
 import re
+from collections import Counter
 
 import pytest
 from helpers import (
@@ -9,11 +12,14 @@ from helpers import (
     brute_isomorphic,
     inst,
     ref_fact_key,
+    ref_instances_isomorphic,
     ref_tokens,
     ref_value_key,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dx.chase import naive_chase
+from dx.laconify import laconify
 from dx.model import (
     _FACT_TOKEN,
     Const,
@@ -30,6 +36,7 @@ from dx.model import (
     format_facts,
     instances_isomorphic,
     is_core,
+    is_null,
     parse_facts,
 )
 from dx.parser import _TOKEN, parse_formula, parse_mapping
@@ -291,6 +298,131 @@ def test_is_core_invariant_under_renaming():
     k = inst(S2, ("S", "a", FreshNull(7)), ("S", "a", FreshNull(9)))
     assert instances_isomorphic(j, k)
     assert is_core(j) == is_core(k)
+
+
+# -- isomorphism by block forms against the block matcher ---------------------
+
+_ISO = Schema({"U": 1, "R": 2, "T": 3})
+_ISO_CONSTS = [Const(c) for c in ("a", "b", "c", "d")]
+
+
+@st.composite
+def _block_copies(draw):
+    """Copies of one to four block shapes: each shape is 1-5 atoms over
+    up to 4 null slots and 2 constant slots, and each copy fills the
+    constant slots from a pool of 4, so many copies share a signature.
+    The copies, as (shape, constants, Skolem or fresh nulls), make
+    20-300 distinct facts."""
+    slot = st.one_of(st.integers(0, 3).map(lambda v: ("n", v)), st.integers(0, 1).map(lambda c: ("c", c)))
+    atom = st.sampled_from(sorted(_ISO.names())).flatmap(
+        lambda rel: st.tuples(st.just(rel), st.lists(slot, min_size=_ISO.arity(rel), max_size=_ISO.arity(rel)))
+    )
+    shapes = draw(st.lists(st.lists(atom, min_size=1, max_size=5), min_size=1, max_size=4))
+    copies = draw(st.lists(
+        st.tuples(st.integers(0, len(shapes) - 1), st.lists(st.sampled_from(_ISO_CONSTS), min_size=2, max_size=2),
+                  st.booleans()),
+        min_size=8, max_size=80,
+    ))
+    assume(20 <= len(_build_copies(shapes, copies, _null_i)) <= 300)
+    return shapes, copies
+
+
+def _null_i(k, v, skolem):
+    return SkolemNull("f", (Const(f"k{k}"), Const(f"v{v}"))) if skolem else FreshNull(8 * k + v + 1)
+
+
+def _null_j(k, v, skolem):
+    return FreshNull(8 * k + v + 1) if skolem else SkolemNull("g", (FreshNull(8 * k + v + 1),))
+
+
+def _build_copies(shapes, copies, null):
+    """The facts of the copies; `null(k, v, skolem)` names null slot v of copy k."""
+    facts = set()
+    for k, (shape, consts, skolem) in enumerate(copies):
+        for rel, args in shapes[shape]:
+            facts.add(Fact(rel, tuple(consts[i] if kind == "c" else null(k, i, skolem) for kind, i in args)))
+    return facts
+
+
+def _perturbed(facts, rng):
+    """One fact changed at one argument: to a constant or a null of the
+    instance, or to a new null."""
+    facts = sorted(facts)
+    old = rng.choice(facts)
+    pos = rng.randrange(len(old.args))
+    pool = sorted({a for f in facts for a in f.args}) + [FreshNull(10**6)]
+    args = list(old.args)
+    args[pos] = rng.choice(pool)
+    return Instance(_ISO, [f for f in facts if f != old] + [Fact(old.rel, tuple(args))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_copies(), st.randoms(use_true_random=False))
+def test_isomorphism_matches_the_block_matcher(case, rng):
+    """Renamed nulls (fresh and Skolem nulls mixed), the copies in
+    another order, so the blocks sort differently, and a one-fact
+    perturbation: block forms answer as the block matcher does."""
+    shapes, copies = case
+    i = Instance(_ISO, _build_copies(shapes, copies, _null_i))
+    swapped = rng.sample(copies, len(copies))
+    j = Instance(_ISO, _build_copies(shapes, swapped, _null_j))
+    assert instances_isomorphic(i, j) and ref_instances_isomorphic(i, j)
+    for _ in range(3):
+        k = _perturbed(j.facts, rng)
+        assert instances_isomorphic(i, k) == ref_instances_isomorphic(i, k)
+        assert instances_isomorphic(k, i) == ref_instances_isomorphic(k, i)
+
+
+def _sparse_pairs(n: int) -> Instance:
+    """n R(x,y) facts over n constants, few of them symmetric."""
+    rng = random.Random(n)
+    rows = {(f"c{k // n}", f"c{k % n}") for k in rng.sample(range(n * n), n)}
+    return Instance(Schema({"R": 2}), [Fact("R", (Const(x), Const(y))) for x, y in rows])
+
+
+def _laconic_chase_and_core(n: int):
+    demo = pathlib.Path(__file__).resolve().parents[1] / "demo"
+    m = parse_mapping((demo / "symmetric_join.map").read_text(encoding="utf-8"))
+    i = _sparse_pairs(n)
+    return naive_chase(laconify(m), i), compute_core(naive_chase(m, i))[0]
+
+
+def test_laconic_chase_is_isomorphic_to_the_core_at_1280_pairs():
+    """About 1,280 blocks; the block matcher's pairing recursed once per
+    block and raised RecursionError here."""
+    lac, core = _laconic_chase_and_core(1280)
+    assert len(blocks(lac)) > 1200
+    assert instances_isomorphic(lac, core)
+
+
+def test_isomorphism_at_5000_blocks_and_after_one_changed_constant():
+    lac, core = _laconic_chase_and_core(5120)
+    assert len(blocks(lac)) >= 5000
+    assert instances_isomorphic(lac, core)
+    # one constant of one block changed to another constant of the
+    # instance: the counts all agree, so only the block forms tell
+    counts = Counter(a for f in lac.facts for a in f.args)
+    old = next(f for f in lac.facts_sorted if counts[f.args[0]] > 1 and is_null(f.args[1]))
+    other = next(c for c in lac.constants if c != old.args[0] and Fact(old.rel, (c, old.args[1])) not in lac.facts)
+    changed = lac.without([old]).with_facts([Fact(old.rel, (other, old.args[1]))])
+    assert (len(changed.facts), changed.constants, len(changed.nulls)) == (
+        len(core.facts), core.constants, len(core.nulls))
+    assert not instances_isomorphic(changed, core)
+
+
+def test_block_past_the_naming_budget_raises(monkeypatch):
+    """Past the naming budget a block raises MappingError, never a wrong
+    answer: a star of 12 interchangeable nulls around a null (its search
+    visits their orderings), and a star of 8 under a budget of 1,000."""
+    def star(n):
+        return inst(R2, *[("R", FreshNull(100), FreshNull(k)) for k in range(1, n + 1)])
+
+    with pytest.raises(MappingError, match="canonical naming"):
+        instances_isomorphic(star(12), star(12))
+    assert instances_isomorphic(star(6), star(6))
+    monkeypatch.setattr("dx.model.NAMING_BUDGET", 1000)
+    with pytest.raises(MappingError, match="exceeds the budget of 1000 nodes"):
+        instances_isomorphic(star(8), star(8))
 
 
 # -- fact files --------------------------------------------------------------
