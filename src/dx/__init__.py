@@ -20,7 +20,6 @@ from dx.evaluator import eval_formula, ground_answers
 from dx.laconify import (
     BlockType,
     generate_block_types,
-    precondition,
     side_condition,
 )
 from dx.lang import (
@@ -99,7 +98,6 @@ __all__ = [
     "parse_facts",
     "parse_formula",
     "parse_mapping",
-    "precondition",
     "random_source_instance",
     "restricted_chase",
     "side_condition",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from dx import kernel
 from dx.lang import (
     Certain,
     Eq,
@@ -45,6 +44,7 @@ from dx.model import (
     blocks,
     is_core,
     least_form,
+    twin_classes,
 )
 
 SideCondition = Formula
@@ -55,7 +55,7 @@ SideCondition = Formula
 # The canonical naming's budget is `model.NAMING_BUDGET`.
 TYPES_BUDGET = 2**14  # existential-variable subsets of one dependency
 SIDE_CONDITION_BUDGET = 10**5  # constant assignments (m^m) of one type
-PRECONDITION_BUDGET = 10**4  # strict embeddings guarded in one precondition
+PRECONDITION_BUDGET = 10**4  # guards (strict embeddings up to symmetry) of one precondition
 
 
 @dataclass(frozen=True)
@@ -259,59 +259,128 @@ def _separable_for(tgd: TGD, kept_atoms, kept_nulls) -> bool:
 
 def _encode_type(t2: BlockType) -> Encoding:
     """t2's canonical instance as a search target: its variables coded
-    in order (constant variables first), one kind row per variable
-    (relation 0 for constant variables, 1 for null variables, never a
-    relation name), then its atoms."""
-    names2 = t2.const_vars + t2.null_vars
+    by position (constant variables first), then its atoms."""
     enc = Encoding()
-    for x in names2:
+    for x in t2.const_vars + t2.null_vars:
         enc.code(Var(x))
-    for k in range(len(names2)):
-        enc.add_row(int(k >= len(t2.const_vars)), (k,))
     for a in dict.fromkeys(t2.atoms):
         enc.add(a)
     return enc
 
 
-def _type_homs(t: BlockType, t2: BlockType, injective: bool = False, enc=None):
+def _twins(t2: BlockType, enc: Encoding) -> list:
+    """`model.twin_classes` of t2's variables, by code in `enc`."""
+    nvars = len(t2.const_vars) + len(t2.null_vars)
+    templates = [
+        (rel, tuple(c if c < nvars else ("k", c) for c in row))
+        for rel, rows in enc.rows.items() for row in rows
+    ]
+    return twin_classes(templates, [k >= len(t2.const_vars) for k in range(nvars)])
+
+
+def _twin_least(codes, twin) -> tuple:
+    """The least tuple that permutations within t2's twin classes make
+    of `codes` (`twin` as `_twins` gives it): each class's codes, in the
+    order they first occur, take the class's codes in increasing order."""
+    members: dict = {}
+    for c, cls in enumerate(twin):
+        members.setdefault(cls, []).append(c)
+    free = {cls: iter(cs) for cls, cs in members.items()}
+    new: dict = {}
+    return tuple([new[c] if c in new else new.setdefault(c, next(free[twin[c]])) for c in codes])
+
+
+def _type_homs(t: BlockType, t2: BlockType, injective: bool = False, enc=None, twin=None):
     """Homomorphisms of t's atoms into t2's canonical instance sending
     constant variables to constant variables and null variables
-    injectively to null variables, as (const map, null map, onto).
+    injectively to null variables, as (codes, onto): the codes in `enc`
+    of the images of t's variables, constant variables first.
 
-    Yielded in the order of their images' positions in t2's variable
-    lists, constant part first (the order of itertools.product over the
-    constant choices times permutations over the null choices).  `onto`
+    The variables of t get values one at a time, each trying t2's
+    variables of its kind in code order, and an atom is checked once its
+    last variable has one; so the homomorphisms come out one by one, in
+    increasing order of their codes, with none listed ahead.  `onto`
     tells whether every atom of t2 is hit.  `injective` also makes the
     constant part injective.  `enc` is `_encode_type(t2)`, when the
     caller searches it more than once; the search adds no code to it.
+
+    Given t2's `_twins`, only the twin-lex-leaders come out: of two
+    twins, the first (in code order) has the smaller least preimage, an
+    unused one counting as past the end.  They are the homomorphisms
+    that are least among their images under permutations within the
+    twin classes (`_twin_least` of each is itself).  A value is first
+    taken only after its previous twin, so no other one is listed.
     """
     if enc is None:
         enc = _encode_type(t2)
-    names2 = t2.const_vars + t2.null_vars
-    m = len(t.const_vars)
-    var_ids = {Var(x): -1 - k for k, x in enumerate(t.const_vars + t.null_vars)}
+    rows = enc.rows
+    m, m2 = len(t.const_vars), len(t2.const_vars)
+    kinds = (range(m2), range(m2, m2 + len(t2.null_vars)))
+    index = {x: k for k, x in enumerate(t.const_vars + t.null_vars)}
+    nvars = len(index)
     atoms = []
-    for a in t.atoms:
-        args = tuple(var_ids[v] if isinstance(v, Var) else enc.codes.get(v) for v in a.args)
-        if None in args:
-            return  # a literal constant that t2 lacks
+    checks: list = [[] for _ in range(nvars)]  # atoms by their last variable
+    for a in dict.fromkeys(t.atoms):
+        args = tuple(-1 - index[v.name] if isinstance(v, Var) else enc.codes.get(v) for v in a.args)
+        if None in args or a.rel not in rows:
+            return  # a literal constant or a relation that t2 lacks
         atoms.append((a.rel, args))
-    kinds = [(int(k >= m), (v,)) for k, v in enumerate(var_ids.values())]
-    ntargets = len(dict.fromkeys(t2.atoms))
-    found = []
-    for asn in kernel.homs(kernel.order_pattern(atoms + kinds), enc, len(var_ids), injective):
-        if len(set(asn[m:])) < len(asn) - m:
+        last = max([-1 - c for c in args if c < 0], default=-1)
+        if last >= 0:
+            checks[last].append((a.rel, args))
+        elif args not in rows[a.rel]:
+            return
+    ntargets = sum(map(len, rows.values()))
+    prev = [-1] * (m2 + len(kinds[1]))  # the previous twin of each code
+    if twin is not None:
+        latest: dict = {}
+        for c, cls in enumerate(twin):
+            prev[c] = latest.get(cls, -1)
+            latest[cls] = c
+    asn = [-1] * nvars
+    used = [0] * len(prev)  # how many of the variables before have each value
+
+    def image_size():
+        return len({(rel, tuple([c if c >= 0 else asn[-1 - c] for c in args])) for rel, args in atoms})
+
+    if not nvars:
+        yield (), image_size() == ntargets
+        return
+    its = [iter(kinds[k >= m]) for k in range(nvars)]
+    k = 0
+    while True:
+        for c in its[k]:
+            if used[c]:
+                if k >= m or injective:
+                    continue
+            elif prev[c] >= 0 and not used[prev[c]]:
+                continue
+            asn[k] = c
+            if all(
+                tuple([d if d >= 0 else asn[-1 - d] for d in args]) in rows[rel]
+                for rel, args in checks[k]
+            ):
+                break
+        else:  # no value left: back to the previous variable
+            k -= 1
+            if k < 0:
+                return
+            used[asn[k]] -= 1
             continue
-        image = {(rel, tuple(c if c >= 0 else asn[-1 - c] for c in args)) for rel, args in atoms}
-        found.append((asn, len(image) == ntargets))
-    found.sort()
-    for asn, onto in found:
-        images = [names2[c] for c in asn]
-        yield (
-            dict(zip(t.const_vars, images[:m])),
-            dict(zip(t.null_vars, images[m:])),
-            onto,
-        )
+        if k + 1 == nvars:
+            yield tuple(asn), image_size() == ntargets
+            continue
+        used[c] += 1
+        k += 1
+        its[k] = iter(kinds[k >= m])
+
+
+def _maps(t: BlockType, t2: BlockType, codes) -> tuple:
+    """The const map and null map of t's variables that `codes` give."""
+    names2 = t2.const_vars + t2.null_vars
+    images = [names2[c] for c in codes]
+    m = len(t.const_vars)
+    return dict(zip(t.const_vars, images[:m])), dict(zip(t.null_vars, images[m:]))
 
 
 def renamings_between(t: BlockType, t2: BlockType) -> list:
@@ -319,7 +388,10 @@ def renamings_between(t: BlockType, t2: BlockType) -> list:
     null variables mapping the atom set onto the atom set."""
     if len(t.const_vars) != len(t2.const_vars) or len(t.null_vars) != len(t2.null_vars):
         return []
-    return [{**cmap, **nmap} for cmap, nmap, onto in _type_homs(t, t2, injective=True) if onto]
+    return [
+        {**cmap, **nmap}
+        for cmap, nmap in (_maps(t, t2, codes) for codes, onto in _type_homs(t, t2, injective=True) if onto)
+    ]
 
 
 def renaming_between(t: BlockType, t2: BlockType):
@@ -338,16 +410,16 @@ class Embedding:
         return dict(self.const_map) | dict(self.null_map)
 
 
-def embeddings_between(t: BlockType, t2: BlockType, enc=None) -> list:
+def embeddings_between(t: BlockType, t2: BlockType) -> list:
     """All embeddings of t into t2: constant variables map (not
     necessarily injectively) into constant variables, null variables
     injectively into null variables, atoms land on atoms.  The strict
-    flag marks embeddings whose image misses some atom of t2.  `enc` is
-    as for `_type_homs`."""
-    return [
-        Embedding(tuple(sorted(cmap.items())), tuple(sorted(nmap.items())), strict=not onto)
-        for cmap, nmap, onto in _type_homs(t, t2, enc=enc)
-    ]
+    flag marks embeddings whose image misses some atom of t2."""
+    out = []
+    for codes, onto in _type_homs(t, t2):
+        cmap, nmap = _maps(t, t2, codes)
+        out.append(Embedding(tuple(sorted(cmap.items())), tuple(sorted(nmap.items())), strict=not onto))
+    return out
 
 
 def strict_embeddings(t: BlockType, t2: BlockType) -> list:
@@ -357,7 +429,7 @@ def strict_embeddings(t: BlockType, t2: BlockType) -> list:
 def self_maps(t: BlockType) -> list:
     """All substitutions (constant part arbitrary, null part bijective)
     mapping the atom set onto exactly itself; includes the identity."""
-    return [(cmap, nmap) for cmap, nmap, onto in _type_homs(t, t) if onto]
+    return [_maps(t, t, codes) for codes, onto in _type_homs(t, t) if onto]
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +488,11 @@ def _fact_equality(a1: RelAtom, a2: RelAtom, null_vars) -> Formula | None:
     return conj(eqs)
 
 
-def _proper_instantiation(t: BlockType, t2: BlockType, emb: Embedding) -> Formula:
-    """Condition (over t2's constant variables) under which the embedded
-    image of t is a proper sub-block of t2's realization.  A strict
-    embedding can degenerate when identifying constants makes the
-    missing atoms coincide with image atoms."""
-    ren = emb.as_dict()
+def _proper_instantiation(t: BlockType, t2: BlockType, ren: dict) -> Formula:
+    """Condition (over t2's constant variables) under which the image of
+    t under the embedding `ren` is a proper sub-block of t2's
+    realization.  A strict embedding can degenerate when identifying
+    constants makes the missing atoms coincide with image atoms."""
     image = list(
         dict.fromkeys(
             RelAtom(
@@ -444,51 +515,61 @@ def _proper_instantiation(t: BlockType, t2: BlockType, emb: Embedding) -> Formul
 
 
 def preconditions(types, m: SchemaMapping) -> list:
-    """`precondition(t, types, m)` for every t in `types`, in order.
+    """For every t in `types`, in order, a formula over the source (free
+    variables: t's constant variables) holding at exactly the tuples
+    where t is realized in the core universal solution.
 
-    Each type's `_precon_prime`, its copy over v1..vm and its encoding
-    are built once, however many types embed into it."""
+    Each type's `_precon_prime`, its copy over v1..vm, its encoding and
+    its symmetries are built once, however many types embed into it."""
     primes = [_precon_prime(t, m) for t in types]
     targets = [_guard_target(t2, prime) for t2, prime in zip(types, primes)]
-    return [_precondition(t, prime, targets) for t, prime in zip(types, primes)]
-
-
-def precondition(t: BlockType, types, m: SchemaMapping) -> Formula:
-    """Formula over the source (free variables: t's constant variables)
-    holding at exactly the tuples where t is realized in the core
-    universal solution."""
-    targets = [_guard_target(t2, _precon_prime(t2, m)) for t2 in types]
-    return _precondition(t, _precon_prime(t, m), targets)
+    return [precondition(t, prime, targets) for t, prime in zip(types, primes)]
 
 
 def _guard_target(t2: BlockType, prime: Formula):
-    """What a guard against t2 needs: t2, its encoding, the renaming of
-    its constant variables to v1..vm, and its `_precon_prime` renamed."""
+    """What a guard against t2 needs: t2, its encoding, its `_twins`, its
+    automorphisms that are twin-lex-leaders but the identity, the
+    renaming of its constant variables to v1..vm, and its
+    `_precon_prime` renamed.  Every automorphism is one of those (or the
+    identity) followed by a permutation within the twin classes."""
+    enc = _encode_type(t2)
+    twin = _twins(t2, enc)
+    autos = [codes for codes, onto in _type_homs(t2, t2, True, enc, twin) if onto]
     fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
-    return t2, _encode_type(t2), fresh, substitute(prime, fresh)
+    return t2, enc, twin, autos[1:], fresh, substitute(prime, fresh)
 
 
-def _precondition(t: BlockType, base: Formula, targets) -> Formula:
-    """`base` (t's `_precon_prime`), guarded by one negated guard per
-    strict embedding of t into a target type."""
+def precondition(t: BlockType, base: Formula, targets) -> Formula:
+    """t's precondition: `base` (t's `_precon_prime`), guarded by one
+    negated guard per orbit of t2's automorphisms on the strict
+    embeddings of t into t2, for each type t2 of `targets` (as
+    `_guard_target` builds them).  Embeddings that differ by an automorphism σ of t2
+    give guards equal up to renaming v1..vm by σ, so only the least
+    embedding of each orbit (by the codes of its images) is kept.
+
+    `_type_homs` lists only the embeddings least under t2's twin
+    permutations; one is the least of its orbit iff no other automorphism
+    followed by the twin permutation making it least (`_twin_least`)
+    gives a smaller one.  For fan-k and the symmetric join every
+    automorphism permutes twins, so the twin-lex-leaders are the orbits:
+    fan-k gets B(k) - 1 guards (B the Bell numbers), not k^k - k!.  The
+    guards are counted against `PRECONDITION_BUDGET` as they are found."""
     guards = []
-    for t2, enc, fresh, prime in targets:
-        for emb in embeddings_between(t, t2, enc):
-            if not emb.strict:
+    for t2, enc, twin, autos, fresh, prime in targets:
+        for codes, onto in _type_homs(t, t2, enc=enc, twin=twin):
+            if onto or any(_twin_least([a[c] for c in codes], twin) < codes for a in autos):
                 continue
             if len(guards) == PRECONDITION_BUDGET:
                 raise MappingError(
-                    f"preconditions: one type's strict embeddings exceed "
-                    f"the budget of {PRECONDITION_BUDGET}"
+                    f"preconditions: one type's strict embeddings up to symmetry "
+                    f"exceed the budget of {PRECONDITION_BUDGET}"
                 )
-            ren = emb.as_dict()
-            eqs = [
-                Eq(Var(x), fresh[ren[x]]) for x in t.const_vars
-            ]
+            cmap, nmap = _maps(t, t2, codes)
+            eqs = [Eq(Var(x), fresh[cmap[x]]) for x in t.const_vars]
             inner = conj(
                 eqs
                 + [prime]
-                + [substitute(_proper_instantiation(t, t2, emb), fresh)]
+                + [substitute(_proper_instantiation(t, t2, cmap | nmap), fresh)]
             )
             guards.append(
                 Not(exists_all([v.name for v in fresh.values()], inner))

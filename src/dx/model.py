@@ -558,6 +558,43 @@ def is_core(j: Instance) -> bool:
 NAMING_BUDGET = 10**5  # search nodes of one canonical naming
 
 
+def twin_classes(templates, kind) -> list:
+    """The least variable of each variable's twin class, templates as
+    for `least_form`.  Two variables of one kind are twins when swapping
+    them maps the template set onto itself.  Being twins is an
+    equivalence (the swap (u w) is (u v)(v w)(u v)), so every
+    permutation within a class maps the set onto itself too: the leaves
+    of a star and fan-k's constant variables are classes, a cycle's
+    rotations are not swaps."""
+    templates = set(templates)
+    occurs: list = [[] for _ in kind]
+    for tpl in templates:
+        for a in set(tpl[1]):
+            if a.__class__ is int:
+                occurs[a].append(tpl)
+
+    def swapped(tpl, u, v):
+        return tpl[0], tuple(
+            (v if a == u else u if a == v else a) if a.__class__ is int else a for a in tpl[1]
+        )
+
+    least = list(range(len(kind)))
+    heads: dict = {}  # kind -> the least variable of each class so far
+    for v in range(len(kind)):
+        same = heads.setdefault(kind[v], [])
+        # with equal occurrence counts, a swap that maps u's templates
+        # into the set maps v's onto u's
+        u = next((
+            u for u in same
+            if len(occurs[u]) == len(occurs[v]) and all(swapped(tpl, u, v) in templates for tpl in occurs[u])
+        ), None)
+        if u is None:
+            same.append(v)
+        else:
+            least[v] = u
+    return least
+
+
 def least_form(templates, kind) -> tuple:
     """The least sorted set of atom keys `(rel, parts)` over every
     numbering of the variables, each kind numbered from 1.  A template
@@ -575,9 +612,12 @@ def least_form(templates, kind) -> tuple:
     position.  Equal templates are merged first; then distinct
     templates get distinct keys under every numbering, the completed
     keys sorted are the set, and the bound is at most the completed
-    form.  Children are tried in the order of their bounds, ties in
-    variable order; a child whose bound reaches the best form found is
-    cut with its later siblings.  Past `NAMING_BUDGET` nodes (bounds
+    form.  Of the unnumbered variables of one twin class
+    (`twin_classes`) only the first is tried next: swapping it with
+    another is a symmetry of the templates, so both subtrees hold the
+    same forms.  Children are tried in the order of their bounds, ties
+    in variable order; a child whose bound reaches the best form found
+    is cut with its later siblings.  Past `NAMING_BUDGET` nodes (bounds
     computed) the search raises a MappingError.
     """
     templates = list(dict.fromkeys(templates))
@@ -591,6 +631,8 @@ def least_form(templates, kind) -> tuple:
     order = sorted(range(len(kind)), key=kind.__getitem__)
     if not order:
         return form(val)
+    # each variable is its own class when no two share a kind
+    twin = twin_classes(templates, kind) if len(set(kind)) < len(kind) else range(len(kind))
     nodes = 0
     best = None
     stack = [(None, val, order, 1)]  # depth first: the last entry is tried next
@@ -603,14 +645,17 @@ def least_form(templates, kind) -> tuple:
             continue
         k = kind[free[0]]
         same = [i for i in free if kind[i] == k]
-        nodes += len(same)
+        tried: dict = {}
+        for i in same:
+            tried.setdefault(twin[i], i)
+        nodes += len(tried)
         if nodes > NAMING_BUDGET:
             raise MappingError(
                 f"canonical naming: the search for one block's form "
                 f"exceeds the budget of {NAMING_BUDGET} nodes"
             )
         children = []
-        for i in same:
+        for i in tried.values():
             child = val.copy()
             for j in same:
                 child[j] = (k, n + 1)

@@ -599,9 +599,11 @@ class Planner:
 
     def _distinct(self, parts) -> list:
         """The conjuncts, of negations equal up to the names of their
-        quantified variables only the first: a precondition's guards for
-        embeddings that differ by a symmetry of the block are such
-        negations."""
+        quantified variables only the first.  Guards for embeddings that
+        differ by a symmetry of the block are such negations.
+        `laconify` already emits one guard per orbit of those
+        symmetries; a mapping that spells out every embedding's guard
+        still collapses here to the same plan."""
         if sum(p.kind == "not" for p in parts) < 2:
             return list(parts)
         seen: dict = {}

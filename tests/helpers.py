@@ -17,7 +17,8 @@ from dx.laconify import (
     _order_type,
     _precon_prime,
     _proper_instantiation,
-    strict_embeddings,
+    generate_block_types,
+    side_condition,
 )
 from dx.lang import (
     TRUE,
@@ -32,9 +33,11 @@ from dx.lang import (
     Or,
     RelAtom,
     SchemaMapping,
+    TGD,
     TrueF,
     Var,
     conj,
+    decompose,
     exists_all,
     free_vars,
     mapping_certain_free,
@@ -222,7 +225,6 @@ def check_rigid_and_safe(t) -> list:
     """Brute-force check of a type's side condition over |const_vars|
     ordered constants; returns a list of violation descriptions."""
     from dx.evaluator import holds
-    from dx.laconify import side_condition
 
     phi = side_condition(t)
     m = len(t.const_vars)
@@ -1141,32 +1143,50 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     return UnfoldedRewriting(free, tuple(disjuncts))
 
 
-def ref_precondition(t: BlockType, types, m: SchemaMapping) -> Formula:
+def ref_precondition(t: BlockType, types, m: SchemaMapping, up_to_symmetry: bool = False) -> Formula:
     """Formula over the source (free variables: t's constant variables)
     holding at exactly the tuples where t is realized in the core
-    universal solution."""
+    universal solution: one guard per strict embedding of t into a type
+    t2.  With `up_to_symmetry`, of the embeddings that automorphisms of
+    t2 map onto each other only the first is guarded."""
     base = _precon_prime(t, m)
     guards = []
     for t2 in types:
-        embeddings = strict_embeddings(t, t2)
+        embeddings = [e for e in ref_embeddings_between(t, t2) if e.strict]
         if not embeddings:
             continue
+        autos = ref_renamings_between(t2, t2) if up_to_symmetry else []
+        seen = set()
         fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
         prime = substitute(_precon_prime(t2, m), fresh)
         for emb in embeddings:
             ren = emb.as_dict()
+            if tuple(sorted(ren.items())) in seen:
+                continue
+            seen.update(tuple(sorted((v, a[w]) for v, w in ren.items())) for a in autos)
             eqs = [
                 Eq(Var(x), fresh[ren[x]]) for x in t.const_vars
             ]
             inner = conj(
                 eqs
                 + [prime]
-                + [substitute(_proper_instantiation(t, t2, emb), fresh)]
+                + [substitute(_proper_instantiation(t, t2, ren), fresh)]
             )
             guards.append(
                 Not(exists_all([v.name for v in fresh.values()], inner))
             )
     return conj([base] + guards)
+
+
+def ref_laconify(m: SchemaMapping) -> SchemaMapping:
+    """`laconify` with `ref_precondition`'s guards, one per strict
+    embedding."""
+    md = decompose(m)
+    types = generate_block_types(md)
+    return SchemaMapping(m.source, m.target, tuple(
+        TGD(conj([ref_precondition(t, types, md), side_condition(t)]), t.null_vars, t.atoms)
+        for t in types
+    ))
 
 
 # ---------------------------------------------------------------------------

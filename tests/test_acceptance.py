@@ -37,7 +37,7 @@ from dx.laconify import (
     generate_block_types,
     laconify,
     make_block_type,
-    precondition,
+    preconditions,
     renaming_between,
     self_maps,
 )
@@ -126,8 +126,9 @@ def test_criterion_03_overlap_types_and_preconditions_exact():
         (t3, conj([RelAtom("Q", x), RelAtom("P", x)])),
     ]
     checked = 0
+    pres = dict(zip(types, preconditions(types, md)))
     for t, want in expected:
-        pre = precondition(t, types, md)
+        pre = pres[t]
         for i in all_instances(md.source, "abcd"):
             assert eval_formula(pre, i, ("x1",)) == eval_formula(want, i, ("x1",))
             checked += 1

@@ -32,11 +32,6 @@ tgd: P3(x) -> Pp3(x).
 tgd: Q(x) -> exists y0, y1, y2, y3: R(x,y0) & R(y1,y0) & Pp1(y1) & R(y2,y0) & Pp2(y2) & R(y3,y0) & Pp3(y3).
 """
 
-FAN_4 = """source R/4.
-target S/2.
-tgd: R(x0,x1,x2,x3) -> exists y: S(x0,y) & S(x1,y) & S(x2,y) & S(x3,y).
-"""
-
 FAN_5 = """source R/5.
 target S/2.
 tgd: R(x0,x1,x2,x3,x4) -> exists y: S(x0,y) & S(x1,y) & S(x2,y) & S(x3,y) & S(x4,y).
@@ -52,7 +47,7 @@ MAPPINGS = {
     "overlap": (DEMO / "overlap.map").read_text(encoding="utf-8"),
     "symmetric_join": (DEMO / "symmetric_join.map").read_text(encoding="utf-8"),
     "star_3": STAR_3,
-    "fan_4": FAN_4,
+    "fan_4": (DEMO / "fan_4.map").read_text(encoding="utf-8"),
     "pure_5_cycle": PURE_5_CYCLE,
     "fan_5": FAN_5,
     "pure_8_cycle": (DEMO / "cycle_8.map").read_text(encoding="utf-8"),
@@ -93,7 +88,7 @@ ELIMINATED = sorted(GOLDEN.glob("*.eliminate.txt.gz"))
 @pytest.mark.parametrize("path", ELIMINATED, ids=[p.name.split(".")[0] for p in ELIMINATED])
 def test_eliminated_mapping_reads_back(path):
     """The flat mappings `dx laconify --eliminate-certain` prints parse
-    back to themselves; fan_4's 2.8 MB is the reader's largest input."""
+    back to themselves; fan_4's 182 KB is the reader's largest input."""
     text = gzip.decompress(path.read_bytes()).decode("utf-8")
     assert format_mapping(parse_mapping(text)) == text
 

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from helpers import (
     COMPILE_FAMILIES,
     all_instances,
@@ -30,6 +30,7 @@ from dx.cli import main
 from dx.evaluator import eval_formula
 from dx.lang import (
     And,
+    Exists,
     Lt,
     Not,
     Or,
@@ -40,16 +41,20 @@ from dx.lang import (
     conj,
     decompose,
     format_formula,
+    substitute,
 )
 from dx.laconify import (
     _atom_form,
     _encode_type,
+    _guard_target,
     _separable_for,
+    _twin_least,
+    _twins,
+    _type_homs,
     embeddings_between,
     generate_block_types,
     laconify,
     make_block_type,
-    precondition,
     preconditions,
     renaming_between,
     renamings_between,
@@ -273,15 +278,17 @@ _FAN_3 = "source R/3. target S/2.\ntgd: R(x0,x1,x2) -> exists y: S(x0,y) & S(x1,
      "block types: 8 subsets of one dependency's 3 existential variables exceed the budget of 7"),
     ("dx.laconify.SIDE_CONDITION_BUDGET", 26, _FAN_3,
      "side conditions: 27 assignments of one type's 3 constant variables exceed the budget of 26"),
-    ("dx.laconify.PRECONDITION_BUDGET", 20, _FAN_3,
-     "preconditions: one type's strict embeddings exceed the budget of 20"),
+    ("dx.laconify.PRECONDITION_BUDGET", 3, _FAN_3,
+     "preconditions: one type's strict embeddings up to symmetry exceed the budget of 3"),
     ("dx.model.NAMING_BUDGET", 2, _CYCLE_3,
      "canonical naming: the search for one block's form exceeds the budget of 2 nodes"),
 ], ids=["types", "side_condition", "precondition", "naming"])
 def test_exceeded_budget_exits_2(capsys, monkeypatch, tmp_path, command, budget, value, text, message):
     """Each exponential phase of the rewriting stops past its budget with
-    a one-line error; the subsets, assignments and embeddings also run
-    at the limit (fan-3 has 21 strict embeddings of its type)."""
+    a one-line error; the subsets, assignments and guards also run at
+    the limit (fan-3's type has 4 guards: its 21 strict embeddings into
+    itself fall into 4 orbits, one per partition of its 3 constant
+    variables into at most 2 blocks)."""
     path = tmp_path / "m.map"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(budget, value)
@@ -417,8 +424,9 @@ def test_overlap_preconditions_semantically_exact():
         id(t2): conj([RelAtom("Q", x), Not(RelAtom("P", x))]),
         id(t3): conj([RelAtom("Q", x), RelAtom("P", x)]),
     }
+    pres = dict(zip(types, preconditions(types, m)))
     for t in (t1, t2, t3):
-        pre = precondition(t, types, m)
+        pre = pres[t]
         for i in all_instances(m.source, "abcd"):
             assert eval_formula(pre, i, ("x1",)) == eval_formula(
                 expected[id(t)], i, ("x1",)
@@ -429,7 +437,7 @@ def test_ground_type_precondition_degenerates_to_antecedent():
     m = parse_mapping("source R/2. target S/2. tgd: R(x,y) -> S(x,y).")
     types = generate_block_types(m)
     (t,) = types
-    pre = precondition(t, types, m)
+    (pre,) = preconditions(types, m)
     for i in all_instances(m.source, "abc"):
         got = eval_formula(pre, i, t.const_vars)
         want = eval_formula(RelAtom("R", (Var("x1"), Var("x2"))), i, ("x1", "x2"))
@@ -440,11 +448,12 @@ def test_ground_type_precondition_degenerates_to_antecedent():
 
 
 def _check_preconditions(m):
+    """One guard per orbit of t2's automorphisms on the strict
+    embeddings: the all-embeddings reference, deduplicated by them."""
     md = decompose(m)
     types = generate_block_types(md)
-    want = [ref_precondition(t, types, md) for t in types]
+    want = [ref_precondition(t, types, md, up_to_symmetry=True) for t in types]
     assert preconditions(types, md) == want
-    assert [precondition(t, types, md) for t in types] == want
 
 
 @pytest.mark.parametrize("name", sorted(COMPILE_FAMILIES))
@@ -476,7 +485,7 @@ def test_laconify_builds_each_precon_prime_once(monkeypatch):
 
 def test_shared_type_encoding_gains_no_codes():
     """A literal constant of t that t2 lacks adds no code to t2's shared
-    encoding, and the searches still equal the reference ones."""
+    encoding, and the search on it still equals the reference one."""
     x, y = Var("x"), Var("y")
     types = [
         make_block_type([RelAtom("S", (x, Const("k"))), RelAtom("S", (x, y))], ["x"], ["y"]),
@@ -488,8 +497,110 @@ def test_shared_type_encoding_gains_no_codes():
         enc = _encode_type(t2)
         codes = list(enc.values)
         for t in types:
-            assert embeddings_between(t, t2, enc) == ref_embeddings_between(t, t2), (t, t2)
+            assert list(_type_homs(t, t2, enc=enc)) == list(_type_homs(t, t2)), (t, t2)
+            assert embeddings_between(t, t2) == ref_embeddings_between(t, t2), (t, t2)
         assert enc.values == codes
+
+
+@st.composite
+def _symmetric_types(draw):
+    """(t, t2): t2's atoms closed under a drawn permutation of its
+    constant and of its null variables, so t2 has twins (a swap), other
+    symmetries (a longer cycle) or both, and t a nonempty subset of
+    them, so that t embeds into t2."""
+    xs = [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    ys = [f"y{i}" for i in range(draw(st.integers(0, 3)))]
+    assume(xs or ys)
+    term = st.sampled_from([Var(v) for v in xs + ys] + [Const("a")])
+    atoms = draw(st.lists(
+        st.sampled_from(sorted(_ARITY)).flatmap(
+            lambda rel: st.tuples(st.just(rel), st.lists(term, min_size=_ARITY[rel], max_size=_ARITY[rel]))
+        ),
+        min_size=1, max_size=4,
+    ))
+    perm = dict(zip(xs, draw(st.permutations(xs)))) | dict(zip(ys, draw(st.permutations(ys))))
+    closed = {RelAtom(rel, tuple(args)) for rel, args in atoms}
+    while True:
+        more = closed | {substitute(a, {v: Var(w) for v, w in perm.items()}) for a in closed}
+        if more == closed:
+            break
+        closed = more
+    closed = sorted(closed, key=repr)
+    sub = draw(st.lists(st.sampled_from(closed), min_size=1, unique=True))
+
+    def make(atoms):
+        used = {v.name for a in atoms for v in a.args if isinstance(v, Var)}
+        return make_block_type(atoms, [x for x in xs if x in used], [y for y in ys if y in used])
+
+    return make(sub), make(closed)
+
+
+# Two hubs with two twin constants each, swapped with their hubs: half
+# the automorphisms are no twin permutations.
+_HUBS = "S(x0,y0) & S(x1,y0) & S(x2,y1) & S(x3,y1) & S(y0,y1) & S(y1,y0)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_types())
+@example((
+    make_block_type(_atoms("S(x0,y0) & S(y0,y1)"), ["x0"], ["y0", "y1"]),
+    make_block_type(_atoms(_HUBS), ["x0", "x1", "x2", "x3"], ["y0", "y1"]),
+))
+def test_twin_rule_keeps_every_orbits_least_embedding(types):
+    """The twin rule lists exactly the homomorphisms least under
+    permutations within t2's twin classes, and so keeps the least
+    homomorphism of every orbit of t2's automorphisms: the pruned list,
+    filtered by the full group, equals the unpruned list filtered by it.
+    The precondition's filter, which uses only the automorphisms that
+    are twin-lex-leaders, keeps the same ones."""
+    t, t2 = types
+    enc = _encode_type(t2)
+    twin = _twins(t2, enc)
+    group = [codes for codes, onto in _type_homs(t2, t2, True, enc) if onto]
+
+    def least_of_orbit(codes):
+        return min(tuple(a[c] for c in codes) for a in group) == codes
+
+    full = [codes for codes, _onto in _type_homs(t, t2, enc=enc)]
+    pruned = [codes for codes, _onto in _type_homs(t, t2, enc=enc, twin=twin)]
+    assert pruned == [codes for codes in full if _twin_least(codes, twin) == codes]
+    assert [c for c in pruned if least_of_orbit(c)] == [c for c in full if least_of_orbit(c)]
+    _t2, _enc, _twin, autos, _fresh, _prime = _guard_target(t2, TRUE)
+    kept = [c for c in pruned if not any(_twin_least([a[d] for d in c], twin) < c for a in autos)]
+    assert kept == [c for c in full if least_of_orbit(c)]
+    # every automorphism is a twin-lex-leader one after a twin permutation
+    assert len(group) == (len(autos) + 1) * math.prod(
+        math.factorial(n) for n in Counter(twin).values()
+    )
+
+
+@pytest.mark.parametrize("k,bell", [(3, 5), (4, 15), (5, 52), (6, 203)])
+def test_fan_guards_one_per_partition(k, bell):
+    """fan-k's constant variables are twins and its every automorphism
+    permutes them, so its type gets one guard per partition of them
+    into fewer than k blocks: B(k) - 1, not k^k - k! strict embeddings;
+    and the twin rule lists only those."""
+    md = decompose(fan_mapping(k))
+    (t,) = generate_block_types(md)
+    enc = _encode_type(t)
+    _t2, _enc, twin, autos, _fresh, _prime = _guard_target(t, TRUE)
+    assert autos == []
+    assert sum(1 for _codes, onto in _type_homs(t, t, enc=enc, twin=twin) if not onto) == bell - 1
+    (pre,) = preconditions((t,), md)
+    assert sum(isinstance(p, Not) and isinstance(p.body, Exists) and p.body.var == "v1" for p in pre.parts) == bell - 1
+
+
+def test_fan_7_stops_at_the_side_condition_budget(capsys, tmp_path):
+    """fan-7's 876 guards are listed without its 823,543 homomorphisms,
+    so the rewriting reaches the side conditions and stops there."""
+    path = tmp_path / "fan_7.map"
+    path.write_text(
+        "source R/7. target S/2.\n"
+        "tgd: R(x0,x1,x2,x3,x4,x5,x6) -> exists y: " + " & ".join(f"S(x{i},y)" for i in range(7)) + ".\n",
+        encoding="utf-8",
+    )
+    assert main(["laconify", "-m", str(path)]) == 2
+    assert "side conditions: 823543 assignments" in capsys.readouterr().err
 
 
 # -- side conditions ----------------------------------------------------------

@@ -412,17 +412,23 @@ def test_isomorphism_at_5000_blocks_and_after_one_changed_constant():
 
 def test_block_past_the_naming_budget_raises(monkeypatch):
     """Past the naming budget a block raises MappingError, never a wrong
-    answer: a star of 12 interchangeable nulls around a null (its search
-    visits their orderings), and a star of 8 under a budget of 1,000."""
+    answer.  Under a budget of 100 nodes an 8-cycle of nulls (its
+    rotations are no swaps of twins, so the search visits them) and a
+    directed chain of 12 nulls (the bound ranks a middle null below the
+    start) raise, while a star of 12 interchangeable nulls around a null
+    is named: its leaves are twins, and the search tries one of them."""
     def star(n):
         return inst(R2, *[("R", FreshNull(100), FreshNull(k)) for k in range(1, n + 1)])
 
-    with pytest.raises(MappingError, match="canonical naming"):
-        instances_isomorphic(star(12), star(12))
-    assert instances_isomorphic(star(6), star(6))
-    monkeypatch.setattr("dx.model.NAMING_BUDGET", 1000)
-    with pytest.raises(MappingError, match="exceeds the budget of 1000 nodes"):
-        instances_isomorphic(star(8), star(8))
+    def chain(n, close=False):
+        return inst(R2, *[("R", FreshNull(k), FreshNull(k % n + 1 if close else k + 1)) for k in range(1, n + 1)])
+
+    monkeypatch.setattr("dx.model.NAMING_BUDGET", 100)
+    assert instances_isomorphic(star(12), star(12))
+    assert not instances_isomorphic(star(12), star(11).with_facts([Fact("R", (FreshNull(12), FreshNull(100)))]))
+    for block in (chain(8, close=True), chain(12)):
+        with pytest.raises(MappingError, match="exceeds the budget of 100 nodes"):
+            instances_isomorphic(block, block)
 
 
 # -- fact files --------------------------------------------------------------
