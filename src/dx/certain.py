@@ -23,6 +23,7 @@ from dx.lang import (
     Exists,
     Forall,
     Formula,
+    Lt,
     Not,
     Or,
     RelAtom,
@@ -325,24 +326,30 @@ def eliminate(f: Formula) -> Formula:
 
 
 def _eliminate(f: Formula, memo: dict) -> Formula:
-    """`memo` maps (base, query) to its rewriting, for one elimination."""
-    if isinstance(f, Certain):
-        key = (f.base, f.query)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = unfold(f.base, f.query).as_formula()
+    """`memo` maps each compound node to its result, for one elimination,
+    so a subformula shared by several parents is rewritten once and its
+    result is shared in turn."""
+    if isinstance(f, (RelAtom, Eq, Lt, TrueF)):
+        return f
+    out = memo.get(f)
+    if out is not None:
         return out
-    if isinstance(f, And):
-        return And(tuple(_eliminate(p, memo) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_eliminate(p, memo) for p in f.parts))
-    if isinstance(f, Not):
-        return Not(_eliminate(f.body, memo))
-    if isinstance(f, Exists):
-        return Exists(f.var, _eliminate(f.body, memo))
-    if isinstance(f, Forall):
-        return Forall(f.var, _eliminate(f.body, memo))
-    return f
+    if isinstance(f, Certain):
+        out = unfold(f.base, f.query).as_formula()
+    elif isinstance(f, And):
+        out = And(tuple(_eliminate(p, memo) for p in f.parts))
+    elif isinstance(f, Or):
+        out = Or(tuple(_eliminate(p, memo) for p in f.parts))
+    elif isinstance(f, Not):
+        out = Not(_eliminate(f.body, memo))
+    elif isinstance(f, Exists):
+        out = Exists(f.var, _eliminate(f.body, memo))
+    elif isinstance(f, Forall):
+        out = Forall(f.var, _eliminate(f.body, memo))
+    else:
+        return f
+    memo[f] = out
+    return out
 
 
 def eliminate_mapping(m: SchemaMapping) -> SchemaMapping:

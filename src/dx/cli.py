@@ -1,6 +1,11 @@
 """Command-line entry point.
 
 Subcommands: chase, core, laconify, blocks, emit-sql, certain, verify.
+`COMMANDS` holds each one's help, arguments and handler, and `main`
+builds the parser of the one command its argv names: argparse pays for
+every argument it adds, and a `dx` call runs one command.  An empty
+argv, a leading option or an unknown command gets the parser of all of
+them, which prints the top-level help and errors.
 All outputs are plain text (fact files, mapping DSL, SQL) so runs can be
 diffed.  Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 """
@@ -142,77 +147,76 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Options shared by several commands, as (flags, add_argument keywords).
+_MAPPING = (("-m", "--mapping"), {"required": True, "help": "mapping DSL file"})
+_INSTANCE = (("-i", "--instance"), {"required": True, "help": "fact file"})
+_OUTPUT = (("-o", "--output"), {"help": "output file (default: stdout)"})
+
+
+def _flag(name: str, text: str):
+    return (name,), {"action": "store_true", "help": text}
+
+
+# command -> (help, handler, arguments in the order `--help` lists them)
+COMMANDS = {
+    "chase": ("canonical universal solution as a fact file", _cmd_chase, (
+        _MAPPING, _INSTANCE, _OUTPUT,
+        _flag("--restricted", "fire only dependencies whose consequent is not yet satisfied"),
+    )),
+    "core": ("core universal solution as a fact file", _cmd_core, (_MAPPING, _INSTANCE, _OUTPUT)),
+    "laconify": ("rewrite so canonical solution = core", _cmd_laconify, (
+        _MAPPING, _OUTPUT,
+        _flag("--eliminate-certain", "unfold certain[...] nodes into plain formulas"),
+        _flag(
+            "--no-side-conditions",
+            "omit order side conditions (restricted chase still yields the core)",
+        ),
+    )),
+    "blocks": ("fact-block types with pre/side conditions", _cmd_blocks, (_MAPPING, _OUTPUT)),
+    "emit-sql": ("compile a mapping to SQL views", _cmd_emit_sql, (
+        _MAPPING, _OUTPUT, _flag("--emit-ddl", "include CREATE TABLE DDL"),
+    )),
+    "certain": ("certain answers of a conjunctive query", _cmd_certain, (
+        _MAPPING, _INSTANCE, _OUTPUT,
+        (("-q", "--query"), {"required": True, "help": "query in DSL formula syntax"}),
+    )),
+    "verify": ("sampled property checks", _cmd_verify, (
+        (("kind",), {"choices": ("laconic", "equivalent", "disjunctive")}),
+        (("-m", "--mapping"), {"required": True}),
+        (("--against",), {"help": "second mapping (for 'equivalent')"}),
+        (("--samples",), {"type": int, "default": 200}),
+        (("--seed",), {"type": int, "default": None}),
+        (("--max-consts",), {"type": int, "default": 6}),
+        (("--max-facts",), {"type": int, "default": 12}),
+        (("--records",), {"help": "write per-sample JSONL records to this file"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `dx` parser with every command of `COMMANDS`, or with `command`
+    alone.  A one-command parser fixes its commands' metavar to the full
+    list, so the top-level usage line it prints (for an unrecognized
+    argument after the command) is the full parser's."""
     ap = argparse.ArgumentParser(
         prog="dx",
         description="Data exchange engine: chase, cores, laconic rewriting, SQL",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p, instance=False, output=True):
-        p.add_argument("-m", "--mapping", required=True, help="mapping DSL file")
-        if instance:
-            p.add_argument("-i", "--instance", required=True, help="fact file")
-        if output:
-            p.add_argument("-o", "--output", help="output file (default: stdout)")
-
-    p = sub.add_parser("chase", help="canonical universal solution as a fact file")
-    add_common(p, instance=True)
-    p.add_argument(
-        "--restricted",
-        action="store_true",
-        help="fire only dependencies whose consequent is not yet satisfied",
-    )
-    p.set_defaults(func=_cmd_chase)
-
-    p = sub.add_parser("core", help="core universal solution as a fact file")
-    add_common(p, instance=True)
-    p.set_defaults(func=_cmd_core)
-
-    p = sub.add_parser("laconify", help="rewrite so canonical solution = core")
-    add_common(p)
-    p.add_argument(
-        "--eliminate-certain",
-        action="store_true",
-        help="unfold certain[...] nodes into plain formulas",
-    )
-    p.add_argument(
-        "--no-side-conditions",
-        action="store_true",
-        help="omit order side conditions (restricted chase still yields the core)",
-    )
-    p.set_defaults(func=_cmd_laconify)
-
-    p = sub.add_parser("blocks", help="fact-block types with pre/side conditions")
-    add_common(p)
-    p.set_defaults(func=_cmd_blocks)
-
-    p = sub.add_parser("emit-sql", help="compile a mapping to SQL views")
-    add_common(p)
-    p.add_argument("--emit-ddl", action="store_true", help="include CREATE TABLE DDL")
-    p.set_defaults(func=_cmd_emit_sql)
-
-    p = sub.add_parser("certain", help="certain answers of a conjunctive query")
-    add_common(p, instance=True)
-    p.add_argument("-q", "--query", required=True, help="query in DSL formula syntax")
-    p.set_defaults(func=_cmd_certain)
-
-    p = sub.add_parser("verify", help="sampled property checks")
-    p.add_argument("kind", choices=["laconic", "equivalent", "disjunctive"])
-    p.add_argument("-m", "--mapping", required=True)
-    p.add_argument("--against", help="second mapping (for 'equivalent')")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-consts", type=int, default=6)
-    p.add_argument("--max-facts", type=int, default=12)
-    p.add_argument("--records", help="write per-sample JSONL records to this file")
-    p.set_defaults(func=_cmd_verify)
-
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        summary, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

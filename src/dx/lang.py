@@ -162,20 +162,34 @@ def simplify(f: Formula) -> Formula:
 
     Quantifiers over constant bodies are only dropped when the bound
     variable does not occur, since exists/forall over an empty active
-    domain differ from their bodies.
+    domain differ from their bodies.  Each compound node is simplified
+    once per call, so a shared subformula stays shared.
     """
+    return _simplify(f, {})
+
+
+def _simplify(f: Formula, memo: dict) -> Formula:
+    if isinstance(f, (RelAtom, Eq, Lt, TrueF)):
+        return f
+    out = memo.get(f)
+    if out is None:
+        out = memo[f] = _simplify_node(f, memo)
+    return out
+
+
+def _simplify_node(f: Formula, memo: dict) -> Formula:
     if isinstance(f, And):
-        parts = [simplify(p) for p in f.parts]
+        parts = [_simplify(p, memo) for p in f.parts]
         if any(is_false(p) for p in parts):
             return FALSE
         return conj(parts)
     if isinstance(f, Or):
-        parts = [p for p in (simplify(q) for q in f.parts) if not is_false(p)]
+        parts = [p for p in (_simplify(q, memo) for q in f.parts) if not is_false(p)]
         if any(is_true(p) for p in parts):
             return TRUE
         return disj(parts)
     if isinstance(f, Not):
-        body = simplify(f.body)
+        body = _simplify(f.body, memo)
         if is_true(body):
             return FALSE
         if is_false(body):
@@ -184,14 +198,14 @@ def simplify(f: Formula) -> Formula:
             return body.body
         return Not(body)
     if isinstance(f, (Exists, Forall)):
-        body = simplify(f.body)
+        body = _simplify(f.body, memo)
         if is_false(body) and isinstance(f, Exists):
             return FALSE
         if is_true(body) and isinstance(f, Forall):
             return TRUE
         return type(f)(f.var, body)
     if isinstance(f, Certain):
-        return Certain(simplify(f.query), f.base)
+        return Certain(_simplify(f.query, memo), f.base)
     return f
 
 
@@ -367,7 +381,11 @@ class TGD(_Node):
         return tuple(sorted(free_vars(self.antecedent)))
 
 
-def _check_formula_schema(f: Formula, schema: Schema, where: str):
+def _check_formula_schema(f: Formula, schema: Schema, where: str, seen: dict):
+    """Raise MappingError at the first atom of f not over `schema`.
+    `seen` maps a schema to the ids of the compound nodes already checked
+    against it, so a subformula shared by several parents is checked
+    once (ids, as in `format_formula`, for parsed mappings' sake)."""
     if isinstance(f, RelAtom):
         if f.rel not in schema:
             raise MappingError(f"{where}: undeclared relation {f.rel}")
@@ -376,19 +394,22 @@ def _check_formula_schema(f: Formula, schema: Schema, where: str):
                 f"{where}: arity mismatch for {f.rel}: "
                 f"expected {schema.arity(f.rel)}, got {len(f.args)}"
             )
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _check_formula_schema(p, schema, where)
-    elif isinstance(f, Not):
-        _check_formula_schema(f.body, schema, where)
-    elif isinstance(f, (Exists, Forall)):
-        _check_formula_schema(f.body, schema, where)
-    elif isinstance(f, Certain):
-        _check_formula_schema(f.query, f.base.target, where + " (certain query)")
-    elif isinstance(f, (Eq, Lt, TrueF)):
-        pass
-    else:
+        return
+    if isinstance(f, (Eq, Lt, TrueF)):
+        return
+    if not isinstance(f, (And, Or, Not, Exists, Forall, Certain)):
         raise TypeError(f"not a formula: {f!r}")
+    checked = seen.setdefault(schema, set())
+    if id(f) in checked:
+        return
+    if isinstance(f, (And, Or)):
+        for p in f.parts:
+            _check_formula_schema(p, schema, where, seen)
+    elif isinstance(f, Certain):
+        _check_formula_schema(f.query, f.base.target, where + " (certain query)", seen)
+    else:
+        _check_formula_schema(f.body, schema, where, seen)
+    checked.add(id(f))
 
 
 @_node
@@ -401,10 +422,11 @@ class SchemaMapping(_Node):
         overlap = set(self.source.names()) & set(self.target.names())
         if overlap:
             raise MappingError(f"source and target schemas overlap: {sorted(overlap)}")
+        seen: dict = {}
         for tgd in self.tgds:
-            _check_formula_schema(tgd.antecedent, self.source, "antecedent")
+            _check_formula_schema(tgd.antecedent, self.source, "antecedent", seen)
             for atom in tgd.consequent:
-                _check_formula_schema(atom, self.target, "consequent")
+                _check_formula_schema(atom, self.target, "consequent", seen)
 
 
 def certain_nodes(f: Formula):
@@ -490,7 +512,12 @@ def format_term(t: Term) -> str:
     return quote(t.text)
 
 
-def format_formula(f: Formula, prec: int = 0) -> str:
+def format_formula(f: Formula, prec: int = 0, memo: dict | None = None) -> str:
+    """The DSL text of f in a context of precedence `prec`.  `memo` maps
+    (id of a compound node, precedence) to its text; `format_mapping`
+    passes one for all dependencies, so a shared subformula is printed
+    once.  Identity, not equality, because a parsed mapping shares no
+    node, and hashing each of its nodes costs more than the walk saves."""
     if isinstance(f, TrueF):
         return "true"
     if isinstance(f, RelAtom):
@@ -499,14 +526,24 @@ def format_formula(f: Formula, prec: int = 0) -> str:
         return f"{format_term(f.left)} = {format_term(f.right)}"
     if isinstance(f, Lt):
         return f"{format_term(f.left)} < {format_term(f.right)}"
+    if memo is None:
+        memo = {}
+    key = (id(f), prec)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _format_compound(f, prec, memo)
+    return text
+
+
+def _format_compound(f: Formula, prec: int, memo: dict) -> str:
     if isinstance(f, And):
-        body = " & ".join(format_formula(p, 3) for p in f.parts)
+        body = " & ".join(format_formula(p, 3, memo) for p in f.parts)
         return _wrap(body, prec > 2)
     if isinstance(f, Or):
-        body = " | ".join(format_formula(p, 2) for p in f.parts)
+        body = " | ".join(format_formula(p, 2, memo) for p in f.parts)
         return _wrap(body, prec > 1)
     if isinstance(f, Not):
-        return "!" + format_formula(f.body, 3)
+        return "!" + format_formula(f.body, 3, memo)
     if isinstance(f, (Exists, Forall)):
         kw = "exists" if isinstance(f, Exists) else "forall"
         names = [f.var]
@@ -514,10 +551,10 @@ def format_formula(f: Formula, prec: int = 0) -> str:
         while isinstance(body, type(f)):
             names.append(body.var)
             body = body.body
-        text = f"{kw} {', '.join(names)}: {format_formula(body, 0)}"
+        text = f"{kw} {', '.join(names)}: {format_formula(body, 0, memo)}"
         return _wrap(text, prec > 0)
     if isinstance(f, Certain):
-        return f"certain[{format_formula(f.query, 0)}]"
+        return f"certain[{format_formula(f.query, 0, memo)}]"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -525,8 +562,8 @@ def _wrap(text: str, wrap: bool) -> str:
     return f"({text})" if wrap else text
 
 
-def format_tgd(tgd: TGD) -> str:
-    head = format_formula(tgd.antecedent, 0)
+def format_tgd(tgd: TGD, memo: dict | None = None) -> str:
+    head = format_formula(tgd.antecedent, 0, memo)
     atoms = " & ".join(format_formula(a) for a in tgd.consequent)
     if tgd.exist_vars:
         rhs = f"exists {', '.join(tgd.exist_vars)}: {atoms}"
@@ -541,6 +578,7 @@ def format_mapping(m: SchemaMapping) -> str:
         if schema.rels:
             decls = ", ".join(f"{n}/{a}" for n, a in schema.rels)
             lines.append(f"{label} {decls}.")
+    memo: dict = {}
     for tgd in m.tgds:
-        lines.append(format_tgd(tgd))
+        lines.append(format_tgd(tgd, memo))
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from dx.certain import UnfoldedRewriting, _build_disjunct, _term_to_internal, _Unifier, cq_parts
+from dx.certain import UnfoldedRewriting, _build_disjunct, _term_to_internal, _Unifier, cq_parts, unfold
 from dx.chase import to_term_interpretation
 from dx.evaluator import eval_formula
 from dx.laconify import (
@@ -21,6 +21,7 @@ from dx.laconify import (
     side_condition,
 )
 from dx.lang import (
+    FALSE,
     TRUE,
     And,
     Certain,
@@ -38,8 +39,12 @@ from dx.lang import (
     Var,
     conj,
     decompose,
+    disj,
     exists_all,
+    format_term,
     free_vars,
+    is_false,
+    is_true,
     mapping_certain_free,
     substitute,
 )
@@ -1406,3 +1411,102 @@ def ref_tokens(text: str, token_re) -> list:
             col += len(tok)
         pos = m.end()
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Tree walks that visit a shared subformula once per parent, kept as
+# oracles for the per-call memos of `simplify`, `format_formula`, the
+# schema check of `SchemaMapping` and `certain.eliminate`.
+
+def ref_simplify(f: Formula) -> Formula:
+    if isinstance(f, And):
+        parts = [ref_simplify(p) for p in f.parts]
+        if any(is_false(p) for p in parts):
+            return FALSE
+        return conj(parts)
+    if isinstance(f, Or):
+        parts = [p for p in (ref_simplify(q) for q in f.parts) if not is_false(p)]
+        if any(is_true(p) for p in parts):
+            return TRUE
+        return disj(parts)
+    if isinstance(f, Not):
+        body = ref_simplify(f.body)
+        if is_true(body):
+            return FALSE
+        if is_false(body):
+            return TRUE
+        if isinstance(body, Not):
+            return body.body
+        return Not(body)
+    if isinstance(f, (Exists, Forall)):
+        body = ref_simplify(f.body)
+        if is_false(body) and isinstance(f, Exists):
+            return FALSE
+        if is_true(body) and isinstance(f, Forall):
+            return TRUE
+        return type(f)(f.var, body)
+    if isinstance(f, Certain):
+        return Certain(ref_simplify(f.query), f.base)
+    return f
+
+
+def ref_format_formula(f: Formula, prec: int = 0) -> str:
+    def wrap(text: str, needed: bool) -> str:
+        return f"({text})" if needed else text
+
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, RelAtom):
+        return f"{f.rel}({', '.join(format_term(a) for a in f.args)})"
+    if isinstance(f, Eq):
+        return f"{format_term(f.left)} = {format_term(f.right)}"
+    if isinstance(f, Lt):
+        return f"{format_term(f.left)} < {format_term(f.right)}"
+    if isinstance(f, And):
+        return wrap(" & ".join(ref_format_formula(p, 3) for p in f.parts), prec > 2)
+    if isinstance(f, Or):
+        return wrap(" | ".join(ref_format_formula(p, 2) for p in f.parts), prec > 1)
+    if isinstance(f, Not):
+        return "!" + ref_format_formula(f.body, 3)
+    if isinstance(f, (Exists, Forall)):
+        kw = "exists" if isinstance(f, Exists) else "forall"
+        names = [f.var]
+        body = f.body
+        while isinstance(body, type(f)):
+            names.append(body.var)
+            body = body.body
+        return wrap(f"{kw} {', '.join(names)}: {ref_format_formula(body, 0)}", prec > 0)
+    if isinstance(f, Certain):
+        return f"certain[{ref_format_formula(f.query, 0)}]"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_check_formula_schema(f: Formula, schema: Schema, where: str) -> None:
+    if isinstance(f, RelAtom):
+        if f.rel not in schema:
+            raise MappingError(f"{where}: undeclared relation {f.rel}")
+        if len(f.args) != schema.arity(f.rel):
+            raise MappingError(
+                f"{where}: arity mismatch for {f.rel}: "
+                f"expected {schema.arity(f.rel)}, got {len(f.args)}"
+            )
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            ref_check_formula_schema(p, schema, where)
+    elif isinstance(f, (Not, Exists, Forall)):
+        ref_check_formula_schema(f.body, schema, where)
+    elif isinstance(f, Certain):
+        ref_check_formula_schema(f.query, f.base.target, where + " (certain query)")
+
+
+def ref_eliminate(f: Formula) -> Formula:
+    """certain[...] nodes replaced by their unfoldings, before `ref_simplify`."""
+    if isinstance(f, Certain):
+        return unfold(f.base, f.query).as_formula()
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(ref_eliminate(p) for p in f.parts))
+    if isinstance(f, Not):
+        return Not(ref_eliminate(f.body))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, ref_eliminate(f.body))
+    return f

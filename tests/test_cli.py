@@ -10,7 +10,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dx.cli import main
+from dx import cli
+from dx.cli import COMMANDS, build_parser, main
 from dx.parser import MAX_NESTING
 
 DEMO = pathlib.Path(__file__).resolve().parents[1] / "demo"
@@ -249,6 +250,84 @@ def test_verify_rejects_bounds_out_of_range(capsys, double_map, flag, value, mes
 
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# -- one-command parsers ------------------------------------------------------
+
+def _parse(capsys, parser, argv):
+    """stdout, stderr and exit status of parsing argv (None if it parses)."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+# Every argv names a known command, so `main` parses it with that command alone.
+_ONE_COMMAND_ARGVS = [[name, "--help"] for name in COMMANDS] + [
+    ["chase"],
+    ["core", "-i", "x.facts"],
+    ["laconify"],
+    ["blocks", "-o", "out"],
+    ["emit-sql", "--emit-ddl"],
+    ["certain", "-m", "m.map", "-i", "x.facts"],
+    ["verify"],
+    ["verify", "laconic"],
+    ["chase", "-m", "m.map", "-i", "x.facts", "--bogus"],
+    ["emit-sql", "-m", "m.map", "extra"],
+    ["laconify", "-m", "m.map", "--eliminate=yes"],
+    ["verify", "bogus", "-m", "m.map"],
+    ["verify", "laconic", "-m", "m.map", "--samples", "x"],
+    ["verify", "laconic", "-m", "m.map", "--seed", "1.5"],
+]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The command of each parser `main` builds (None: all commands)."""
+    commands = []
+
+    def spy(command=None):
+        commands.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    return commands
+
+
+@pytest.mark.parametrize("argv", _ONE_COMMAND_ARGVS, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, built, argv):
+    expected = _parse(capsys, build_parser(), argv)
+    assert expected[2] is not None  # each argv is help or a usage error
+    assert _parse(capsys, build_parser(argv[0]), argv) == expected
+    code = main(argv)
+    out = capsys.readouterr()
+    assert built == [argv[0]]
+    assert (out.out, out.err) == expected[:2]
+    assert code == (0 if expected[2] == 0 else 2)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h", "chase"], ["bogus"], ["bogus", "-m", "x"]], ids=str)
+def test_top_level_argv_gets_the_full_parser(capsys, built, argv):
+    expected = _parse(capsys, build_parser(), argv)
+    code = main(argv)
+    out = capsys.readouterr()
+    assert built == [None]
+    assert (out.out, out.err) == expected[:2]
+    assert code == (0 if expected[2] == 0 else 2)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, built, double_map, p_a):
+    expected = run(capsys, "core", "-m", double_map, "-i", p_a)
+    monkeypatch.setattr(sys, "argv", ["dx", "core", "-m", double_map, "-i", p_a])
+    assert main() == 0
+    assert capsys.readouterr().out == expected[1]
+    assert built == ["core", "core"]
+    monkeypatch.setattr(sys, "argv", ["dx", "core", "-m", double_map, "-i", p_a, "--bogus"])
+    assert main(None) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_outputs_deterministic(capsys, tmp_path, overlap_map, p_a):

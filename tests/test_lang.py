@@ -440,6 +440,110 @@ def test_two_parses_hash_alike():
             assert t1 == t2 and hash(t1) == hash(t2), text
 
 
+# -- shared subformulas --------------------------------------------------------
+
+# Conjunctive queries over S/2, the target of _BASE_TEXT's mapping: the
+# leaves are certain[...] nodes over them, and, rarely, the bare queries.
+_CQS = [
+    parse_formula(text, S2)
+    for text in ("S(x,y)", "exists y: S(x,y)", "exists z: S(x,z) & S(y,z)", "S(x,x)")
+]
+_shared_leaves = st.one_of(
+    _leaves,
+    st.sampled_from(_CQS).map(lambda q: Certain(q, parse_mapping(_BASE_TEXT))),
+    st.sampled_from(_CQS[1:]),
+)
+
+
+@st.composite
+def _shared_formulas(draw):
+    """A formula in which subformulas recur: every new node takes its
+    children from the nodes built before it, so one node may sit under
+    several parents, and some children are equal copies, not the node."""
+    nodes = draw(st.lists(_shared_leaves, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 14))):
+        def child():
+            node = nodes[draw(st.integers(0, len(nodes) - 1))]
+            return _rebuilt(node) if draw(st.booleans()) else node
+
+        kind = draw(st.sampled_from([And, Or, Not, Exists, Forall]))
+        if kind in (And, Or):
+            node = kind(tuple(child() for _ in range(draw(st.integers(2, 3)))))
+        elif kind is Not:
+            node = Not(child())
+        else:
+            node = kind(draw(_names), child())
+        nodes.append(node)
+    return nodes[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_formulas())
+def test_shared_subformulas_simplify_and_print_as_trees(f):
+    from helpers import ref_eliminate, ref_format_formula, ref_simplify
+
+    from dx.certain import eliminate
+
+    assert simplify(f) == ref_simplify(f)
+    for prec in range(5):
+        assert format_formula(f, prec) == ref_format_formula(f, prec)
+    assert eliminate(f) == ref_simplify(ref_eliminate(f))
+
+
+def _mapping(source: Schema, antecedents) -> SchemaMapping:
+    head = (RelAtom("T", (Var("w"),)),)
+    return SchemaMapping(source, Schema({"T": 1}), tuple(TGD(f, ("w",), head) for f in antecedents))
+
+
+def _schema_error(source: Schema, antecedents) -> str | None:
+    """The message of the mapping's schema check, or None if it passes."""
+    try:
+        _mapping(source, antecedents)
+    except MappingError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_shared_formulas(), min_size=1, max_size=3),
+    st.sampled_from([{"P": 1, "R": 2}, {"P": 1}, {"P": 1, "R": 1}, {"R": 2}, {"P": 1, "R": 2, "S": 1}]),
+)
+def test_shared_subformulas_schema_check_and_mapping_text(antecedents, source):
+    """Dependencies may share subformulas; the schema check reports the
+    first bad atom, of the whole mapping and of a mapping on each
+    subformula, and the printed mapping is the one a tree walk prints."""
+    from helpers import ref_check_formula_schema, ref_format_formula
+
+    source = Schema(source)
+
+    def expected(fs):
+        try:
+            for f in fs:
+                ref_check_formula_schema(f, source, "antecedent")
+        except MappingError as exc:
+            return str(exc)
+        return None
+
+    for g in dict.fromkeys(g for f in antecedents for g in _subformulas(f)):
+        assert _schema_error(source, [g]) == expected([g]), g
+    assert _schema_error(source, antecedents) == expected(antecedents)
+    if expected(antecedents) is None:
+        decls = [f"source {', '.join(f'{n}/{a}' for n, a in source.rels)}.", "target T/1."]
+        lines = [f"tgd: {ref_format_formula(f)} -> exists w: T(w)." for f in antecedents]
+        assert format_mapping(_mapping(source, antecedents)) == "\n".join(decls + lines) + "\n"
+
+
+def test_query_checked_in_certain_is_checked_again_outside():
+    """A certain[...] query is checked against its base's target; the
+    same subformula outside the node is checked against the source."""
+    q = parse_formula("exists y: S(x,y)", S2)
+    certain_q = Certain(q, parse_mapping(_BASE_TEXT))
+    assert _schema_error(Schema({"P": 1}), [And((certain_q, q))]) == "antecedent: undeclared relation S"
+    assert _schema_error(Schema({"P": 1}), [certain_q, q]) == "antecedent: undeclared relation S"
+    assert _schema_error(Schema({"S": 1}), [certain_q]) is None
+
+
 # -- decomposition ------------------------------------------------------------
 
 def test_decompose_examples():
