@@ -21,6 +21,7 @@ from dx.lang import (
     Certain,
     Eq,
     Exists,
+    FALSE,
     Forall,
     Formula,
     Lt,
@@ -29,15 +30,18 @@ from dx.lang import (
     RelAtom,
     SchemaMapping,
     TGD,
+    TRUE,
     TrueF,
     Var,
     conj,
     disj,
     exists_all,
     free_vars,
+    is_false,
+    is_true,
     mapping_certain_free,
+    neg,
     rename_bound,
-    simplify,
     substitute,
 )
 from dx.model import Const, Instance, MappingError
@@ -226,11 +230,12 @@ def _query_term(t):
 def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     """Source rewriting of the certain answers of a conjunctive query.
 
-    Every way of sending the query atoms to defining branches of the
-    term interpretation is tried; the branch terms are unified with the
-    query arguments (answer variables may only unify with non-proper
-    terms), and each success contributes one disjunct: the conjunction
-    of the branch conditions under the unifying substitution.
+    Every way of sending the query atoms to heads of the term
+    interpretation's rules (the branches of their relations) is tried;
+    the head terms are unified with the query arguments (answer
+    variables may only unify with non-proper terms), and each success
+    contributes one disjunct: the conjunction of the chosen rules'
+    conditions under the unifying substitution.
 
     The atoms are walked depth first, in `itertools.product` order: each
     branch of an atom unifies on a copy of its prefix's unifier, and a
@@ -240,8 +245,12 @@ def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
         raise MappingError("unfolding requires a certain[...]-free mapping")
     exist, atoms, eqs = cq_parts(q)
     free = tuple(sorted(free_vars(q)))
-    pi = to_term_interpretation(m)
-    per_atom = [pi.branches_for(atom.rel) for atom in atoms]
+    rules = to_term_interpretation(m).rules
+    # each atom's branches: the (rule, terms) of every head in its relation
+    per_atom = [
+        [(r, terms) for r in rules for head, terms in r.heads if head == atom.rel]
+        for atom in atoms
+    ]
     disjuncts: dict = {}  # an ordered set
 
     def walk(uf: _Unifier, choice: tuple):
@@ -249,20 +258,20 @@ def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
         if idx == len(atoms):
             # answer variables and branch variables must stay non-proper
             grounded = [("q", v) for v in free] + [
-                ("b", i, p) for i, branch in enumerate(choice) for p in branch.params
+                ("b", i, p) for i, rule in enumerate(choice) for p in rule.params
             ]
             if not any(uf.term_is_proper(n) for n in grounded):
                 d = _build_disjunct(uf, free, atoms, choice)
                 if d is not None:
                     disjuncts.setdefault(d)
             return
-        for branch in per_atom[idx]:
+        for rule, terms in per_atom[idx]:
             ext = uf.copy()
             if all(
                 ext.unify(_query_term(arg), _term_to_internal(term, idx))
-                for arg, term in zip(atoms[idx].args, branch.terms)
+                for arg, term in zip(atoms[idx].args, terms)
             ):
-                walk(ext, choice + (branch,))
+                walk(ext, choice + (rule,))
 
     uf = _Unifier()
     if all(uf.unify(_query_term(eq.left), _query_term(eq.right)) for eq in eqs):
@@ -275,8 +284,8 @@ def _build_disjunct(uf: _Unifier, free, atoms, choice):
     classes: dict = {}
     for v in free:
         classes.setdefault(uf.find(("q", v)), []).append(("q", v))
-    for idx, branch in enumerate(choice):
-        for p in branch.params:
+    for idx, rule in enumerate(choice):
+        for p in rule.params:
             classes.setdefault(uf.find(("b", idx, p)), []).append(("b", idx, p))
 
     rep_term: dict = {}
@@ -309,11 +318,11 @@ def _build_disjunct(uf: _Unifier, free, atoms, choice):
         rep_term[root] = term
 
     conds = []
-    for idx, branch in enumerate(choice):
+    for idx, rule in enumerate(choice):
         sub = {}
-        for p in branch.params:
+        for p in rule.params:
             sub[p] = rep_term[uf.find(("b", idx, p))]
-        cond = rename_bound(branch.condition, taken | set(branch.params))
+        cond = rename_bound(rule.condition, taken | set(rule.params))
         conds.append(substitute(cond, sub))
     body = conj(conds + extra_eqs)
     used_fresh = [n for n in fresh_names if n in free_vars(body)]
@@ -321,35 +330,47 @@ def _build_disjunct(uf: _Unifier, free, atoms, choice):
 
 
 def eliminate(f: Formula) -> Formula:
-    """Replace every certain[...] node by its unfolded source rewriting."""
-    return simplify(_eliminate(f, {}))
+    """Replace every certain[...] node by its unfolded source rewriting,
+    folding true and false on the way."""
+    return _eliminate(f, {})
 
 
 def _eliminate(f: Formula, memo: dict) -> Formula:
-    """`memo` maps each compound node to its result, for one elimination,
-    so a subformula shared by several parents is rewritten once and its
-    result is shared in turn."""
+    """One bottom-up walk.  `memo` maps each compound node to its result,
+    for one elimination, so a subformula shared by several parents is
+    rewritten once and its result is shared in turn."""
     if isinstance(f, (RelAtom, Eq, Lt, TrueF)):
         return f
     out = memo.get(f)
-    if out is not None:
-        return out
-    if isinstance(f, Certain):
-        out = unfold(f.base, f.query).as_formula()
-    elif isinstance(f, And):
-        out = And(tuple(_eliminate(p, memo) for p in f.parts))
-    elif isinstance(f, Or):
-        out = Or(tuple(_eliminate(p, memo) for p in f.parts))
-    elif isinstance(f, Not):
-        out = Not(_eliminate(f.body, memo))
-    elif isinstance(f, Exists):
-        out = Exists(f.var, _eliminate(f.body, memo))
-    elif isinstance(f, Forall):
-        out = Forall(f.var, _eliminate(f.body, memo))
-    else:
-        return f
-    memo[f] = out
+    if out is None:
+        out = memo[f] = _eliminate_node(f, memo)
     return out
+
+
+def _eliminate_node(f: Formula, memo: dict) -> Formula:
+    """f over its rewritten parts, with constants folded.  Quantifiers
+    over constant bodies are only dropped when the bound variable does
+    not occur, since exists/forall over an empty active domain differ
+    from their bodies."""
+    if isinstance(f, Certain):
+        # the unfolding is certain[...]-free: walking it folds constants
+        return _eliminate(unfold(f.base, f.query).as_formula(), memo)
+    if isinstance(f, And):
+        parts = [_eliminate(p, memo) for p in f.parts]
+        return FALSE if any(is_false(p) for p in parts) else conj(parts)
+    if isinstance(f, Or):
+        parts = [p for p in (_eliminate(q, memo) for q in f.parts) if not is_false(p)]
+        return TRUE if any(is_true(p) for p in parts) else disj(parts)
+    if isinstance(f, Not):
+        return neg(_eliminate(f.body, memo))
+    if isinstance(f, (Exists, Forall)):
+        body = _eliminate(f.body, memo)
+        if is_false(body) and isinstance(f, Exists):
+            return FALSE
+        if is_true(body) and isinstance(f, Forall):
+            return TRUE
+        return type(f)(f.var, body)
+    return f
 
 
 def eliminate_mapping(m: SchemaMapping) -> SchemaMapping:
@@ -359,7 +380,7 @@ def eliminate_mapping(m: SchemaMapping) -> SchemaMapping:
         m.source,
         m.target,
         tuple(
-            TGD(simplify(_eliminate(t.antecedent, memo)), t.exist_vars, t.consequent)
+            TGD(_eliminate(t.antecedent, memo), t.exist_vars, t.consequent)
             for t in m.tgds
         ),
     )

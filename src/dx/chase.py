@@ -69,18 +69,6 @@ def format_tterm(t: TTerm) -> str:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One defining clause of a target relation: a term tuple guarded by
-    a source condition with parameters `params` (sorted free variables).
-    """
-
-    rel: str
-    terms: tuple
-    condition: Formula
-    params: tuple
-
-
-@dataclass(frozen=True)
 class Rule:
     """One Skolemized dependency: its antecedent with parameters `params`
     (sorted free variables) and a term tuple per consequent atom."""
@@ -105,25 +93,16 @@ class TermInterpretation:
         planner = Planner()
         return tuple(planner.plan(r.condition, want=r.params) for r in self.rules)
 
-    def branches_for(self, rel: str) -> tuple:
-        return tuple(
-            Branch(rel, terms, r.condition, r.params)
-            for r in self.rules
-            for head, terms in r.heads
-            if head == rel
-        )
-
     def render(self) -> str:
         """Human-readable definition of each target relation."""
         lines = []
         for rel, _arity in self.target.rels:
             parts = [
                 "{(%s) | %s}"
-                % (
-                    ", ".join(format_tterm(t) for t in b.terms),
-                    format_formula(b.condition),
-                )
-                for b in self.branches_for(rel)
+                % (", ".join(format_tterm(t) for t in terms), format_formula(r.condition))
+                for r in self.rules
+                for head, terms in r.heads
+                if head == rel
             ]
             rhs = " u ".join(parts) if parts else "{}"
             lines.append(f"{rel} := {rhs}")

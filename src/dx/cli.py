@@ -101,6 +101,11 @@ def _cmd_emit_sql(args) -> int:
         for rel, (arity, line, col) in declarations(text).items():
             if arity == 0:
                 raise ParseError(f"cannot emit SQL for 0-ary relation {rel}", line, col)
+    clash = sqlgen.name_clash(m.source, m.target)
+    if clash is not None:
+        rel, why = clash
+        _arity, line, col = declarations(text)[rel]
+        raise ParseError(why, line, col)
     pi = to_term_interpretation(m)
     artifact = sqlgen.interpretation_to_sql(pi)
     _emit(artifact.text(include_ddl=args.emit_ddl), args.output)

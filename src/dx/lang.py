@@ -157,58 +157,6 @@ def is_false(f: Formula) -> bool:
     return isinstance(f, Not) and isinstance(f.body, TrueF)
 
 
-def simplify(f: Formula) -> Formula:
-    """Cheap constant propagation; keeps the formula's free variables.
-
-    Quantifiers over constant bodies are only dropped when the bound
-    variable does not occur, since exists/forall over an empty active
-    domain differ from their bodies.  Each compound node is simplified
-    once per call, so a shared subformula stays shared.
-    """
-    return _simplify(f, {})
-
-
-def _simplify(f: Formula, memo: dict) -> Formula:
-    if isinstance(f, (RelAtom, Eq, Lt, TrueF)):
-        return f
-    out = memo.get(f)
-    if out is None:
-        out = memo[f] = _simplify_node(f, memo)
-    return out
-
-
-def _simplify_node(f: Formula, memo: dict) -> Formula:
-    if isinstance(f, And):
-        parts = [_simplify(p, memo) for p in f.parts]
-        if any(is_false(p) for p in parts):
-            return FALSE
-        return conj(parts)
-    if isinstance(f, Or):
-        parts = [p for p in (_simplify(q, memo) for q in f.parts) if not is_false(p)]
-        if any(is_true(p) for p in parts):
-            return TRUE
-        return disj(parts)
-    if isinstance(f, Not):
-        body = _simplify(f.body, memo)
-        if is_true(body):
-            return FALSE
-        if is_false(body):
-            return TRUE
-        if isinstance(body, Not):
-            return body.body
-        return Not(body)
-    if isinstance(f, (Exists, Forall)):
-        body = _simplify(f.body, memo)
-        if is_false(body) and isinstance(f, Exists):
-            return FALSE
-        if is_true(body) and isinstance(f, Forall):
-            return TRUE
-        return type(f)(f.var, body)
-    if isinstance(f, Certain):
-        return Certain(_simplify(f.query, memo), f.base)
-    return f
-
-
 def _term_vars(t: Term) -> frozenset:
     return frozenset((t.name,)) if isinstance(t, Var) else frozenset()
 

@@ -33,8 +33,7 @@ union; equal unions are one node, which the evaluator computes once and
 SQL emits as one common table expression.  A closed union reads the
 bound variables it shares with the context from the active domain, so a
 disjunction sharing one whose value may lie outside it (from `holds` or
-`certain[...]`) runs each disjunct on the context instead.  Negated conjuncts equal up to
-the names of their quantified variables are planned once.
+`certain[...]`) runs each disjunct on the context instead.
 """
 
 from __future__ import annotations
@@ -285,19 +284,19 @@ class Normaliser:
         num = self._certs.setdefault(node, len(self._certs))
         return _N("certain", f"C{num}:{b}", frozenset(pairs.values()), node, b, cert=True)
 
-    def rename(self, n: _N, sub: dict, prefix: str = "%", depth: int = 1) -> _N:
+    def rename(self, n: _N, sub: dict, depth: int = 1) -> _N:
         """n with free variables replaced by `sub` and each quantified
-        variable named `prefix` and its depth below n, so that
-        subformulas equal up to the names of their variables get one
-        key.  No free variable of the result may start with `prefix`."""
+        variable named `%` and its depth below n, so that subformulas
+        equal up to the names of their variables get one key.  No free
+        variable of the result may start with `%`."""
         if n.kind == "exists":
-            v = f"{prefix}{depth}"
-            body = self.rename(n.parts[0], {**sub, n.a: Var(v)}, prefix, depth + 1)
+            v = f"%{depth}"
+            body = self.rename(n.parts[0], {**sub, n.a: Var(v)}, depth + 1)
             return self.exists(v, body)
         if n.kind in ("and", "or"):
-            return self.junction(n.kind, [self.rename(p, sub, prefix, depth) for p in n.parts])
+            return self.junction(n.kind, [self.rename(p, sub, depth) for p in n.parts])
         if n.kind == "not":
-            return self.not_(self.rename(n.parts[0], sub, prefix, depth))
+            return self.not_(self.rename(n.parts[0], sub, depth))
         return self.subst(n, sub)
 
 
@@ -522,7 +521,7 @@ class Planner:
     def conj(self, parts, bound, indom, want) -> Node:
         """Filters first, then binding equalities, then generators."""
         bound, indom = set(bound), set(indom)
-        pending = self._distinct(parts)
+        pending = list(parts)
         steps = []
         while pending:
             ready = [p for p in pending if p.fv <= bound]
@@ -596,21 +595,6 @@ class Planner:
             out = frozenset()
         self._bound_by[n.key] = out
         return out
-
-    def _distinct(self, parts) -> list:
-        """The conjuncts, of negations equal up to the names of their
-        quantified variables only the first.  Guards for embeddings that
-        differ by a symmetry of the block are such negations.
-        `laconify` already emits one guard per orbit of those
-        symmetries; a mapping that spells out every embedding's guard
-        still collapses here to the same plan."""
-        if sum(p.kind == "not" for p in parts) < 2:
-            return list(parts)
-        seen: dict = {}
-        for p in parts:
-            quantified = p.kind == "not" and "E%" in p.key  # binders are %1, %2, ...
-            seen.setdefault(self.norm.rename(p, {}, "^").key if quantified else p.key, p)
-        return list(seen.values())
 
     @staticmethod
     def _binding(pending, bound):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 
 from dx.chase import App, TermInterpretation
@@ -120,6 +121,31 @@ class SqlArtifact:
         parts.append(self.adom_view)
         parts.extend(stmt for _rel, stmt in self.queries)
         return "\n\n".join(parts) + "\n"
+
+
+# Names the artifact gives its own objects: the adom view and, within a
+# statement, the CTEs that read the domain, a rule's rows and a shared
+# union.  A CTE hides a table of its name.
+_RESERVED = re.compile(r"adom|dom|[ku][0-9]+", re.ASCII | re.IGNORECASE)
+
+
+def name_clash(source: Schema, target: Schema):
+    """The first relation whose name SQLite would take for another name
+    the artifact uses, with the reason; None if there is none.  Each
+    source relation is a table and each target relation T the view
+    `target_T`, and SQLite compares names ignoring ASCII case."""
+    views = {f"target_{t}".encode().lower(): t for t, _arity in target.rels}
+    seen: dict = {}
+    for rel, _arity in source.rels + target.rels:
+        key = rel.encode().lower()  # folds ASCII letters only, as SQLite does
+        if _RESERVED.fullmatch(rel):
+            return rel, f"relation name {rel} is reserved in the emitted SQL"
+        if key in seen:
+            return rel, f"relation names {seen[key]} and {rel} are one name in SQL"
+        if key in views:
+            return rel, f"relation name {rel} is the view name of target relation {views[key]}"
+        seen[key] = rel
+    return None
 
 
 def source_ddl(schema: Schema) -> str:
@@ -358,7 +384,11 @@ def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
 
     Each view prints the plan of every rule with a head in it once, as a
     CTE `kN` whose columns are the rule's parameters; the heads only
-    build their term tuples from it."""
+    build their term tuples from it.  A relation name that `name_clash`
+    finds is an error."""
+    clash = name_clash(pi.source, pi.target)
+    if clash is not None:
+        raise MappingError(clash[1])
     queries = []
     for rel, arity in pi.target.rels:
         if arity == 0:

@@ -50,6 +50,7 @@ from dx.lang import (
 )
 from dx.model import Const, Fact, FreshNull, Instance, MappingError, PatternVar, Schema, match_pattern
 from dx.parser import parse_mapping
+from dx.plan import Normaliser
 
 # Non-laconic mappings paired with hand-written equivalent laconic ones.
 PAIR_SOURCES = {
@@ -111,6 +112,21 @@ tgd: R(x1,x2) -> exists y: S(x1,y) & T(x2,y).
 tgd: R(x,x) -> S(x,x).
 """
 
+
+# Source declarations whose relation name the emitted SQL would take for
+# one of its own.  The CTE `k2` hides the table `k2`, so the SQL route
+# drops T(a); SQLite rejects `k1`, `adom`, `target_T` and `p` beside `P`.
+# A statement that reads the domain fails under `dom`, and one that
+# reads a shared union twice gives wrong rows under `u1`.
+# `sql_name_clash` declares each at line 2, column 3.
+SQL_NAME_CLASHES = ("k2", "k1", "u1", "dom", "DOM", "adom", "target_T", "p")
+
+
+def sql_name_clash(name: str) -> str:
+    return (
+        f"source P/1,\n  {name}/1.\ntarget T/1.\n"
+        f"tgd: {name}(x) -> T(x).\ntgd: P(x) -> T(x).\n"
+    )
 
 def pair(name):
     left, right = PAIR_SOURCES[name]
@@ -1099,10 +1115,10 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
         raise MappingError("unfolding requires a certain[...]-free mapping")
     exist, atoms, eqs = cq_parts(q)
     free = tuple(sorted(free_vars(q)))
-    pi = to_term_interpretation(m)
+    rules = to_term_interpretation(m).rules
     per_atom = []
     for atom in atoms:
-        branches = pi.branches_for(atom.rel)
+        branches = [(r, terms) for r in rules for head, terms in r.heads if head == atom.rel]
         per_atom.append(branches)
     disjuncts: list = []
     seen = set()
@@ -1116,8 +1132,8 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                 ok = False
                 break
         if ok:
-            for idx, (atom, branch) in enumerate(zip(atoms, choice)):
-                for arg, term in zip(atom.args, branch.terms):
+            for idx, (atom, (_rule, terms)) in enumerate(zip(atoms, choice)):
+                for arg, term in zip(atom.args, terms):
                     qterm = ("q", arg.name) if isinstance(arg, Var) else arg
                     if not uf.unify(qterm, _term_to_internal(term, idx)):
                         ok = False
@@ -1132,8 +1148,8 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                 ok = False
                 break
         if ok:
-            for idx, branch in enumerate(choice):
-                for p in branch.params:
+            for idx, (rule, _terms) in enumerate(choice):
+                for p in rule.params:
                     if uf.term_is_proper(("b", idx, p)):
                         ok = False
                         break
@@ -1141,7 +1157,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                     break
         if not ok:
             continue
-        d = _build_disjunct(uf, free, atoms, choice)
+        d = _build_disjunct(uf, free, atoms, tuple(rule for rule, _terms in choice))
         if d is not None and d not in seen:
             seen.add(d)
             disjuncts.append(d)
@@ -1192,6 +1208,18 @@ def ref_laconify(m: SchemaMapping) -> SchemaMapping:
         TGD(conj([ref_precondition(t, types, md), side_condition(t)]), t.null_vars, t.atoms)
         for t in types
     ))
+
+
+def guard_keys(f: Formula) -> list:
+    """The keys of the quantified negations among f's conjuncts (its
+    guards), each renamed so that guards equal up to the names of their
+    quantified variables get one key: one guard per orbit and one per
+    strict embedding give one set of keys."""
+    norm = Normaliser()
+    n = norm.formula(f)
+    parts = n.parts if n.kind == "and" else (n,)
+    # binders are %1, %2, ...; f's free variables never start with `%`
+    return [norm.rename(p, {}).key for p in parts if p.kind == "not" and "E%" in p.key]
 
 
 # ---------------------------------------------------------------------------
@@ -1415,8 +1443,9 @@ def ref_tokens(text: str, token_re) -> list:
 
 # ---------------------------------------------------------------------------
 # Tree walks that visit a shared subformula once per parent, kept as
-# oracles for the per-call memos of `simplify`, `format_formula`, the
-# schema check of `SchemaMapping` and `certain.eliminate`.
+# oracles for the per-call memos of `format_formula`, the schema check
+# of `SchemaMapping` and `certain.eliminate`, which folds true and false
+# as `ref_simplify` does.
 
 def ref_simplify(f: Formula) -> Formula:
     if isinstance(f, And):

@@ -177,21 +177,23 @@ def test_interpretation_of_a_laconified_mapping_equals_its_chase(name):
 def test_term_interpretation_shape():
     m = split_pair_mapping()
     pi = to_term_interpretation(m)
-    s_branches = pi.branches_for("S")
-    t_branches = pi.branches_for("T")
-    assert len(s_branches) == 2 and len(t_branches) == 1
-    assert s_branches[0].terms == (Var("x1"), App("f1_1", (Var("x1"), Var("x2"))))
-    assert s_branches[1].terms == (Var("x"), Var("x"))
-    assert t_branches[0].terms == (Var("x2"), App("f1_1", (Var("x1"), Var("x2"))))
-    rendered = pi.render()
-    assert "S :=" in rendered and "f1_1(x1, x2)" in rendered
+    first, second = pi.rules
+    f = App("f1_1", (Var("x1"), Var("x2")))
+    assert first.params == ("x1", "x2")
+    assert first.heads == (("S", (Var("x1"), f)), ("T", (Var("x2"), f)))
+    assert second.params == ("x",)
+    assert second.heads == (("S", (Var("x"), Var("x"))),)
+    assert pi.render() == (
+        "S := {(x1, f1_1(x1, x2)) | R(x1, x2)} u {(x, x) | R(x, x)}\n"
+        "T := {(x2, f1_1(x1, x2)) | R(x1, x2)}\n"
+    )
 
 
 def test_full_tgd_interpretation():
     m = parse_mapping("source R/2. target S/2. tgd: R(x,y) -> S(x,y).")
     pi = to_term_interpretation(m)
-    (branch,) = pi.branches_for("S")
-    assert branch.terms == (Var("x"), Var("y"))
+    (rule,) = pi.rules
+    assert rule.heads == (("S", (Var("x"), Var("y"))),)
 
 
 def test_eval_interpretation_examples():

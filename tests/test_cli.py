@@ -8,6 +8,7 @@ import sys
 import tempfile
 
 import pytest
+from helpers import SQL_NAME_CLASHES, sql_name_clash
 from hypothesis import given, settings, strategies as st
 
 from dx import cli
@@ -104,6 +105,15 @@ def test_emit_sql_points_at_a_0_ary_declaration(capsys, tmp_path):
     code, _, err = run(capsys, "emit-sql", "-m", str(mp))
     assert code == 2
     assert err == "dx: 3:3: cannot emit SQL for 0-ary relation Q\n"
+
+
+@pytest.mark.parametrize("name", SQL_NAME_CLASHES)
+def test_emit_sql_points_at_a_relation_name_the_sql_would_confuse(capsys, tmp_path, name):
+    mp = tmp_path / "m.map"
+    mp.write_text(sql_name_clash(name), encoding="utf-8")
+    code, out, err = run(capsys, "emit-sql", "-m", str(mp))
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"dx: 2:3: relation names? (P and )?{name} .*\n", err), err
 
 
 def test_certain_answers_command(capsys, overlap_map, p_a):

@@ -96,8 +96,8 @@ def test_eliminated_mapping_reads_back(path):
 
 # fan_5's eliminated mapping is 9.1 MB, so it is pinned by its digest.
 # Its one dependency repeats the unfoldings of 51 guards, which share
-# subformulas; unfolding, simplifying and printing each shared node once
-# must print the same bytes as walking the tree.
+# subformulas; eliminating (with its constant folding) and printing each
+# shared node once must print the same bytes as walking the tree.
 FAN_5_ELIMINATE_SHA256 = "4c5aabbb849e4ad2c3b5284028baf71defe619223fe163dfb84db91da38c4bd2"
 
 
