@@ -42,7 +42,6 @@ from dx.model import (
     SkolemNull,
     blocks,
     compute_core,
-    find_homomorphism,
     format_facts,
     instances_isomorphic,
     is_core,
@@ -86,7 +85,6 @@ __all__ = [
     "eliminate_mapping",
     "eval_formula",
     "eval_interpretation",
-    "find_homomorphism",
     "format_facts",
     "format_formula",
     "format_mapping",

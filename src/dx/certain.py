@@ -261,7 +261,7 @@ def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                 ("b", i, p) for i, rule in enumerate(choice) for p in rule.params
             ]
             if not any(uf.term_is_proper(n) for n in grounded):
-                d = _build_disjunct(uf, free, atoms, choice)
+                d = _build_disjunct(uf, free, choice)
                 if d is not None:
                     disjuncts.setdefault(d)
             return
@@ -279,7 +279,7 @@ def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     return UnfoldedRewriting(free, tuple(disjuncts))
 
 
-def _build_disjunct(uf: _Unifier, free, atoms, choice):
+def _build_disjunct(uf: _Unifier, free, choice):
     # group the grounded variables (answer vars and branch params) by class
     classes: dict = {}
     for v in free:

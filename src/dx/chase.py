@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 from dx import kernel
 from dx.evaluator import run_plans
@@ -33,7 +32,6 @@ from dx.lang import (
     SchemaMapping,
     Var,
     certain_nodes,
-    format_formula,
     mapping_certain_free,
 )
 from dx.model import (
@@ -56,16 +54,7 @@ class App:
     args: tuple
 
 
-TTerm = Union[Var, Const, App]
-
-
-def format_tterm(t: TTerm) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return repr(t.text)
-    inner = ", ".join(format_tterm(a) for a in t.args)
-    return f"{t.symbol}({inner})"
+TTerm = Var | Const | App
 
 
 @dataclass(frozen=True)
@@ -92,21 +81,6 @@ class TermInterpretation:
         by one planner, so rules share their unions."""
         planner = Planner()
         return tuple(planner.plan(r.condition, want=r.params) for r in self.rules)
-
-    def render(self) -> str:
-        """Human-readable definition of each target relation."""
-        lines = []
-        for rel, _arity in self.target.rels:
-            parts = [
-                "{(%s) | %s}"
-                % (", ".join(format_tterm(t) for t in terms), format_formula(r.condition))
-                for r in self.rules
-                for head, terms in r.heads
-                if head == rel
-            ]
-            rhs = " u ".join(parts) if parts else "{}"
-            lines.append(f"{rel} := {rhs}")
-        return "\n".join(lines) + "\n"
 
 
 def _skolem_symbol(tgd_index: int, var_index: int) -> str:

@@ -4,8 +4,8 @@ This is the hot inner loop of the whole engine: a backtracking search
 that maps a pattern (a set of facts whose arguments are integer codes,
 negative codes standing for variables) into a target fact set.  Every
 homomorphism, retraction and core question reduces to calls into
-`find_hom`.  The symmetry searches of the laconic rewriting (embeddings,
-renamings, self-maps) are not made here: `laconify._type_homs` gives
+`find_hom`.  The symmetry searches of the laconic rewriting (embeddings
+and automorphisms) are not made here: `laconify._type_homs` gives
 values variable by variable, so that its answers come out sorted and
 it can skip those that only permute twin variables.  Isomorphism is
 not a search either: it compares canonical block forms

@@ -255,7 +255,7 @@ def _separable_for(tgd: TGD, kept_atoms, kept_nulls) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Renamings, embeddings, self-maps.
+# Embeddings and automorphisms of block types.
 
 def _encode_type(t2: BlockType) -> Encoding:
     """t2's canonical instance as a search target: its variables coded
@@ -290,7 +290,7 @@ def _twin_least(codes, twin) -> tuple:
     return tuple([new[c] if c in new else new.setdefault(c, next(free[twin[c]])) for c in codes])
 
 
-def _type_homs(t: BlockType, t2: BlockType, injective: bool = False, enc=None, twin=None):
+def _type_homs(t: BlockType, t2: BlockType, enc, twin, injective: bool = False):
     """Homomorphisms of t's atoms into t2's canonical instance sending
     constant variables to constant variables and null variables
     injectively to null variables, as (codes, onto): the codes in `enc`
@@ -301,18 +301,18 @@ def _type_homs(t: BlockType, t2: BlockType, injective: bool = False, enc=None, t
     last variable has one; so the homomorphisms come out one by one, in
     increasing order of their codes, with none listed ahead.  `onto`
     tells whether every atom of t2 is hit.  `injective` also makes the
-    constant part injective.  `enc` is `_encode_type(t2)`, when the
-    caller searches it more than once; the search adds no code to it.
+    constant part injective.  `enc` is `_encode_type(t2)`; the search
+    adds no code to it.
 
-    Given t2's `_twins`, only the twin-lex-leaders come out: of two
-    twins, the first (in code order) has the smaller least preimage, an
-    unused one counting as past the end.  They are the homomorphisms
-    that are least among their images under permutations within the
-    twin classes (`_twin_least` of each is itself).  A value is first
-    taken only after its previous twin, so no other one is listed.
+    Given t2's `_twins` as `twin`, only the twin-lex-leaders come out:
+    of two twins, the first (in code order) has the smaller least
+    preimage, an unused one counting as past the end.  They are the
+    homomorphisms that are least among their images under permutations
+    within the twin classes (`_twin_least` of each is itself).  A value
+    is first taken only after its previous twin, so no other one is
+    listed.  A `twin` of `list(range(n))` puts every variable in a class
+    of its own, and so lists every homomorphism.
     """
-    if enc is None:
-        enc = _encode_type(t2)
     rows = enc.rows
     m, m2 = len(t.const_vars), len(t2.const_vars)
     kinds = (range(m2), range(m2, m2 + len(t2.null_vars)))
@@ -331,12 +331,11 @@ def _type_homs(t: BlockType, t2: BlockType, injective: bool = False, enc=None, t
         elif args not in rows[a.rel]:
             return
     ntargets = sum(map(len, rows.values()))
-    prev = [-1] * (m2 + len(kinds[1]))  # the previous twin of each code
-    if twin is not None:
-        latest: dict = {}
-        for c, cls in enumerate(twin):
-            prev[c] = latest.get(cls, -1)
-            latest[cls] = c
+    prev = []  # the previous twin of each code
+    latest: dict = {}
+    for c, cls in enumerate(twin):
+        prev.append(latest.get(cls, -1))
+        latest[cls] = c
     asn = [-1] * nvars
     used = [0] * len(prev)  # how many of the variables before have each value
 
@@ -381,55 +380,6 @@ def _maps(t: BlockType, t2: BlockType, codes) -> tuple:
     images = [names2[c] for c in codes]
     m = len(t.const_vars)
     return dict(zip(t.const_vars, images[:m])), dict(zip(t.null_vars, images[m:]))
-
-
-def renamings_between(t: BlockType, t2: BlockType) -> list:
-    """All renamings t -> t2: bijections on constant variables and on
-    null variables mapping the atom set onto the atom set."""
-    if len(t.const_vars) != len(t2.const_vars) or len(t.null_vars) != len(t2.null_vars):
-        return []
-    return [
-        {**cmap, **nmap}
-        for cmap, nmap in (_maps(t, t2, codes) for codes, onto in _type_homs(t, t2, injective=True) if onto)
-    ]
-
-
-def renaming_between(t: BlockType, t2: BlockType):
-    """One renaming t -> t2, or None."""
-    rens = renamings_between(t, t2)
-    return rens[0] if rens else None
-
-
-@dataclass(frozen=True)
-class Embedding:
-    const_map: tuple  # pairs (var of t, var of t2)
-    null_map: tuple
-    strict: bool
-
-    def as_dict(self) -> dict:
-        return dict(self.const_map) | dict(self.null_map)
-
-
-def embeddings_between(t: BlockType, t2: BlockType) -> list:
-    """All embeddings of t into t2: constant variables map (not
-    necessarily injectively) into constant variables, null variables
-    injectively into null variables, atoms land on atoms.  The strict
-    flag marks embeddings whose image misses some atom of t2."""
-    out = []
-    for codes, onto in _type_homs(t, t2):
-        cmap, nmap = _maps(t, t2, codes)
-        out.append(Embedding(tuple(sorted(cmap.items())), tuple(sorted(nmap.items())), strict=not onto))
-    return out
-
-
-def strict_embeddings(t: BlockType, t2: BlockType) -> list:
-    return [e for e in embeddings_between(t, t2) if e.strict]
-
-
-def self_maps(t: BlockType) -> list:
-    """All substitutions (constant part arbitrary, null part bijective)
-    mapping the atom set onto exactly itself; includes the identity."""
-    return [_maps(t, t, codes) for codes, onto in _type_homs(t, t) if onto]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +484,7 @@ def _guard_target(t2: BlockType, prime: Formula):
     identity) followed by a permutation within the twin classes."""
     enc = _encode_type(t2)
     twin = _twins(t2, enc)
-    autos = [codes for codes, onto in _type_homs(t2, t2, True, enc, twin) if onto]
+    autos = [codes for codes, onto in _type_homs(t2, t2, enc, twin, True) if onto]
     fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
     return t2, enc, twin, autos[1:], fresh, substitute(prime, fresh)
 
@@ -556,7 +506,7 @@ def precondition(t: BlockType, base: Formula, targets) -> Formula:
     guards are counted against `PRECONDITION_BUDGET` as they are found."""
     guards = []
     for t2, enc, twin, autos, fresh, prime in targets:
-        for codes, onto in _type_homs(t, t2, enc=enc, twin=twin):
+        for codes, onto in _type_homs(t, t2, enc, twin):
             if onto or any(_twin_least([a[c] for c in codes], twin) < codes for a in autos):
                 continue
             if len(guards) == PRECONDITION_BUDGET:
@@ -660,7 +610,6 @@ def laconify(m: SchemaMapping, *, side_conditions: bool = True) -> SchemaMapping
     if not mapping_certain_free(m):
         raise MappingError("laconify input must be certain[...]-free")
     md = decompose(m)
-    _reject_consequent_constants(md)
     types = generate_block_types(md)
     tgds = []
     for t, ante in zip(types, preconditions(types, md)):

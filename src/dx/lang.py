@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Iterable
 
 from dx.model import Const, MappingError, Schema, quote
 
@@ -46,7 +46,7 @@ class Var(_Node):
     name: str
 
 
-Term = Union[Var, Const]
+Term = Var | Const
 
 
 @_node
@@ -107,7 +107,7 @@ class Certain(_Node):
     base: "SchemaMapping"
 
 
-Formula = Union[RelAtom, Eq, Lt, And, Or, Not, Exists, Forall, TrueF, Certain]
+Formula = RelAtom | Eq | Lt | And | Or | Not | Exists | Forall | TrueF | Certain
 
 TRUE = TrueF()
 FALSE = Not(TRUE)

@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Union
+from typing import Iterable, Iterator, Mapping, NoReturn, Optional
 
 from dx import kernel
 
@@ -106,7 +106,7 @@ class SkolemNull(tuple):
         return f"SkolemNull({self[1]!r}, {self[2]!r})"
 
 
-Value = Union[Const, FreshNull, SkolemNull]
+Value = Const | FreshNull | SkolemNull
 
 
 def is_null(v: Value) -> bool:
@@ -412,34 +412,6 @@ class Homomorphism:
     def __repr__(self):
         nulls = {k: v for k, v in self.mapping.items() if is_null(k)}
         return f"Homomorphism({nulls!r})"
-
-    def apply_fact(self, f: Fact) -> Fact:
-        return Fact(f.rel, tuple(self(a) for a in f.args))
-
-    def apply_instance(self, inst: Instance) -> Instance:
-        return Instance(inst.schema, {self.apply_fact(f) for f in inst.facts})
-
-
-def _pattern_of(inst: Instance):
-    """Instance facts with nulls replaced by search variables."""
-    return [
-        (f.rel, tuple(PatternVar(a) if is_null(a) else a for a in f.args))
-        for f in inst.facts_sorted
-    ]
-
-
-def find_homomorphism(i: Instance, j: Instance) -> Optional[Homomorphism]:
-    """A homomorphism i -> j fixing constants, or None."""
-    if i.schema != j.schema:
-        raise MappingError("homomorphism requires a common schema")
-    asn = match_pattern(_pattern_of(i), j.facts_sorted)
-    if asn is None:
-        return None
-    mapping = {v: v for v in i.constants}
-    mapping.update({pv.name: val for pv, val in asn.items()})
-    for n in i.nulls:
-        mapping.setdefault(n, n)  # nulls of empty patterns cannot occur
-    return Homomorphism(mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -465,7 +465,11 @@ def read_source_csv(schema: Schema, directory: str) -> Instance:
 
 
 def load_instance(conn, inst: Instance):
-    """Create source tables in a DB-API connection and insert the facts."""
+    """Create source tables in a DB-API connection and insert the facts.
+    A relation name that `name_clash` finds is an error."""
+    clash = name_clash(inst.schema, Schema({}))
+    if clash is not None:
+        raise MappingError(clash[1])
     cur = conn.cursor()
     for stmt in source_ddl(inst.schema).split(";"):
         stmt = stmt.strip()

@@ -5,6 +5,7 @@ independent brute-force oracles used to cross-check the engine.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Sequence
 
 from dx.certain import UnfoldedRewriting, _build_disjunct, _term_to_internal, _Unifier, cq_parts, unfold
@@ -12,7 +13,6 @@ from dx.chase import to_term_interpretation
 from dx.evaluator import eval_formula
 from dx.laconify import (
     BlockType,
-    Embedding,
     SideCondition,
     _order_type,
     _precon_prime,
@@ -551,8 +551,10 @@ def ref_blocks(inst: Instance) -> list:
     return comps
 
 
-def _ref_pattern_of(inst: Instance):
-    from dx.model import PatternVar, is_null
+def null_pattern(inst: Instance):
+    """The instance's facts, in canonical order, with nulls replaced by
+    search variables named by them."""
+    from dx.model import is_null
 
     return [
         (f.rel, tuple(PatternVar(a) if is_null(a) else a for a in f.args))
@@ -560,8 +562,13 @@ def _ref_pattern_of(inst: Instance):
     ]
 
 
+def ref_homomorphic(i: Instance, j: Instance) -> bool:
+    """Whether some homomorphism i -> j fixes the constants."""
+    return ref_match_pattern(null_pattern(i), j.facts_sorted, presorted=True) is not None
+
+
 def ref_block_fold(block: Instance, ordered_facts: tuple):
-    pattern = _ref_pattern_of(block)
+    pattern = null_pattern(block)
     for gone in block.facts_sorted:
         target = [f for f in ordered_facts if f != gone]
         asn = ref_match_pattern(pattern, target, presorted=True)
@@ -667,6 +674,18 @@ def ref_restricted_chase(m, source: Instance) -> Instance:
 # permutation loops and the restarting side-condition scan that the
 # kernel-based searches and the single-pass `side_condition` replaced,
 # kept as an oracle for them.
+
+@dataclass(frozen=True)
+class Embedding:
+    """One embedding of t into t2, as `ref_embeddings_between` lists them."""
+
+    const_map: tuple  # pairs (var of t, var of t2)
+    null_map: tuple
+    strict: bool
+
+    def as_dict(self) -> dict:
+        return dict(self.const_map) | dict(self.null_map)
+
 
 def ref_renamings_between(t: BlockType, t2: BlockType) -> list:
     """All renamings t -> t2: bijections on constant variables and on
@@ -1157,7 +1176,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                     break
         if not ok:
             continue
-        d = _build_disjunct(uf, free, atoms, tuple(rule for rule, _terms in choice))
+        d = _build_disjunct(uf, free, tuple(rule for rule, _terms in choice))
         if d is not None and d not in seen:
             seen.add(d)
             disjuncts.append(d)

@@ -1,7 +1,10 @@
 """pyproject.toml is the only packaging file; check what it declares."""
 
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +54,24 @@ def test_no_module_keeps_a_process_wide_cache():
         module = importlib.import_module(f"dx.{name}")
         cached = [attr for attr, value in vars(module).items() if hasattr(value, "cache_info")]
         assert cached == [], f"dx.{name}"
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+import dx
+refs = [weakref.ref(c) for c in (dx.lang.Var, dx.model.Const, dx.chase.App)]
+for name in [n for n in sys.modules if n == "dx" or n.startswith("dx.")]:
+    del sys.modules[name]
+dx = importlib.import_module("dx")
+gc.collect()
+print(sum(r() is not None for r in refs))
+"""
+
+
+def test_reimported_dx_frees_the_previous_import():
+    # In a fresh interpreter, so the suite's own dx modules are untouched.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _REIMPORT], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0"], "classes of the first import are still alive"

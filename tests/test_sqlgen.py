@@ -517,6 +517,23 @@ def test_target_names_equal_but_for_case_are_rejected():
         interpretation_to_sql(to_term_interpretation(m))
 
 
+@pytest.mark.parametrize(
+    "rels, message",
+    [
+        ({"P": 1, "p": 1}, "relation names P and p are one name in SQL"),
+        ({"adom": 1}, "relation name adom is reserved"),
+        ({"k1": 1}, "relation name k1 is reserved"),
+    ],
+)
+def test_load_instance_rejects_names_the_sql_would_confuse(rels, message):
+    schema = Schema(rels)
+    i = Instance(schema, [Fact(rel, (Const("a"),)) for rel in rels])
+    conn = sqlite3.connect(":memory:")
+    with pytest.raises(MappingError, match=message):
+        load_instance(conn, i)
+    assert conn.execute("SELECT name FROM sqlite_master").fetchall() == []
+
+
 def test_names_sqlite_tells_apart_are_accepted():
     """Only ASCII letters fold, and only the artifact's own names are
     reserved: `k`, `u1x` and `target_P` (with no target P) are free."""
