@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from dx import kernel
-from dx.evaluator import run_plans
+from dx.evaluator import row_getter, run_plans
 from dx.lang import (
     Formula,
     SchemaMapping,
@@ -54,9 +54,6 @@ class App:
     args: tuple
 
 
-TTerm = Var | Const | App
-
-
 @dataclass(frozen=True)
 class Rule:
     """One Skolemized dependency: its antecedent with parameters `params`
@@ -64,7 +61,7 @@ class Rule:
 
     condition: Formula
     params: tuple
-    heads: tuple  # (relation, terms)
+    heads: tuple  # (relation, terms); a term is a Var, Const or App
 
 
 @dataclass(frozen=True)
@@ -87,15 +84,45 @@ def _skolem_symbol(tgd_index: int, var_index: int) -> str:
     return f"f{tgd_index + 1}_{var_index + 1}"
 
 
-def _term_value(t: TTerm, params: tuple):
-    """A function from a row of values for `params` to the value of t."""
-    if isinstance(t, Var):
-        i = params.index(t.name)
-        return lambda row: row[i]
-    if isinstance(t, Const):
-        return lambda row: t
-    args = [_term_value(a, params) for a in t.args]
-    return lambda row: SkolemNull(t.symbol, tuple([f(row) for f in args]))
+def _consts(terms):
+    """The constants among terms and their subterms, in order."""
+    for t in terms:
+        if isinstance(t, App):
+            yield from _consts(t.args)
+        elif isinstance(t, Const):
+            yield t
+
+
+def _compile_heads(rule: Rule):
+    """The rule's heads over its parameter rows, each distinct term
+    valued once per row.  A row is extended by `fixed`, the rule's
+    constants, then by one value per distinct Skolem term, arguments
+    before the terms over them: `skolems` lists (symbol, getter of its
+    arguments).  `heads` lists (relation, positions in the extended row).
+    """
+    fixed = tuple(dict.fromkeys(_consts(t for _rel, terms in rule.heads for t in terms)))
+    pos = {Var(p): i for i, p in enumerate(rule.params)}
+    pos.update((c, len(rule.params) + i) for i, c in enumerate(fixed))
+    skolems = []
+
+    def place(t) -> int:
+        i = pos.get(t)
+        if i is None:
+            get = row_getter([place(a) for a in t.args])
+            i = pos[t] = len(pos)
+            skolems.append((t.symbol, get))
+        return i
+
+    heads = [(rel, [place(t) for t in terms]) for rel, terms in rule.heads]
+    return fixed, skolems, heads
+
+
+def _extend(row: tuple, skolems: list) -> tuple:
+    """The row, extended by the rule's constants, extended by its Skolem
+    values."""
+    for symbol, get in skolems:
+        row += (SkolemNull(symbol, get(row)),)
+    return row
 
 
 def to_term_interpretation(m: SchemaMapping) -> TermInterpretation:
@@ -145,22 +172,26 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
     facts: set = set()
     built = Encoding()  # `facts`, indexed for the consequent checks
     for rule, answers in zip(pi.rules, _answers(pi, inst)):
-        heads = [(rel, [_term_value(t, rule.params) for t in terms]) for rel, terms in rule.heads]
-        nulls: dict = {}  # a Skolem term -> its search variable
-        slots: dict = {}  # any other term -> the slot of its value's code
+        fixed, skolems, heads = _compile_heads(rule)
+        base = len(rule.params) + len(fixed)
+        # a Skolem value is a search variable; any other value fills a
+        # slot with its code
+        slots: dict = {}
         check = kernel.order_pattern([
-            (rel, tuple(-1 - nulls.setdefault(t, len(nulls)) if isinstance(t, App)
-                        else slots.setdefault(t, len(slots)) for t in terms))
-            for rel, terms in rule.heads
+            (rel, tuple(base - 1 - p if p >= base else slots.setdefault(p, len(slots)) for p in ps))
+            for rel, ps in heads
         ])
-        values = [_term_value(t, rule.params) for t in slots]
+        values = row_getter(list(slots))
+        heads = [(rel, row_getter(ps)) for rel, ps in heads]
         for row in sorted(answers):
-            codes = [built.code(f(row)) for f in values]
+            row += fixed
+            codes = list(map(built.code, values(row)))
             pattern = [(rel, tuple(a if a < 0 else codes[a] for a in args)) for rel, args in check]
-            if kernel.find_hom(pattern, built, len(nulls)) is not None:
+            if kernel.find_hom(pattern, built, len(skolems)) is not None:
                 continue
-            for rel, terms in heads:
-                fact = Fact(rel, tuple([f(row) for f in terms]))
+            row = _extend(row, skolems)
+            for rel, get in heads:
+                fact = Fact(rel, get(row))
                 if fact not in facts:
                     facts.add(fact)
                     built.add(fact)
@@ -171,7 +202,9 @@ def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
     """The target instance generated by a term interpretation."""
     facts = set()
     for rule, rows in zip(pi.rules, _answers(pi, inst)):
-        for rel, terms in rule.heads:
-            values = [_term_value(t, rule.params) for t in terms]
-            facts.update([Fact(rel, tuple([f(row) for f in values])) for row in rows])
+        fixed, skolems, heads = _compile_heads(rule)
+        heads = [(rel, row_getter(ps)) for rel, ps in heads]
+        for row in rows:
+            row = _extend(row + fixed, skolems)
+            facts.update([Fact(rel, get(row)) for rel, get in heads])
     return Instance(pi.target, facts)

@@ -21,6 +21,7 @@ equality copies them.  `holds` runs the plan on a one-row context.
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from typing import Sequence
 
 from dx.lang import Formula, Var, free_vars
@@ -71,6 +72,16 @@ def _project(rel: _Rel, keep: Sequence[str]) -> _Rel:
     return _Rel(cols, rows)
 
 
+def row_getter(positions: Sequence[int]):
+    """A function from a row to the tuple of its items at `positions`:
+    a slice for an ascending run of positions (the row itself when the
+    run is the whole row), else one itemgetter."""
+    start = positions[0] if positions else 0
+    if list(positions) == list(range(start, start + len(positions))):
+        return operator.itemgetter(slice(start, start + len(positions)))
+    return operator.itemgetter(*positions)
+
+
 def _picker(t, vars: tuple):
     """A term's value in a row with columns `vars`."""
     if isinstance(t, Var):
@@ -90,6 +101,14 @@ class _Evaluator:
         self._in_dom = set(inst.dom)
         self._memo: dict = {}
         self._bases: dict = {}  # certain[...] base mapping -> evaluator of its chase
+
+    @cached_property
+    def _rows(self) -> dict:
+        """relation -> its facts' argument tuples, in no order"""
+        rows: dict = {}
+        for rel, args in self.inst.facts:
+            rows.setdefault(rel, []).append(args)
+        return rows
 
     def run(self, node: Node, ctx: _Rel) -> _Rel:
         """ctx joined with the rows of node."""
@@ -163,21 +182,27 @@ class _Evaluator:
             return _Rel(node.vars, {r for r in rows if all(isinstance(v, Const) for v in r)})
         if node.rel not in self.inst.schema:
             raise MappingError(f"undeclared relation {node.rel}")
-        rows = set()
-        for args in self.inst.by_rel.get(node.rel, ()):
-            env: dict = {}
-            ok = True
-            for a, v in zip(node.args, args):
-                if isinstance(a, Var):
-                    if env.setdefault(a.name, v) != v:
-                        ok = False
-                        break
-                elif a != v:
-                    ok = False
-                    break
-            if ok:
-                rows.add(tuple(env[c] for c in node.vars))
-        return _Rel(node.vars, rows)
+        # equality checks for a repeated variable and for a constant,
+        # then one projection onto each variable's first position
+        first: dict = {}
+        same, fixed = [], []
+        for i, a in enumerate(node.args):
+            if isinstance(a, Var):
+                j = first.setdefault(a.name, i)
+                if j != i:
+                    same.append((j, i))
+            else:
+                fixed.append(i)
+        rows = self._rows.get(node.rel, ())
+        if same:
+            left = row_getter([j for j, _i in same])
+            right = row_getter([i for _j, i in same])
+            rows = [r for r in rows if left(r) == right(r)]
+        if fixed:
+            key = row_getter(fixed)
+            want = key(node.args)
+            rows = [r for r in rows if key(r) == want]
+        return _Rel(node.vars, set(map(row_getter(list(first.values())), rows)))
 
 
 def eval_formula(f: Formula, inst: Instance, free: Sequence[str]) -> set:
@@ -196,7 +221,11 @@ def run_plans(plans, inst: Instance) -> list:
     all, so shared unions, atom scans and `certain[...]` chases are
     computed once for the whole list."""
     ev = _Evaluator(inst)
-    return [_project(ev.run(p, _UNIT), cols).rows for p, cols in plans]
+    out = []
+    for p, cols in plans:
+        rel = ev.run(p, _UNIT)
+        out.append(rel.rows if rel.vars == tuple(cols) else _project(rel, cols).rows)
+    return out
 
 
 def ground_answers(f: Formula, inst: Instance, free: Sequence[str]) -> set:

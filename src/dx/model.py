@@ -178,13 +178,14 @@ class Instance:
 
     def __init__(self, schema: Schema, facts: Iterable[Fact]):
         fs = frozenset(facts)
-        for f in fs:
-            if f.rel not in schema:
-                raise MappingError(f"fact over undeclared relation {f.rel}")
-            if len(f.args) != schema.arity(f.rel):
+        # each distinct (relation, argument count) is checked once
+        shapes = set(zip(map(operator.itemgetter(0), fs), map(len, map(operator.itemgetter(1), fs))))
+        for rel, n in sorted(shapes):
+            if rel not in schema:
+                raise MappingError(f"fact over undeclared relation {rel}")
+            if n != schema.arity(rel):
                 raise MappingError(
-                    f"arity mismatch: {f.rel} declared /{schema.arity(f.rel)}, "
-                    f"fact has {len(f.args)} arguments"
+                    f"arity mismatch: {rel} declared /{schema.arity(rel)}, fact has {n} arguments"
                 )
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "facts", fs)
@@ -676,7 +677,8 @@ def instances_isomorphic(i: Instance, j: Instance) -> bool:
 # Tokens and quoted constants, shared by the fact-file and mapping readers.
 
 class Lexer:
-    """A cursor over (kind, text, offset) tokens split with one regex pass.
+    """A cursor over (kind, text, offset) tokens split with one regex pass,
+    from offset `start` (a token boundary) to the end of the text.
 
     `token_re` is an alternation of named groups that ends with a
     catch-all `(?P<error>.)`, so every character lands in exactly one
@@ -689,11 +691,11 @@ class Lexer:
     (`where`) only when an error names it.
     """
 
-    def __init__(self, text: str, token_re: re.Pattern):
+    def __init__(self, text: str, token_re: re.Pattern, start: int = 0):
         self.text = text
         self.tokens = [
             (m.lastgroup, m.group(), m.start())
-            for m in token_re.finditer(text)
+            for m in token_re.finditer(text, start)
             if m.lastgroup != "ws"
         ]
         self.end = ("end", "", self.tokens[-1][2] if self.tokens else 0)
@@ -745,7 +747,7 @@ class Lexer:
 
     def quoted_const(self, tok) -> Const:
         """The constant written by a quoted token, or a ParseError at it."""
-        body = tok[1][1:-1].replace("\\'", "'").replace("\\\\", "\\")
+        body = _unquote(tok[1])
         if not body:
             self.fail(tok, "empty constant")
         try:
@@ -755,8 +757,13 @@ class Lexer:
 
 
 def quote(text: str) -> str:
-    """Constant text as a single-quoted token; `Lexer.quoted_const` inverts it."""
+    """Constant text as a single-quoted token; `_unquote` inverts it."""
     return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def _unquote(token: str) -> str:
+    """The text of a quoted token; `quote` inverts it."""
+    return token[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
 
 # ---------------------------------------------------------------------------
@@ -775,27 +782,61 @@ _FACT_TOKEN = re.compile(
 )
 _FRESH = re.compile(r"N([0-9]+)\Z")
 
+# A flat fact's argument: a bare token, or a quoted one that reads as a
+# constant (neither empty nor starting with `@`).
+_FLAT_ARG = r"[A-Za-z0-9_]+|'(?!@)(?:[^'\\]|\\.)+'"
+_FLAT_ARGS = re.compile(_FLAT_ARG)
+# Whitespace and comments between facts, one character or one whole
+# comment per step, so a failed match never backtracks into a comment.
+_FACT_GAP = re.compile(r"(?:\s|\#[^\n]*(?![^\n]))*")
+# A flat fact, comment-free, and the gap after it: its relation name and
+# the text of its arguments.
+_FLAT_FACT = re.compile(
+    rf"([A-Za-z0-9_]+)\s*\(\s*((?:(?:{_FLAT_ARG})\s*(?:,\s*(?:{_FLAT_ARG})\s*)*)?)\)\s*\."
+    + _FACT_GAP.pattern
+)
+
+
+class _Texts(dict):
+    """Each value's fact-file text, made on first lookup; a Skolem
+    null's text is built from its arguments' texts."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: Value) -> str:
+        if v[0] == 0:
+            t = v[1] if _BARE.match(v[1]) else quote(v[1])
+        elif v[0] == 1:
+            t = f"?N{v[1]}"
+        else:
+            t = f"?{v[1]}({', '.join(map(self.__getitem__, v[2]))})"
+        self[v] = t
+        return t
+
 
 def format_value(v: Value) -> str:
-    if isinstance(v, Const):
-        return v.text if _BARE.match(v.text) else quote(v.text)
-    if isinstance(v, FreshNull):
-        return f"?N{v.id}"
-    inner = ", ".join(format_value(a) for a in v.args)
-    return f"?{v.symbol}({inner})"
+    return _Texts()[v]
 
 
 def format_facts(inst: Instance) -> str:
     # each distinct value is formatted once; the order comes from facts_sorted
-    text = {v: format_value(v) for v in {a for _rel, args in inst.facts for a in args}}
-    lines = [
-        f"{rel}({', '.join([text[a] for a in args])})."
-        for rel, args in inst.facts_sorted
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    text = _Texts().__getitem__
+    lines = [f"{rel}({', '.join(map(text, args))}).\n" for rel, args in inst.facts_sorted]
+    return "".join(lines)
 
 
-def _read_args(lex: Lexer, consts: dict) -> tuple:
+class _Consts(dict):
+    """A fact file's constants by token text, each made on first lookup,
+    so every occurrence of a token shares one constant."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> Const:
+        c = self[token] = Const(_unquote(token) if token[0] == "'" else token)
+        return c
+
+
+def _read_args(lex: Lexer, consts: _Consts) -> tuple:
     lex.expect("(")
     args = []
     if not lex.accept(")"):
@@ -806,18 +847,14 @@ def _read_args(lex: Lexer, consts: dict) -> tuple:
     return tuple(args)
 
 
-def _read_value(lex: Lexer, consts: dict) -> Value:
-    """The value at the next token; `consts` maps each bare token text
-    read so far to its one constant."""
+def _read_value(lex: Lexer, consts: _Consts) -> Value:
+    """The value at the next token."""
     tok = lex.peek()
     if tok[0] not in ("bare", "quoted", "null"):
         lex.error("expected a value")
     kind, text, _pos = lex.take()
     if kind == "bare":
-        c = consts.get(text)
-        if c is None:
-            c = consts[text] = Const(text)
-        return c
+        return consts[text]
     if kind == "quoted":
         return lex.quoted_const(tok)
     name = text[1:]
@@ -830,11 +867,9 @@ def _read_value(lex: Lexer, consts: dict) -> Value:
     return SkolemNull(name, _read_args(lex, consts))
 
 
-def parse_facts(text: str, schema: Schema) -> Instance:
-    """Read a fact file into an instance over the given schema."""
-    lex = Lexer(text, _FACT_TOKEN)
-    consts: dict = {}
-    facts = []
+def _read_facts(lex: Lexer, schema: Schema, consts: _Consts, facts: list) -> None:
+    """The token reader: append the facts of `lex` to `facts`, or raise a
+    ParseError at the first error in file order."""
     while (tok := lex.peek())[0] != "end":
         if tok[0] != "bare":
             lex.error("expected relation name")
@@ -848,4 +883,30 @@ def parse_facts(text: str, schema: Schema) -> Instance:
                 tok, f"arity mismatch for {rel}: expected {schema.arity(rel)}, got {len(args)}"
             )
         facts.append(Fact(rel, args))
+
+
+def parse_facts(text: str, schema: Schema) -> Instance:
+    """Read a fact file into an instance over the given schema.
+
+    Flat facts, comment-free facts of bare and quoted constants, are read
+    one regex match each.  At the first text that match cannot take (a
+    null, a comment inside a fact, an undeclared relation, an arity
+    mismatch, a quoted token that is no constant, or malformed input)
+    the token reader takes over to the end of the file: it alone reads
+    nulls and raises ParseError.  Both share one table of constants.
+    """
+    consts = _Consts()
+    arity = schema._arity
+    match, split = _FLAT_FACT.match, _FLAT_ARGS.findall
+    facts = []
+    pos = _FACT_GAP.match(text).end()
+    while (m := match(text, pos)) is not None:
+        rel, body = m.groups()
+        tokens = split(body)
+        if len(tokens) != arity.get(rel):
+            break
+        facts.append(Fact(rel, tuple(map(consts.__getitem__, tokens))))
+        pos = m.end()
+    if pos < len(text):
+        _read_facts(Lexer(text, _FACT_TOKEN, pos), schema, consts, facts)
     return Instance(schema, facts)

@@ -55,49 +55,53 @@ def _encode_arg(v: Value) -> str:
     return text
 
 
+# A null encoding in pieces: the text up to each unescaped `(`, `,` or
+# `)`, and that delimiter.  `split` puts any text no piece covers (a
+# backslash that escapes nothing, text after the last delimiter) at
+# every third place.
+_PIECES = re.compile(r"((?:[^\\(),]|\\.)*)([(),])", re.S)
+_UNESCAPE = re.compile(r"\\(.)", re.S)
+# The piece before a term's `(`: `@` and its function symbol.
+_SYMBOL = re.compile(r"@[^\\]+\Z")
+
+
 def decode_value(text: str) -> Value:
-    """Exact inverse of encode_value on its image."""
+    """Exact inverse of encode_value on values whose function symbols
+    hold no `\\`, `(`, `,` or `)`; a ValueError on text that encodes no
+    such value."""
     if not text.startswith("@"):
         return Const(text)
-    value, end = _decode_term(text, 0)
-    if end < len(text):
-        raise ValueError(f"trailing text after null encoding: {text[end:]!r}")
-    return value
-
-
-def _decode_term(text: str, i: int):
-    """The Skolem term encoded at text[i] == '@', and the index after it."""
-    open_idx = text.find("(", i)
-    if open_idx <= i + 1:
+    parts = _PIECES.split(text)
+    if any(parts[::3]):
         raise ValueError(f"malformed null encoding: {text!r}")
-    symbol = text[i + 1 : open_idx]
-    j = open_idx + 1
-    args = []
-    if text.startswith(")", j):
-        return SkolemNull(symbol, ()), j + 1
-    while True:
-        if text.startswith("@", j):
-            arg, j = _decode_term(text, j)
-        else:
-            buf = []
-            while j < len(text) and text[j] not in ",)":
-                if text[j] == "\\":
-                    j += 1
-                elif text[j] == "(":
-                    raise ValueError(f"unescaped '(' in null encoding: {text!r}")
-                buf.append(text[j:j + 1])
-                j += 1
-            if not buf:
-                raise ValueError("empty argument in null encoding")
-            arg = Const("".join(buf))
-        args.append(arg)
-        if j >= len(text):
+    stack: list = []  # (symbol, args) of each open term
+    done = None  # the term a `)` just closed, until its `,` or `)`
+    for piece, delim in zip(parts[1::3], parts[2::3]):
+        if delim == "(":
+            if done is not None or not _SYMBOL.match(piece):
+                raise ValueError(f"malformed null encoding: {text!r}")
+            stack.append((piece[1:], []))
+            continue
+        if not stack:
             raise ValueError(f"unbalanced null encoding: {text!r}")
-        if text[j] == ")":
-            return SkolemNull(symbol, tuple(args)), j + 1
-        if text[j] != ",":
-            raise ValueError(f"malformed null encoding: {text!r}")
-        j += 1
+        args = stack[-1][1]
+        if done is not None:
+            if piece:
+                raise ValueError(f"malformed null encoding: {text!r}")
+            args.append(done)
+            done = None
+        elif piece:
+            if piece.startswith("@"):
+                raise ValueError(f"malformed null encoding: {text!r}")
+            args.append(Const(_UNESCAPE.sub(r"\1", piece) if "\\" in piece else piece))
+        elif delim == "," or args:
+            raise ValueError("empty argument in null encoding")
+        if delim == ")":
+            symbol, args = stack.pop()
+            done = SkolemNull(symbol, tuple(args))
+    if stack or done is None:
+        raise ValueError(f"unbalanced null encoding: {text!r}")
+    return done
 
 
 def _sql_quote(text: str) -> str:

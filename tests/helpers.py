@@ -48,7 +48,20 @@ from dx.lang import (
     mapping_certain_free,
     substitute,
 )
-from dx.model import Const, Fact, FreshNull, Instance, MappingError, PatternVar, Schema, match_pattern
+from dx.model import (
+    _FACT_TOKEN,
+    _FRESH,
+    Const,
+    Fact,
+    FreshNull,
+    Instance,
+    Lexer,
+    MappingError,
+    PatternVar,
+    Schema,
+    SkolemNull,
+    match_pattern,
+)
 from dx.parser import parse_mapping
 from dx.plan import Normaliser
 
@@ -631,7 +644,6 @@ def ref_is_core(j: Instance) -> bool:
 def ref_restricted_chase(m, source: Instance) -> Instance:
     """Re-sort and re-encode the facts built so far for every check."""
     from dx.chase import _skolem_symbol
-    from dx.model import SkolemNull
 
     facts: set = set()
     for d, tgd in enumerate(m.tgds):
@@ -1109,7 +1121,6 @@ def ref_holds(f: Formula, inst: Instance, env: dict | None = None) -> bool:
 def ref_naive_chase(m, inst: Instance) -> Instance:
     """The naive chase with its antecedents evaluated by ref_eval_formula."""
     from dx.chase import _skolem_symbol
-    from dx.model import SkolemNull
 
     facts = set()
     for d, tgd in enumerate(m.tgds):
@@ -1458,6 +1469,106 @@ def ref_tokens(text: str, token_re) -> list:
             col += len(tok)
         pos = m.end()
     return tokens
+
+
+def _ref_read_args(lex: Lexer, consts: dict) -> tuple:
+    lex.expect("(")
+    args = []
+    if not lex.accept(")"):
+        args.append(_ref_read_value(lex, consts))
+        while lex.accept(","):
+            args.append(_ref_read_value(lex, consts))
+        lex.expect(")")
+    return tuple(args)
+
+
+def _ref_read_value(lex: Lexer, consts: dict):
+    tok = lex.peek()
+    if tok[0] not in ("bare", "quoted", "null"):
+        lex.error("expected a value")
+    kind, text, _pos = lex.take()
+    if kind == "bare":
+        c = consts.get(text)
+        if c is None:
+            c = consts[text] = Const(text)
+        return c
+    if kind == "quoted":
+        return lex.quoted_const(tok)
+    name = text[1:]
+    m = _FRESH.match(name)
+    if m and lex.peek()[1] != "(":
+        try:
+            return FreshNull(int(m.group(1)))
+        except ValueError as exc:
+            lex.fail(tok, str(exc))
+    return SkolemNull(name, _ref_read_args(lex, consts))
+
+
+def ref_parse_facts(text: str, schema: Schema) -> Instance:
+    """Oracle for `model.parse_facts`: the token reader alone, from the
+    first character, with no regex match per flat fact."""
+    lex = Lexer(text, _FACT_TOKEN)
+    consts: dict = {}
+    facts = []
+    while (tok := lex.peek())[0] != "end":
+        if tok[0] != "bare":
+            lex.error("expected relation name")
+        rel = lex.take()[1]
+        args = _ref_read_args(lex, consts)
+        lex.expect(".")
+        if rel not in schema:
+            lex.fail(tok, f"undeclared relation {rel}")
+        if len(args) != schema.arity(rel):
+            lex.fail(
+                tok, f"arity mismatch for {rel}: expected {schema.arity(rel)}, got {len(args)}"
+            )
+        facts.append(Fact(rel, args))
+    return Instance(schema, facts)
+
+
+def ref_decode_value(text: str):
+    """Oracle for `sqlgen.decode_value`: the character loop it replaced."""
+    if not text.startswith("@"):
+        return Const(text)
+    value, end = _ref_decode_term(text, 0)
+    if end < len(text):
+        raise ValueError(f"trailing text after null encoding: {text[end:]!r}")
+    return value
+
+
+def _ref_decode_term(text: str, i: int):
+    """The Skolem term encoded at text[i] == '@', and the index after it."""
+    open_idx = text.find("(", i)
+    if open_idx <= i + 1:
+        raise ValueError(f"malformed null encoding: {text!r}")
+    symbol = text[i + 1 : open_idx]
+    j = open_idx + 1
+    args = []
+    if text.startswith(")", j):
+        return SkolemNull(symbol, ()), j + 1
+    while True:
+        if text.startswith("@", j):
+            arg, j = _ref_decode_term(text, j)
+        else:
+            buf = []
+            while j < len(text) and text[j] not in ",)":
+                if text[j] == "\\":
+                    j += 1
+                elif text[j] == "(":
+                    raise ValueError(f"unescaped '(' in null encoding: {text!r}")
+                buf.append(text[j:j + 1])
+                j += 1
+            if not buf:
+                raise ValueError("empty argument in null encoding")
+            arg = Const("".join(buf))
+        args.append(arg)
+        if j >= len(text):
+            raise ValueError(f"unbalanced null encoding: {text!r}")
+        if text[j] == ")":
+            return SkolemNull(symbol, tuple(args)), j + 1
+        if text[j] != ",":
+            raise ValueError(f"malformed null encoding: {text!r}")
+        j += 1
 
 
 # ---------------------------------------------------------------------------

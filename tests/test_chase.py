@@ -1,7 +1,16 @@
 import random
 
 import pytest
-from helpers import inst, overlap_mapping, pair, ref_homomorphic, ref_restricted_chase, split_pair_mapping
+from helpers import (
+    inst,
+    overlap_mapping,
+    pair,
+    ref_homomorphic,
+    ref_naive_chase,
+    ref_restricted_chase,
+    split_pair_mapping,
+)
+from hypothesis import given, settings, strategies as st
 
 from dx.chase import (
     App,
@@ -160,6 +169,60 @@ def test_restricted_chase_orders_each_consequent_check_once(monkeypatch):
     out = restricted_chase(m, i)
     assert len(out.facts) > len(i.facts)
     assert len(ordered) == len(m.tgds)
+
+
+# Head shapes the compiled heads must each get right: an antecedent atom
+# that repeats a variable, constants in antecedents and heads, existential
+# variables shared across heads (one Skolem value for all of them), and
+# heads without a Skolem term beside heads with one.
+HEAD_SHAPES = {
+    "repeated_variable": """source R/3.
+target S/2, T/1.
+tgd: R(x,x,y) -> exists z: S(y,z) & T(z).
+tgd: R(x,y,y) -> S(x,x).
+tgd: R(x,y,x) -> exists z: S(z,z).
+""",
+    "constants": """source R/2.
+target S/3.
+tgd: R(x,'k') -> exists z: S(x,z,'c') & S('c',z,x).
+tgd: R('k',y) -> S(y,'k','k').
+tgd: R(x,y) -> S('c','c','c').
+""",
+    "shared_existentials": """source R/2.
+target S/2, T/3.
+tgd: R(x,y) -> exists z, w: S(x,z) & S(z,w) & T(w,y,z) & S(w,w).
+tgd: R(y,x) -> exists z, w: T(z,w,x) & T(w,z,y).
+""",
+    "skolem_free_head": """source R/2.
+target S/2, T/2.
+tgd: R(x,y) -> exists z: S(x,y) & T(y,z) & T(x,z).
+tgd: R(x,x) -> exists z: S(x,x) & T(x,z).
+""",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(HEAD_SHAPES)), st.data())
+def test_chases_match_reference_on_head_shapes(name, data):
+    m = parse_mapping(HEAD_SHAPES[name])
+    ((rel, arity),) = m.source.rels
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from("abkc")] * arity), max_size=12))
+    i = Instance(m.source, [Fact(rel, tuple(map(Const, row))) for row in rows])
+    assert naive_chase(m, i) == ref_naive_chase(m, i)
+    assert restricted_chase(m, i) == ref_restricted_chase(m, i)
+
+
+def test_shared_skolem_value_is_built_once():
+    """Heads that share an existential variable share its one value."""
+    m = parse_mapping(HEAD_SHAPES["shared_existentials"])
+    j = naive_chase(m, inst(m.source, ("R", "a", "b")))
+    objects: dict = {}  # each null -> the ids of its occurrences
+    for f in j.facts:
+        for a in f.args:
+            if isinstance(a, SkolemNull):
+                objects.setdefault(a, set()).add(id(a))
+    assert len(objects) == 4
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 @pytest.mark.parametrize("name", ["symmetric_join", "double_witness", "split_pair"])

@@ -15,10 +15,11 @@ from helpers import (
     ref_fact_key,
     ref_homomorphic,
     ref_instances_isomorphic,
+    ref_parse_facts,
     ref_tokens,
     ref_value_key,
 )
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dx.chase import naive_chase
 from dx.laconify import laconify
@@ -40,6 +41,7 @@ from dx.model import (
     is_null,
     match_pattern,
     parse_facts,
+    quote,
 )
 from dx.parser import _TOKEN, parse_formula, parse_mapping
 from dx.verify import random_source_instance
@@ -580,6 +582,95 @@ def test_fact_file_comments_and_quotes():
     text = "# header\nS('hello world', ?N3). # trailing\n"
     i = parse_facts(text, S2)
     assert i.facts == frozenset({Fact("S", (Const("hello world"), FreshNull(3)))})
+
+
+# Fact texts for the reader oracle: flat facts beside facts that hold
+# nulls, comments inside them, quoted tokens that are no constant ('' and
+# '@...'), undeclared relations and arity mismatches, then at times one
+# character deleted, inserted or replaced.
+SP = Schema({"S": 2, "P": 1})
+_value_text = st.recursive(
+    st.one_of(
+        st.sampled_from(["a", "b", "c1", "_x", "010"]),
+        st.text(alphabet="ab '\\,()@#\n", max_size=4).map(quote),
+        st.sampled_from(["''", "'@'", "'@a'", "'a@'", "'\\@'"]),
+        st.sampled_from(["?N1", "?N2", "?N0"]),
+    ),
+    lambda kids: st.tuples(st.sampled_from(["?f", "?N1"]), st.lists(kids, max_size=2)).map(
+        lambda p: f"{p[0]}({', '.join(p[1])})"
+    ),
+    max_leaves=4,
+)
+_gap_inside = st.sampled_from(["", "", "", " ", "\n", "  \n  ", " # inside\n"])
+_gap_between = st.sampled_from(["\n", "", " ", "\n\n", "  # between\n", "#\n"])
+
+
+@st.composite
+def _fact_texts(draw):
+    parts = [draw(_gap_between)]
+    for _ in range(draw(st.integers(0, 5))):
+        rel, arity = draw(st.sampled_from([("S", 2), ("S", 2), ("P", 1), ("Q", 1)]))
+        n = draw(st.one_of(st.just(arity), st.integers(0, 3)))
+        args = draw(st.lists(_value_text, min_size=n, max_size=n))
+        tokens = [rel, "("]
+        for k, a in enumerate(args):
+            tokens += [","] * (k > 0) + [a]
+        for tok in tokens + [")", "."]:
+            parts += [draw(_gap_inside), tok]
+        parts.append(draw(_gap_between))
+    text = "".join(parts)
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        ch = draw(st.sampled_from("S(a, b).?N0'\\#\n@$"))
+        text = draw(st.sampled_from([
+            text[:i] + text[i + 1:], text[:i] + ch + text[i:], text[:i] + ch + text[i + 1:],
+        ]))
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_fact_texts())
+@example("S(a, b).\nS('', a).\n")
+@example("S(a, b).\nS('@x', a).\n")
+@example("S(a, b).\nS(a).\n")
+@example("P(a).\nQ(b).\n")
+@example("S(a, b) # c\n.S(c, ?N0).")
+@example("S(a, 'b\\\nc').")
+def test_fact_reader_matches_token_reader(text):
+    """Flat facts read one match each, then the token reader from the
+    first text that match cannot take, give the instance the token
+    reader alone gives, or its ParseError, message and position alike."""
+    from dx.model import ParseError
+
+    try:
+        want = ref_parse_facts(text, SP)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_facts(text, SP)
+        assert str(got.value) == str(exc)
+        return
+    assert parse_facts(text, SP) == want
+
+
+def test_mixed_demo_facts_take_both_readers(monkeypatch):
+    """demo/mixed.facts holds flat facts, then a comment inside a fact,
+    where the token reader takes over."""
+    import dx.model as model
+
+    text = (pathlib.Path(__file__).resolve().parents[1] / "demo" / "mixed.facts").read_text(encoding="utf-8")
+    starts = []
+    read_facts = model._read_facts
+
+    def recording(lex, *args):
+        starts.append(lex.where(lex.peek()))
+        return read_facts(lex, *args)
+
+    monkeypatch.setattr(model, "_read_facts", recording)
+    got = parse_facts(text, R2)
+    assert starts == [(9, 1)]
+    assert got == ref_parse_facts(text, R2)
+    assert len(got) == 9
+    assert Fact("R", (Const("it's"), Const("back\\slash"))) in got.facts
 
 
 def test_random_source_instance_deterministic():
