@@ -13,7 +13,6 @@ diffed.  Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from dx import sqlgen
@@ -39,10 +38,6 @@ def _emit(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("DX_SEED", "0"))
 
 
 def _load_mapping(path: str):
@@ -190,7 +185,7 @@ COMMANDS = {
         (("-m", "--mapping"), {"required": True}),
         (("--against",), {"help": "second mapping (for 'equivalent')"}),
         (("--samples",), {"type": int, "default": 200}),
-        (("--seed",), {"type": int, "default": None}),
+        (("--seed",), {"type": int, "default": 0}),
         (("--max-consts",), {"type": int, "default": 6}),
         (("--max-facts",), {"type": int, "default": 12}),
         (("--records",), {"help": "write per-sample JSONL records to this file"}),
@@ -226,8 +221,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "seed", None) is None and args.command == "verify":
-        args.seed = _default_seed()
     try:
         return args.func(args)
     except DxError as exc:

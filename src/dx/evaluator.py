@@ -21,7 +21,6 @@ equality copies them.  `holds` runs the plan on a one-row context.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 from typing import Sequence
 
 from dx.lang import Formula, Var, free_vars
@@ -101,14 +100,6 @@ class _Evaluator:
         self._in_dom = set(inst.dom)
         self._memo: dict = {}
         self._bases: dict = {}  # certain[...] base mapping -> evaluator of its chase
-
-    @cached_property
-    def _rows(self) -> dict:
-        """relation -> its facts' argument tuples, in no order"""
-        rows: dict = {}
-        for rel, args in self.inst.facts:
-            rows.setdefault(rel, []).append(args)
-        return rows
 
     def run(self, node: Node, ctx: _Rel) -> _Rel:
         """ctx joined with the rows of node."""
@@ -193,7 +184,7 @@ class _Evaluator:
                     same.append((j, i))
             else:
                 fixed.append(i)
-        rows = self._rows.get(node.rel, ())
+        rows = self.inst.by_rel.get(node.rel, ())
         if same:
             left = row_getter([j for j, _i in same])
             right = row_getter([i for _j, i in same])

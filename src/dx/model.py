@@ -1,4 +1,4 @@
-"""Values, facts, instances, fact blocks, homomorphisms, cores, isomorphism.
+"""Values, facts, instances, fact blocks, pattern search, cores, isomorphism.
 
 A value is a tagged tuple: a constant is `(0, text)`, a numbered
 ("fresh") labeled null `(1, id)`, and a Skolem null `(2, symbol, args)`,
@@ -231,9 +231,10 @@ class Instance:
 
     @cached_property
     def by_rel(self) -> dict:
+        """relation -> its facts' argument tuples, in no order"""
         out: dict[str, list] = {}
-        for f in self.facts_sorted:
-            out.setdefault(f.rel, []).append(f.args)
+        for rel, args in self.facts:
+            out.setdefault(rel, []).append(args)
         return out
 
     @property
@@ -389,33 +390,6 @@ def match_pattern(
 
 
 # ---------------------------------------------------------------------------
-# Homomorphisms.
-
-class Homomorphism:
-    """A value map fixing all constants, sending facts to facts."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping: Mapping[Value, Value]):
-        self.mapping = dict(mapping)
-
-    def __call__(self, v: Value) -> Value:
-        m = self.mapping.get(v)
-        if m is not None:
-            return m
-        if is_null(v):
-            raise KeyError(f"homomorphism undefined on {v!r}")
-        return v
-
-    def __eq__(self, other):
-        return isinstance(other, Homomorphism) and self.mapping == other.mapping
-
-    def __repr__(self):
-        nulls = {k: v for k, v in self.mapping.items() if is_null(k)}
-        return f"Homomorphism({nulls!r})"
-
-
-# ---------------------------------------------------------------------------
 # Cores.
 
 def _encoded(inst: Instance):
@@ -453,8 +427,10 @@ def _null_blocks(rows, null) -> list[list[int]]:
     ]
 
 
-def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
-    """The core of j as a subinstance, with a retraction onto it.
+def compute_core(j: Instance) -> tuple[Instance, dict]:
+    """The core of j as a subinstance, with a retraction onto it: a dict
+    from every value of j, in `j.dom` order, to a value of the core,
+    the identity on the core's values.
 
     Repeatedly folds a block whose facts can be homomorphically mapped
     into the rest of the instance (or into fewer of its own facts); the
@@ -468,10 +444,7 @@ def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
     subinstance, so the scan resumes at the pieces of the folded block.
     """
     enc, rows, null = _encoded(j)
-    comp = list(range(len(enc.values)))
-    # code -> the codes comp sends to it, for codes some fold moved or
-    # moved onto; any other code is sent only to itself
-    pre: dict = {}
+    log = []  # each fold's moved codes, in fold order
     todo = _null_blocks(rows, null)
     k = 0
     while k < len(todo):
@@ -485,35 +458,29 @@ def compute_core(j: Instance) -> tuple[Instance, Homomorphism]:
         dead = set(facts) - image
         for rel, row in dead:
             enc.remove(rel, row)
-        moves = {c: d for c, d in fold.items() if c != d}
-        groups = {c: pre.pop(c, [c]) for c in moves}
-        for c, d in moves.items():
-            for x in groups[c]:
-                comp[x] = d
-            pre.setdefault(d, [] if d in moves else [d]).extend(groups[c])
+        log.append({c: d for c, d in fold.items() if c != d})
         kept = [p for p in block if rows[p] not in dead]
         del todo[k]
         for piece in _components(kept, rows, null):
             bisect.insort(todo, piece, lo=k, key=lambda b: b[0])
-    # comp: j -> core is a homomorphism but need not fix the core
-    # pointwise; its restriction to the core is an automorphism e, so
-    # composing with e^(order-1) yields a true retraction.
-    core_dom = {c for lst in enc.rows.values() for row in lst for c in row}
-    e = {c: comp[c] for c in core_dom}
-    order = 1
-    p = dict(e)
-    while any(p[c] != c for c in core_dom):
-        p = {c: e[p[c]] for c in core_dom}
-        order += 1
-    retr = comp
-    for _ in range(order - 1):
-        retr = [e[c] for c in retr]
-    values = enc.values
+    # comp, the folds composed last first, sends j into the core (a code
+    # it lacks stays put) but need not fix the core pointwise: on the
+    # core it is a permutation e, so e^-1 after comp is a retraction;
+    # inv holds e^-1 on every code that e moves
+    comp: dict = {}
+    for moves in reversed(log):
+        comp.update({c: comp.get(d, d) for c, d in moves.items()})
+    inv = {comp[c]: c for lst in enc.rows.values() for row in lst for c in row if c in comp}
+    values, codes = enc.values, enc.codes
     core = Instance(j.schema, [
         Fact(rel, tuple(values[c] for c in row))
         for rel, lst in enc.rows.items() for row in lst
     ])
-    return core, Homomorphism({v: values[retr[enc.codes[v]]] for v in j.dom})
+    retr = {}
+    for v in j.dom:
+        c = comp.get(codes[v], codes[v])
+        retr[v] = values[inv.get(c, c)]
+    return core, retr
 
 
 def is_core(j: Instance) -> bool:

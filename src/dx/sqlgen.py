@@ -433,7 +433,8 @@ def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
 # CSV conventions and execution helpers.
 
 def write_source_csv(inst: Instance, directory: str):
-    """One <relation>.csv per source relation, no header, UTF-8."""
+    """One <relation>.csv per source relation, no header, UTF-8, rows
+    in canonical order."""
     if not inst.is_source:
         raise MappingError("CSV export is defined for null-free instances")
     os.makedirs(directory, exist_ok=True)
@@ -441,7 +442,7 @@ def write_source_csv(inst: Instance, directory: str):
         path = os.path.join(directory, f"{name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            for args in inst.by_rel.get(name, ()):
+            for args in sorted(inst.by_rel.get(name, ())):
                 writer.writerow([a.text for a in args])
 
 
@@ -469,32 +470,28 @@ def read_source_csv(schema: Schema, directory: str) -> Instance:
 
 
 def load_instance(conn, inst: Instance):
-    """Create source tables in a DB-API connection and insert the facts.
-    A relation name that `name_clash` finds is an error."""
+    """Create source tables in an sqlite3 connection and insert the
+    facts, each relation's rows in canonical order: SQLite's work (an
+    EXISTS scan stops at its first match) follows the row order, so it
+    repeats for one input.  A relation name that `name_clash` finds is
+    an error."""
     clash = name_clash(inst.schema, Schema({}))
     if clash is not None:
         raise MappingError(clash[1])
     cur = conn.cursor()
-    for stmt in source_ddl(inst.schema).split(";"):
-        stmt = stmt.strip()
-        if stmt:
-            cur.execute(stmt)
+    cur.executescript(source_ddl(inst.schema))
     for name, arity in inst.schema.rels:
         marks = ", ".join("?" * arity)
         cur.executemany(
             f"INSERT INTO {_ident(name)} VALUES ({marks})",
-            ([a.text for a in args] for args in inst.by_rel.get(name, ())),
+            ([a.text for a in args] for args in sorted(inst.by_rel.get(name, ()))),
         )
     conn.commit()
 
 
 def run_artifact(conn, artifact: SqlArtifact):
     """Create the adom and target views (tables must already exist)."""
-    cur = conn.cursor()
-    cur.execute(artifact.adom_view.rstrip(";\n ").rstrip(";"))
-    for _rel, stmt in artifact.queries:
-        cur.execute(stmt.rstrip(";\n ").rstrip(";"))
-    conn.commit()
+    conn.executescript(artifact.text())
 
 
 def read_target(conn, target: Schema) -> Instance:

@@ -150,7 +150,7 @@ _RANDOM_SOURCE = Schema({"P": 1, "R": 2})
 _RANDOM_TARGET = Schema({"S": 2, "T": 1})
 
 
-def random_mapping(seed, *, lav: bool = False, allow_order: bool = True) -> SchemaMapping:
+def random_mapping(seed, *, lav: bool = False) -> SchemaMapping:
     """Small random mapping over fixed schemas P/1, R/2 -> S/2, T/1."""
     rng = random.Random(f"map:{seed}")
     tgds = []
@@ -168,7 +168,7 @@ def random_mapping(seed, *, lav: bool = False, allow_order: bool = True) -> Sche
                 )
         used = sorted({v.name for a in atoms for v in a.args})
         ante_parts: list = list(atoms)
-        if allow_order and len(used) >= 2 and rng.random() < 0.3:
+        if len(used) >= 2 and rng.random() < 0.3:
             u, v = rng.sample(used, 2)
             ante_parts.append(Lt(Var(u), Var(v)))
         antecedent = conj(ante_parts)

@@ -597,9 +597,10 @@ def _ground(block: Instance) -> bool:
 
 
 def ref_compute_core(j: Instance):
-    """Fold the first foldable block, then rescan from the first block."""
-    from dx.model import Homomorphism
-
+    """Fold the first foldable block, then rescan from the first block.
+    The folds' composite permutes the core; the retraction follows it
+    with that permutation's power e^(order-1), as a dict from every
+    value of j in `j.dom` order."""
     current = j
     comp = {v: v for v in j.dom}
     while True:
@@ -630,7 +631,7 @@ def ref_compute_core(j: Instance):
     retr = dict(comp)
     for _ in range(order - 1):
         retr = {v: e[w] for v, w in retr.items()}
-    return current, Homomorphism(retr)
+    return current, retr
 
 
 def ref_is_core(j: Instance) -> bool:

@@ -26,6 +26,7 @@ from dx.model import (
     compute_core,
     format_facts,
     is_core,
+    parse_facts,
 )
 from dx.parser import parse_mapping
 
@@ -71,7 +72,7 @@ def _cases(name, m, count=30, max_facts=40, max_consts=10, big=3):
 
 
 def _retraction(h):
-    return list(h.mapping.items())
+    return list(h.items())
 
 
 @pytest.mark.parametrize("name", sorted(MAPPINGS))
@@ -119,6 +120,17 @@ def test_folded_block_piece_is_retried_in_canonical_order():
     ref_core, ref_retr = ref_compute_core(j)
     assert format_facts(core) == format_facts(ref_core) == "G(?N4, ?N5).\n"
     assert _retraction(retr) == _retraction(ref_retr)
+
+
+def test_retraction_undoes_the_permutation_the_folds_leave_on_the_core():
+    # The only fold sends ?N2 to ?N3 and swaps ?N3 and ?N4, so the folds
+    # map the core onto itself by a swap; the retraction must fix both.
+    j = parse_facts("S(?N2,?N3). S(?N3,?N4). S(?N4,?N3).", Schema({"S": 2}))
+    core, retr = compute_core(j)
+    ref_core, ref_retr = ref_compute_core(j)
+    assert format_facts(core) == format_facts(ref_core) == "S(?N3, ?N4).\nS(?N4, ?N3).\n"
+    n2, n3, n4 = FreshNull(2), FreshNull(3), FreshNull(4)
+    assert list(retr.items()) == list(ref_retr.items()) == [(n2, n4), (n3, n3), (n4, n4)]
 
 
 def test_core_paths_agree_on_random_null_instances():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from helpers import inst, ref_holds
@@ -88,6 +89,21 @@ def test_relation_errors_point_at_the_atom(tgd, error):
     with pytest.raises(ParseError) as exc:
         parse_mapping("source P/1. target T/1.\n" + tgd)
     assert str(exc.value) == error
+
+
+def test_dependency_and_schema_checks_keep_their_messages():
+    x = Var("x")
+    for make, message in [
+        (lambda: TGD(RelAtom("P", (x,)), (), ()), "dependency consequent must be nonempty"),
+        (
+            lambda: TGD(RelAtom("P", (x,)), (), (Lt(x, x),)),
+            "consequent must consist of relational atoms",
+        ),
+        (lambda: Schema({"": 1}), "relation name must be nonempty"),
+        (lambda: Schema({"R": -1}), "negative arity for relation R"),
+    ]:
+        with pytest.raises(MappingError, match="^" + re.escape(message) + "$"):
+            make()
 
 
 def test_parse_rejects_unsafe_tgd():

@@ -599,6 +599,35 @@ def test_names_sqlite_tells_apart_are_accepted():
     assert read_target(conn, m.target) == naive_chase(m, i)
 
 
+def test_load_instance_inserts_rows_in_canonical_order():
+    """The row order decides where an EXISTS scan stops, so SQLite's
+    work on one instance must not follow the hash seed."""
+    rng = random.Random("load-order")
+    i = Instance(PR, [
+        Fact("R", (Const(f"c{rng.randrange(40)}"), Const(f"c{rng.randrange(40)}")))
+        for _ in range(200)
+    ])
+    conn = sqlite3.connect(":memory:")
+    load_instance(conn, i)
+    rows = conn.execute('SELECT c1, c2 FROM "R" ORDER BY rowid').fetchall()
+    assert rows == [tuple(a.text for a in args) for rel, args in i.facts_sorted if rel == "R"]
+
+
+def test_names_and_constants_holding_semicolons_load_and_run():
+    """A `;` inside a quoted name or a constant does not end a statement."""
+    x, y = Var("x"), Var("y")
+    m = SchemaMapping(
+        Schema({"a;b": 1}),
+        Schema({"T;U": 2}),
+        (TGD(RelAtom("a;b", (x,)), ("y",), (RelAtom("T;U", (x, y)),)),),
+    )
+    i = Instance(m.source, [Fact("a;b", (Const("q;r"),))])
+    conn = sqlite3.connect(":memory:")
+    load_instance(conn, i)
+    run_artifact(conn, interpretation_to_sql(to_term_interpretation(m)))
+    assert read_target(conn, m.target) == naive_chase(m, i)
+
+
 def test_golden_sql_stable():
     import pathlib
 
@@ -611,9 +640,11 @@ def test_golden_sql_stable():
 # -- CSV conventions ------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
-    i = inst(PR, ("P", "a"), ("R", "a", "b"), ("R", "b,c", "d"))
+    i = inst(PR, ("P", "a"), ("R", "b,c", "d"), ("R", "a", "b"), ("R", "a", "a"))
     write_source_csv(i, str(tmp_path))
     assert read_source_csv(PR, str(tmp_path)) == i
+    # rows in canonical order, so the files are byte-stable
+    assert (tmp_path / "R.csv").read_bytes() == b'a,a\r\na,b\r\n"b,c",d\r\n'
 
 
 def test_csv_missing_file_is_empty_relation(tmp_path):
