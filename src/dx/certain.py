@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from dx.chase import App, naive_chase, to_term_interpretation
+from dx.chase import App, Rule, TermInterpretation, naive_chase, to_term_interpretation
 from dx.evaluator import ground_answers
 from dx.lang import (
     And,
@@ -118,116 +118,143 @@ class UnfoldedRewriting:
 
 
 class _Unifier:
-    """Union-find over query/branch variables with term bindings.
+    """Union-find over integer nodes with term bindings, undone on a trail.
 
-    Nodes are ('q', name) for query variables and ('b', i, name) for
-    variables of the i-th chosen branch.  A class may be bound to a
-    constant or to a function term ('app', symbol, args) whose
-    arguments are again nodes, constants, or terms.  Nodes and terms are
-    plain tuples, told apart from constants by `type(t) is tuple`, since
-    a `Const` is a tuple subclass.
+    A node is an int.  A class may be bound to a constant or to a
+    function term (symbol, args), a plain tuple whose arguments are again
+    nodes, constants or terms; a value is a tuple subclass, so `type(t)`
+    tells the three apart.  Each write goes to an unbound root and is
+    recorded on `trail`, so `undo(mark)` restores the state of `mark`
+    entries; `find` does not compress paths, which undo could not restore.
     """
 
-    def __init__(self):
-        self.parent: dict = {}
-        self.binding: dict = {}
+    __slots__ = ("parent", "binding", "trail")
 
-    def copy(self) -> "_Unifier":
-        uf = _Unifier()
-        uf.parent = dict(self.parent)
-        uf.binding = dict(self.binding)
-        return uf
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.binding: list = [None] * n
+        self.trail: list = []
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def undo(self, mark: int) -> None:
+        parent, binding, trail = self.parent, self.binding, self.trail
+        for x in trail[mark:]:
+            parent[x] = x
+            binding[x] = None
+        del trail[mark:]
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
         return x
 
-    def _occurs(self, node, term) -> bool:
-        if type(term) is tuple and term and term[0] == "app":
-            return any(self._occurs(node, a) for a in term[2])
-        if type(term) is tuple and len(term) in (2, 3) and term[0] in ("q", "b"):
-            return self.find(term) == node
-        return False
+    def occurs(self, root: int, term) -> bool:
+        # reads only the term's own nodes, not their classes' bindings,
+        # so a cycle through a bound node is missed (ROADMAP item 1)
+        if type(term) is tuple:
+            for a in term[1]:
+                if self.occurs(root, a):
+                    return True
+            return False
+        return type(term) is int and self.find(term) == root
 
     def unify(self, a, b) -> bool:
-        a = self._resolve(a)
-        b = self._resolve(b)
+        # a node stands for its class's binding, or else for its root
+        parent, binding = self.parent, self.binding
+        if type(a) is int:
+            while parent[a] != a:
+                a = parent[a]
+            if binding[a] is not None:
+                a = binding[a]
+        if type(b) is int:
+            while parent[b] != b:
+                b = parent[b]
+            if binding[b] is not None:
+                b = binding[b]
+        if type(a) is int:
+            if type(b) is not int:
+                return self._bind(a, b)
+            if a != b:
+                parent[b] = a
+                self.trail.append(b)
+            return True
+        if type(b) is int:
+            return self._bind(b, a)
         if a == b:
             return True
-        a_node = self._is_node(a)
-        b_node = self._is_node(b)
-        if a_node and b_node:
-            ra, rb = self.find(a), self.find(b)
-            if ra == rb:
-                return True
-            self.parent[rb] = ra
-            bound = self.binding.pop(rb, None)
-            if bound is not None:
-                return self._bind(ra, bound)
-            return True
-        if a_node:
-            return self._bind(self.find(a), b)
-        if b_node:
-            return self._bind(self.find(b), a)
-        return self._unify_terms(a, b)
-
-    def _is_node(self, t) -> bool:
-        return type(t) is tuple and len(t) in (2, 3) and t[0] in ("q", "b")
-
-    def _resolve(self, t):
-        if self._is_node(t):
-            r = self.find(t)
-            return self.binding.get(r, r)
-        return t
-
-    def _bind(self, root, term) -> bool:
-        term = self._resolve(term)
-        if self._is_node(term):
-            return self.unify(root, term)
-        if self._occurs(root, term):
-            return False
-        old = self.binding.get(root)
-        if old is None:
-            self.binding[root] = term
-            return True
-        return self._unify_terms(old, term)
-
-    def _unify_terms(self, a, b) -> bool:
-        a_app = type(a) is tuple and a and a[0] == "app"
-        b_app = type(b) is tuple and b and b[0] == "app"
-        if a_app and b_app:
-            if a[1] != b[1] or len(a[2]) != len(b[2]):
+        if type(a) is tuple and type(b) is tuple:
+            if a[0] != b[0] or len(a[1]) != len(b[1]):
                 return False
-            return all(self.unify(x, y) for x, y in zip(a[2], b[2]))
-        if a_app or b_app:
-            return False  # a proper term never equals a constant
-        return a == b  # two constants
-
-    def term_is_proper(self, t) -> bool:
-        t = self._resolve(t) if self._is_node(t) else t
-        if type(t) is tuple and t and t[0] == "app":
+            for x, y in zip(a[1], b[1]):
+                if not self.unify(x, y):
+                    return False
             return True
-        return False
+        return False  # a proper term never equals a constant, nor two constants
+
+    def _bind(self, root: int, term) -> bool:
+        if type(term) is tuple and self.occurs(root, term):
+            return False
+        self.binding[root] = term
+        self.trail.append(root)
+        return True
 
 
-def _term_to_internal(t, branch_idx):
+def _term_to_internal(t, slot: dict):
+    """A head term over the nodes `slot` gives its rule's parameters."""
     if isinstance(t, Var):
-        return ("b", branch_idx, t.name)
+        return slot[t.name]
     if isinstance(t, Const):
         return t
     if isinstance(t, App):
-        return ("app", t.symbol, tuple(_term_to_internal(a, branch_idx) for a in t.args))
+        return (t.symbol, tuple(_term_to_internal(a, slot) for a in t.args))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _query_term(t):
-    return ("q", t.name) if isinstance(t, Var) else t
+@dataclass(frozen=True, slots=True)
+class _Branch:
+    """A rule head compiled for the query atom at one depth: its terms
+    over the depth's nodes, which the rule's parameters take in order,
+    with the `repr` of each parameter as a named node ('b', depth, name),
+    which orders classes.  `index` is the rule's position."""
+
+    rule: Rule
+    index: int
+    terms: tuple
+    nodes: tuple
+    names: tuple
 
 
-def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
+class _Heads:
+    """The rule heads of a term interpretation, compiled for `unfold` by
+    (depth, relation) on first use.  The branch variables of depth `idx`
+    are nodes idx * width, ..., so a compiled head serves every query;
+    an elimination shares one per base mapping among its unfoldings."""
+
+    def __init__(self, pi: TermInterpretation):
+        self.width = max((len(r.params) for r in pi.rules), default=0)
+        self.by_rel: dict = {}  # relation -> (rule index, rule, head terms)
+        for index, rule in enumerate(pi.rules):
+            for rel, terms in rule.heads:
+                self.by_rel.setdefault(rel, []).append((index, rule, terms))
+        self.compiled: dict = {}
+
+    def branches(self, idx: int, rel: str) -> list:
+        out = self.compiled.get((idx, rel))
+        if out is None:
+            out = self.compiled[idx, rel] = []
+            base, params = idx * self.width, {}
+            for index, rule, terms in self.by_rel.get(rel, ()):
+                if index not in params:
+                    slot = {p: base + i for i, p in enumerate(rule.params)}
+                    reprs = tuple(repr(("b", idx, p)) for p in rule.params)
+                    params[index] = slot, tuple(slot.values()), reprs
+                slot, nodes, reprs = params[index]
+                internal = tuple(_term_to_internal(t, slot) for t in terms)
+                out.append(_Branch(rule, index, internal, nodes, reprs))
+        return out
+
+
+def unfold(m: SchemaMapping, q: Formula, heads: _Heads | None = None) -> UnfoldedRewriting:
     """Source rewriting of the certain answers of a conjunctive query.
 
     Every way of sending the query atoms to heads of the term
@@ -235,77 +262,105 @@ def unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     the head terms are unified with the query arguments (answer
     variables may only unify with non-proper terms), and each success
     contributes one disjunct: the conjunction of the chosen rules'
-    conditions under the unifying substitution.
+    conditions under the unifying substitution.  `heads`, when given,
+    is m's term interpretation's `_Heads`, which a caller unfolding
+    several queries over m shares among them.
 
-    The atoms are walked depth first, in `itertools.product` order: each
-    branch of an atom unifies on a copy of its prefix's unifier, and a
-    prefix whose unification fails is not extended.
+    The atoms are walked depth first, in `itertools.product` order, on
+    one unifier: a branch binds in place, and its bindings are undone on
+    backtrack, so a prefix whose unification fails is not extended.
+    The query variables' nodes follow the branch variables', answer
+    variables first.
     """
     if not mapping_certain_free(m):
         raise MappingError("unfolding requires a certain[...]-free mapping")
     exist, atoms, eqs = cq_parts(q)
     free = tuple(sorted(free_vars(q)))
-    rules = to_term_interpretation(m).rules
-    # each atom's branches: the (rule, terms) of every head in its relation
+    if heads is None:
+        heads = _Heads(to_term_interpretation(m))
+    qvars = dict.fromkeys(free)
+    for atom in atoms:
+        qvars.update((a.name, None) for a in atom.args if isinstance(a, Var))
+    for eq in eqs:
+        qvars.update((t.name, None) for t in (eq.left, eq.right) if isinstance(t, Var))
+    first = len(atoms) * heads.width
+    qnode = {v: first + i for i, v in enumerate(qvars)}
+    # each node's sort key, the repr of ('q', name) or ('b', depth, name):
+    # classes are ordered, and fresh variables numbered, by these strings
+    names = [""] * first + [repr(("q", v)) for v in qvars]
+
+    def query_term(t):
+        return qnode[t.name] if isinstance(t, Var) else t
+
     per_atom = [
-        [(r, terms) for r in rules for head, terms in r.heads if head == atom.rel]
-        for atom in atoms
+        ([query_term(a) for a in atom.args], heads.branches(idx, atom.rel))
+        for idx, atom in enumerate(atoms)
     ]
+    uf = _Unifier(len(names))
+    unify, undo, trail = uf.unify, uf.undo, uf.trail
+    choice: list = [None] * len(atoms)
+    memo: dict = {}
     disjuncts: dict = {}  # an ordered set
 
-    def walk(uf: _Unifier, choice: tuple):
-        idx = len(choice)
+    def walk(idx: int):
         if idx == len(atoms):
-            # answer variables and branch variables must stay non-proper
-            grounded = [("q", v) for v in free] + [
-                ("b", i, p) for i, rule in enumerate(choice) for p in rule.params
-            ]
-            if not any(uf.term_is_proper(n) for n in grounded):
-                d = _build_disjunct(uf, free, choice)
-                if d is not None:
-                    disjuncts.setdefault(d)
+            d = _build_disjunct(uf, free, first, choice, names, memo)
+            if d is not None:
+                disjuncts.setdefault(d)
             return
-        for rule, terms in per_atom[idx]:
-            ext = uf.copy()
-            if all(
-                ext.unify(_query_term(arg), _term_to_internal(term, idx))
-                for arg, term in zip(atoms[idx].args, terms)
-            ):
-                walk(ext, choice + (rule,))
+        mark = len(trail)
+        args, branches = per_atom[idx]
+        for branch in branches:
+            for a, t in zip(args, branch.terms):
+                if not unify(a, t):
+                    break
+            else:
+                choice[idx] = branch
+                if branch.nodes:
+                    names[branch.nodes[0]:branch.nodes[-1] + 1] = branch.names
+                walk(idx + 1)
+            if len(trail) > mark:
+                undo(mark)
 
-    uf = _Unifier()
-    if all(uf.unify(_query_term(eq.left), _query_term(eq.right)) for eq in eqs):
-        walk(uf, ())
+    if all(unify(query_term(eq.left), query_term(eq.right)) for eq in eqs):
+        walk(0)
     return UnfoldedRewriting(free, tuple(disjuncts))
 
 
-def _build_disjunct(uf: _Unifier, free, choice):
-    # group the grounded variables (answer vars and branch params) by class
-    classes: dict = {}
-    for v in free:
-        classes.setdefault(uf.find(("q", v)), []).append(("q", v))
-    for idx, rule in enumerate(choice):
-        for p in rule.params:
-            classes.setdefault(uf.find(("b", idx, p)), []).append(("b", idx, p))
+def _build_disjunct(uf: _Unifier, free, first: int, choice, names, memo: dict):
+    """The disjunct of one successful choice of branches, or None when an
+    answer variable or a branch parameter is bound to a proper term.
+    The answer variables are nodes first, first + 1, ... in `free` order;
+    `names` gives each node's sort key.  `memo` keeps, for one unfolding,
+    each rule condition renamed and substituted, so leaves share them."""
+    find, binding = uf.find, uf.binding
+    grounded = range(first, first + len(free))
+    for node in itertools.chain(grounded, *(branch.nodes for branch in choice)):
+        if type(binding[find(node)]) is tuple:
+            return None
+    # group the grounded nodes (answer vars and branch params) by class
+    classes: dict = {}  # root -> its answer variables, sorted
+    for node, v in zip(grounded, free):
+        classes.setdefault(find(node), []).append(v)
+    params = [find(node) for branch in choice for node in branch.nodes]
+    for root in params:
+        classes.setdefault(root, [])
 
-    rep_term: dict = {}
+    rep: dict = {}  # each class's term: a constant, or a variable's name
     equalities = set()
     extra_eqs = []
     fresh_names: list = []
     taken = set(free)
     counter = itertools.count(1)
-    for root in sorted(classes, key=repr):
-        members = classes[root]
-        bound = uf.binding.get(root)
-        frees = sorted(n[1] for n in members if n[0] == "q" and n[1] in free)
+    for root in sorted(classes, key=names.__getitem__):
+        frees = classes[root]
+        bound = binding[root]
         if bound is not None:
-            if not isinstance(bound, Const):
-                return None  # grounded class bound to a proper term
-            term = bound
+            rep[root] = bound
             for u in frees:
                 extra_eqs.append(Eq(Var(u), bound))
         elif frees:
-            term = Var(frees[0])
+            rep[root] = frees[0]
             for other in frees[1:]:
                 equalities.add((frees[0], other))
         else:
@@ -314,16 +369,22 @@ def _build_disjunct(uf: _Unifier, free, choice):
                 name = f"w{next(counter)}"
             taken.add(name)
             fresh_names.append(name)
-            term = Var(name)
-        rep_term[root] = term
+            rep[root] = name
 
     conds = []
-    for idx, rule in enumerate(choice):
-        sub = {}
-        for p in rule.params:
-            sub[p] = rep_term[uf.find(("b", idx, p))]
-        cond = rename_bound(rule.condition, taken | set(rule.params))
-        conds.append(substitute(cond, sub))
+    at = 0
+    for branch in choice:
+        rule = branch.rule
+        terms = tuple(rep[root] for root in params[at:at + len(rule.params)])
+        at += len(rule.params)
+        # `taken` is `free` and the first len(fresh_names) fresh names
+        key = (branch.index, len(fresh_names), terms)
+        cond = memo.get(key)
+        if cond is None:
+            sub = {p: Var(t) if type(t) is str else t for p, t in zip(rule.params, terms)}
+            cond = rename_bound(rule.condition, taken | set(rule.params))
+            cond = memo[key] = substitute(cond, sub)
+        conds.append(cond)
     body = conj(conds + extra_eqs)
     used_fresh = [n for n in fresh_names if n in free_vars(body)]
     return Disjunct(exists_all(used_fresh, body), frozenset(equalities))
@@ -338,7 +399,8 @@ def eliminate(f: Formula) -> Formula:
 def _eliminate(f: Formula, memo: dict) -> Formula:
     """One bottom-up walk.  `memo` maps each compound node to its result,
     for one elimination, so a subformula shared by several parents is
-    rewritten once and its result is shared in turn."""
+    rewritten once and its result is shared in turn; it also maps each
+    base mapping to its term interpretation's heads, compiled once."""
     if isinstance(f, (RelAtom, Eq, Lt, TrueF)):
         return f
     out = memo.get(f)
@@ -353,8 +415,11 @@ def _eliminate_node(f: Formula, memo: dict) -> Formula:
     not occur, since exists/forall over an empty active domain differ
     from their bodies."""
     if isinstance(f, Certain):
+        heads = memo.get(f.base)
+        if heads is None and mapping_certain_free(f.base):  # else unfold rejects it
+            heads = memo[f.base] = _Heads(to_term_interpretation(f.base))
         # the unfolding is certain[...]-free: walking it folds constants
-        return _eliminate(unfold(f.base, f.query).as_formula(), memo)
+        return _eliminate(unfold(f.base, f.query, heads).as_formula(), memo)
     if isinstance(f, And):
         parts = [_eliminate(p, memo) for p in f.parts]
         return FALSE if any(is_false(p) for p in parts) else conj(parts)

@@ -8,8 +8,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from dx.certain import UnfoldedRewriting, _build_disjunct, _term_to_internal, _Unifier, cq_parts, unfold
-from dx.chase import to_term_interpretation
+from dx.certain import Disjunct, UnfoldedRewriting, cq_parts, unfold
+from dx.chase import App, to_term_interpretation
 from dx.evaluator import eval_formula
 from dx.laconify import (
     BlockType,
@@ -46,6 +46,7 @@ from dx.lang import (
     is_false,
     is_true,
     mapping_certain_free,
+    rename_bound,
     substitute,
 )
 from dx.model import (
@@ -1138,8 +1139,159 @@ def ref_naive_chase(m, inst: Instance) -> Instance:
 
 # ---------------------------------------------------------------------------
 # Reference compile steps: the product loop over branch choices that the
-# depth-first `certain.unfold` replaced, and the per-type precondition
-# that rebuilt `_precon_prime` for every pair of types, kept as oracles.
+# depth-first `certain.unfold` replaced, on its own dict-based unifier
+# (a fresh one per choice, sharing no code with unfold's trail), and the
+# per-type precondition that rebuilt `_precon_prime` for every pair of
+# types, kept as oracles.
+
+class RefUnifier:
+    """Union-find over query/branch variables with term bindings.
+
+    Nodes are ('q', name) for query variables and ('b', i, name) for
+    variables of the i-th chosen branch.  A class may be bound to a
+    constant or to a function term ('app', symbol, args) whose
+    arguments are again nodes, constants, or terms.  Nodes and terms are
+    plain tuples, told apart from constants by `type(t) is tuple`, since
+    a `Const` is a tuple subclass.  The occurs check reads only the
+    term's own nodes, as `certain._Unifier` does.
+    """
+
+    def __init__(self):
+        self.parent: dict = {}
+        self.binding: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def _occurs(self, node, term) -> bool:
+        if type(term) is tuple and term and term[0] == "app":
+            return any(self._occurs(node, a) for a in term[2])
+        if self._is_node(term):
+            return self.find(term) == node
+        return False
+
+    def unify(self, a, b) -> bool:
+        a = self._resolve(a)
+        b = self._resolve(b)
+        if a == b:
+            return True
+        a_node = self._is_node(a)
+        b_node = self._is_node(b)
+        if a_node and b_node:
+            ra, rb = self.find(a), self.find(b)
+            if ra == rb:
+                return True
+            self.parent[rb] = ra
+            bound = self.binding.pop(rb, None)
+            if bound is not None:
+                return self._bind(ra, bound)
+            return True
+        if a_node:
+            return self._bind(self.find(a), b)
+        if b_node:
+            return self._bind(self.find(b), a)
+        return self._unify_terms(a, b)
+
+    def _is_node(self, t) -> bool:
+        return type(t) is tuple and len(t) in (2, 3) and t[0] in ("q", "b")
+
+    def _resolve(self, t):
+        if self._is_node(t):
+            r = self.find(t)
+            return self.binding.get(r, r)
+        return t
+
+    def _bind(self, root, term) -> bool:
+        term = self._resolve(term)
+        if self._is_node(term):
+            return self.unify(root, term)
+        if self._occurs(root, term):
+            return False
+        old = self.binding.get(root)
+        if old is None:
+            self.binding[root] = term
+            return True
+        return self._unify_terms(old, term)
+
+    def _unify_terms(self, a, b) -> bool:
+        a_app = type(a) is tuple and a and a[0] == "app"
+        b_app = type(b) is tuple and b and b[0] == "app"
+        if a_app and b_app:
+            if a[1] != b[1] or len(a[2]) != len(b[2]):
+                return False
+            return all(self.unify(x, y) for x, y in zip(a[2], b[2]))
+        if a_app or b_app:
+            return False  # a proper term never equals a constant
+        return a == b  # two constants
+
+    def term_is_proper(self, t) -> bool:
+        t = self._resolve(t) if self._is_node(t) else t
+        return type(t) is tuple and bool(t) and t[0] == "app"
+
+
+def ref_term_to_internal(t, branch_idx):
+    if isinstance(t, Var):
+        return ("b", branch_idx, t.name)
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, App):
+        return ("app", t.symbol, tuple(ref_term_to_internal(a, branch_idx) for a in t.args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_build_disjunct(uf: RefUnifier, free, choice):
+    # group the grounded variables (answer vars and branch params) by class
+    classes: dict = {}
+    for v in free:
+        classes.setdefault(uf.find(("q", v)), []).append(("q", v))
+    for idx, rule in enumerate(choice):
+        for p in rule.params:
+            classes.setdefault(uf.find(("b", idx, p)), []).append(("b", idx, p))
+
+    rep_term: dict = {}
+    equalities = set()
+    extra_eqs = []
+    fresh_names: list = []
+    taken = set(free)
+    counter = itertools.count(1)
+    for root in sorted(classes, key=repr):
+        members = classes[root]
+        bound = uf.binding.get(root)
+        frees = sorted(n[1] for n in members if n[0] == "q" and n[1] in free)
+        if bound is not None:
+            if not isinstance(bound, Const):
+                return None  # grounded class bound to a proper term
+            term = bound
+            for u in frees:
+                extra_eqs.append(Eq(Var(u), bound))
+        elif frees:
+            term = Var(frees[0])
+            for other in frees[1:]:
+                equalities.add((frees[0], other))
+        else:
+            name = f"w{next(counter)}"
+            while name in taken:
+                name = f"w{next(counter)}"
+            taken.add(name)
+            fresh_names.append(name)
+            term = Var(name)
+        rep_term[root] = term
+
+    conds = []
+    for idx, rule in enumerate(choice):
+        sub = {}
+        for p in rule.params:
+            sub[p] = rep_term[uf.find(("b", idx, p))]
+        cond = rename_bound(rule.condition, taken | set(rule.params))
+        conds.append(substitute(cond, sub))
+    body = conj(conds + extra_eqs)
+    used_fresh = [n for n in fresh_names if n in free_vars(body)]
+    return Disjunct(exists_all(used_fresh, body), frozenset(equalities))
+
 
 def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     if not mapping_certain_free(m):
@@ -1154,7 +1306,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     disjuncts: list = []
     seen = set()
     for choice in itertools.product(*per_atom) if atoms else [()]:
-        uf = _Unifier()
+        uf = RefUnifier()
         ok = True
         for eq in eqs:
             lhs = ("q", eq.left.name) if isinstance(eq.left, Var) else eq.left
@@ -1166,7 +1318,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
             for idx, (atom, (_rule, terms)) in enumerate(zip(atoms, choice)):
                 for arg, term in zip(atom.args, terms):
                     qterm = ("q", arg.name) if isinstance(arg, Var) else arg
-                    if not uf.unify(qterm, _term_to_internal(term, idx)):
+                    if not uf.unify(qterm, ref_term_to_internal(term, idx)):
                         ok = False
                         break
                 if not ok:
@@ -1188,7 +1340,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                     break
         if not ok:
             continue
-        d = _build_disjunct(uf, free, tuple(rule for rule, _terms in choice))
+        d = ref_build_disjunct(uf, free, tuple(rule for rule, _terms in choice))
         if d is not None and d not in seen:
             seen.add(d)
             disjuncts.append(d)

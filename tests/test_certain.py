@@ -22,7 +22,7 @@ from dx.certain import (
 from dx.chase import naive_chase
 from dx.evaluator import eval_formula
 from dx.laconify import laconify
-from dx.lang import And, Certain, Exists, Forall, Not, Or, RelAtom, Var, free_vars
+from dx.lang import And, Certain, Exists, Forall, Not, Or, RelAtom, Var, format_formula, free_vars
 from dx.model import Const, Fact, FreshNull, Instance, MappingError, SkolemNull
 from dx.parser import parse_formula, parse_mapping
 from dx.verify import random_cq, random_mapping, random_source_instance
@@ -215,7 +215,7 @@ def _check_unfold_matches_reference(m) -> int:
 @pytest.mark.parametrize("name", sorted(COMPILE_FAMILIES))
 def test_unfold_matches_reference_on_compile_families(name):
     failed = _check_unfold_matches_reference(COMPILE_FAMILIES[name]())
-    # the occurs check misses a bound node (ROADMAP item 2): both loops fail
+    # the occurs check misses a bound node (ROADMAP item 1): both loops fail
     assert bool(failed) == (name == "tail_3_cycle")
 
 
@@ -224,22 +224,61 @@ def test_unfold_matches_reference_on_random_mappings():
         assert _check_unfold_matches_reference(random_mapping(seed)) == 0, seed
 
 
+@pytest.mark.parametrize("mapping, query, want", [
+    # z is numbered before y, but ('q', 'y') sorts first
+    ("source P/1, Q/1. target R/1, T/1. tgd: P(x) -> R(x). tgd: Q(x) -> T(x).",
+     "exists z, y: R(z) & T(y)", "exists w1, w2: P(w2) & Q(w1)"),
+    # depth 10's parameter, ('b', 10, 'x'), sorts before depth 2's
+    ("source P/1. target R/1. tgd: P(x) -> exists y: R(y).",
+     "exists " + ", ".join(f"z{i}" for i in range(11)) + ": "
+     + " & ".join(f"R(z{i})" for i in range(11)),
+     "exists " + ", ".join(f"w{i}" for i in range(1, 12)) + ": "
+     + " & ".join(f"P(w{i})" for i in (1, 2, *range(4, 12), 3))),
+], ids=["existential_order", "depth_10"])
+def test_unfold_numbers_fresh_variables_in_reference_order(mapping, query, want):
+    """Fresh variables are numbered by class, in the order of the reprs
+    of the tuples that named the classes' roots in the product loop, not
+    in the order of the integer nodes."""
+    m = parse_mapping(mapping)
+    q = parse_formula(query, m.target)
+    got = unfold(m, q)
+    assert got == ref_unfold(m, q)
+    assert format_formula(got.as_formula()) == want
+
+
+def test_unfold_renames_a_shared_condition_per_fresh_name_count():
+    """R's rule condition over u is taken twice, once beside the fresh
+    name w1 (so its bound w1 is renamed) and once without one."""
+    m = parse_mapping(
+        "source S/2, Q/1, P/1. target R/1, T/1. tgd: (exists w1: S(x,w1)) -> R(x). "
+        "tgd: Q(x) -> T(x). tgd: P('c') -> T('c')."
+    )
+    q = parse_formula("exists z: R(u) & T(z)", m.target)
+    got = unfold(m, q)
+    assert got == ref_unfold(m, q)
+    assert format_formula(got.as_formula()) == (
+        "(exists w1: (exists q1: S(u, q1)) & Q(w1)) | (exists w1: S(u, w1)) & P('c')"
+    )
+
+
 def test_unfold_prunes_failed_prefixes(monkeypatch):
     """The pure 4-cycle's elimination tries 4,352 branch choices in the
-    product loop, each on a fresh unifier; the depth-first walk copies
-    one unifier per surviving prefix and branch."""
-    created = 0
-    init = _Unifier.__init__
+    product loop, which makes 15,660 unify calls; the depth-first walk
+    unifies each branch once per surviving prefix, so a walk that
+    extended a failed prefix would reach all 4,352 choices and make at
+    least one call for each."""
+    calls = 0
+    unify = _Unifier.unify
 
-    def counting_init(self):
-        nonlocal created
-        created += 1
-        init(self)
+    def counting_unify(self, a, b):
+        nonlocal calls
+        calls += 1
+        return unify(self, a, b)
 
     lm = laconify(cycle_mapping(4))
-    monkeypatch.setattr(_Unifier, "__init__", counting_init)
+    monkeypatch.setattr(_Unifier, "unify", counting_unify)
     eliminate_mapping(lm)
-    assert 0 < created < 4352 // 4
+    assert 0 < calls < 4352 // 4
 
 
 def test_eval_formula_chases_each_certain_base_once(monkeypatch):
@@ -305,17 +344,58 @@ def test_certain_node_evaluation_rejects_what_certain_answers_rejects(laconic_ba
         eval_formula(node, inst(m.source, ("P", "a")), ("x",))
 
 
+def _bound(uf, node):
+    return uf.binding[uf.find(node)]
+
+
 @pytest.mark.parametrize("value", [
     Const("q"), Const("b"), Const("app"), FreshNull(2),
     SkolemNull("q", (Const("x"),)), SkolemNull("app", ()),
 ])
 def test_unifier_treats_values_as_constants(value):
-    """Unifier nodes and terms are plain tuples tagged by a string; a
-    value is a tuple subclass tagged by an int, and never reads as one."""
-    uf = _Unifier()
-    assert not uf._is_node(value)
-    assert not uf.term_is_proper(value)
-    assert uf.unify(("q", "x"), value)
-    assert uf._resolve(("q", "x")) == value
-    assert not uf.unify(value, ("app", "f", ()))
+    """Unifier nodes are ints and proper terms plain (symbol, args)
+    tuples; a value is a tuple subclass, and never reads as either."""
+    uf = _Unifier(1)
+    assert not uf.occurs(0, value)
+    assert uf.unify(0, value)
+    assert _bound(uf, 0) is value and uf.trail == [0]
+    assert not uf.unify(value, ("f", ()))
+    assert not uf.unify(value, ("q", ()))
     assert not uf.unify(value, Const("other"))
+    assert uf.unify(value, value) and uf.unify(0, value)
+    assert uf.trail == [0]
+
+
+def test_unifier_undoes_to_a_mark():
+    """Undo restores the unions and bindings made since the mark, and
+    only those."""
+    uf = _Unifier(4)
+    assert uf.unify(0, 1)
+    mark = len(uf.trail)
+    assert uf.unify(2, ("f", (0,)))
+    assert uf.unify(1, 3)
+    assert uf.unify(3, Const("a"))
+    assert _bound(uf, 2) == ("f", (0,)) and _bound(uf, 0) == Const("a")
+    uf.undo(mark)
+    assert [uf.find(n) for n in range(4)] == [0, 0, 2, 3]
+    assert uf.binding == [None] * 4 and len(uf.trail) == mark
+    assert uf.unify(0, Const("b")) and _bound(uf, 1) == Const("b")
+
+
+def test_unifier_occurs_check_rejects_a_direct_cycle():
+    uf = _Unifier(2)
+    assert uf.unify(0, 1)
+    assert not uf.unify(1, ("f", (0,)))
+    assert uf.trail == [1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the occurs check reads a term's own nodes, not their bindings "
+    "(ROADMAP item 1: the tail-3-cycle's RecursionError)",
+)
+def test_unifier_occurs_check_sees_through_bound_nodes():
+    """a = f(b), then b = g(a) would make b = g(f(b)): a cycle."""
+    uf = _Unifier(2)
+    assert uf.unify(0, ("f", (1,)))
+    assert not uf.unify(1, ("g", (0,)))

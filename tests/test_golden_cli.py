@@ -31,12 +31,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMO = ROOT / "demo"
 GOLDEN = ROOT / "tests" / "golden" / "cli"
 
-STAR_3 = """source Q/1, P1/1, P2/1, P3/1.
-target R/2, Pp1/1, Pp2/1, Pp3/1.
+STAR_4 = """source Q/1, P1/1, P2/1, P3/1, P4/1.
+target R/2, Pp1/1, Pp2/1, Pp3/1, Pp4/1.
 tgd: P1(x) -> Pp1(x).
 tgd: P2(x) -> Pp2(x).
 tgd: P3(x) -> Pp3(x).
-tgd: Q(x) -> exists y0, y1, y2, y3: R(x,y0) & R(y1,y0) & Pp1(y1) & R(y2,y0) & Pp2(y2) & R(y3,y0) & Pp3(y3).
+tgd: P4(x) -> Pp4(x).
+tgd: Q(x) -> exists y0, y1, y2, y3, y4: R(x,y0) & R(y1,y0) & Pp1(y1) & R(y2,y0) & Pp2(y2) & R(y3,y0) & Pp3(y3) & R(y4,y0) & Pp4(y4).
 """
 
 FAN_5 = """source R/5.
@@ -53,10 +54,11 @@ MAPPINGS = {
     "double_witness": (DEMO / "double_witness.map").read_text(encoding="utf-8"),
     "overlap": (DEMO / "overlap.map").read_text(encoding="utf-8"),
     "symmetric_join": (DEMO / "symmetric_join.map").read_text(encoding="utf-8"),
-    "star_3": STAR_3,
+    "star_3": (DEMO / "star_3.map").read_text(encoding="utf-8"),
     "fan_4": (DEMO / "fan_4.map").read_text(encoding="utf-8"),
     "pure_5_cycle": PURE_5_CYCLE,
     "fan_5": FAN_5,
+    "star_4": STAR_4,
     "pure_8_cycle": (DEMO / "cycle_8.map").read_text(encoding="utf-8"),
 }
 
@@ -68,8 +70,9 @@ COMMANDS = {
 
 # fan_5 is pinned for `blocks` only: its side condition is the point.
 # pure_8_cycle's 8! numberings check the canonical naming's search; its
-# files were made by trying every numbering.
-ONLY = {"fan_5": ("blocks",), "pure_8_cycle": ("blocks", "laconify")}
+# files were made by trying every numbering.  star_4 is pinned by digest
+# only.
+ONLY = {"fan_5": ("blocks",), "pure_8_cycle": ("blocks", "laconify"), "star_4": ()}
 CASES = [(name, cmd) for name in MAPPINGS for cmd in COMMANDS if cmd in ONLY.get(name, COMMANDS)]
 
 
@@ -111,6 +114,18 @@ def test_fan_5_eliminated_mapping_digest(tmp_path):
     code, out = run_case("fan_5", "eliminate", tmp_path)
     assert code == 0
     assert (len(out), hashlib.sha256(out).hexdigest()) == (9_096_433, FAN_5_ELIMINATE_SHA256)
+
+
+# star_4's elimination unfolds 354 distinct certain[...] nodes, the most
+# branch choices of any pinned mapping; the disjuncts, their order and
+# the fresh-variable numbering of each must not move.
+STAR_4_ELIMINATE_SHA256 = "4f6e4c7138cd251de139b8beb91a21f1382f8bdeaa7901be80ac7854f52639d1"
+
+
+def test_star_4_eliminated_mapping_digest(tmp_path):
+    code, out = run_case("star_4", "eliminate", tmp_path)
+    assert code == 0
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (78_564, STAR_4_ELIMINATE_SHA256)
 
 
 # ---------------------------------------------------------------------------
