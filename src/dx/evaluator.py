@@ -97,7 +97,7 @@ class _Evaluator:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._in_dom = set(inst.dom)
+        self._in_dom = inst.values
         self._memo: dict = {}
         self._bases: dict = {}  # certain[...] base mapping -> evaluator of its chase
 
@@ -160,7 +160,7 @@ class _Evaluator:
                 rows |= _project(self.run(part, _UNIT), node.vars).rows
             return _Rel(node.vars, rows)
         if kind is Dom:
-            return _Rel(node.vars, {(v,) for v in self.inst.dom})
+            return _Rel(node.vars, {(v,) for v in self._in_dom})
         if kind is Cert:
             from dx.chase import naive_chase
 

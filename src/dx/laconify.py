@@ -387,15 +387,14 @@ def _maps(t: BlockType, t2: BlockType, codes) -> tuple:
 
 def _precon_prime(t: BlockType, m: SchemaMapping) -> Formula:
     """Certain realization of t at the answer tuple, minus every way the
-    type could collapse (two nulls forced equal, or a null forced to a
-    constant)."""
+    type could collapse: two nulls forced equal (one conjunct per
+    unordered pair, yi replaced by yj for i < j; the swapped substitution
+    is the same formula up to renaming) or a null forced to a constant."""
     parts = [Certain(t.query(), m)]
     ys = t.null_vars
     for i, yi in enumerate(ys):
-        for j, yj in enumerate(ys):
-            if i == j:
-                continue
-            rest = tuple(y for y in ys if y != yi)
+        rest = tuple(y for y in ys if y != yi)
+        for yj in ys[i + 1:]:
             collapsed = [substitute(a, {yi: Var(yj)}) for a in t.atoms]
             parts.append(
                 Not(Certain(exists_all(rest, conj(collapsed)), m))

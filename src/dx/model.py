@@ -21,6 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional
 
 from dx import kernel
@@ -217,9 +218,13 @@ class Instance:
         return tuple(sorted(self.facts))
 
     @cached_property
+    def values(self) -> frozenset:
+        """The active domain, in no order."""
+        return frozenset(chain.from_iterable(map(operator.itemgetter(1), self.facts)))
+
+    @cached_property
     def dom(self) -> tuple:
-        vals = {a for f in self.facts for a in f.args}
-        return tuple(sorted(vals))
+        return tuple(sorted(self.values))
 
     @cached_property
     def nulls(self) -> tuple:
@@ -239,7 +244,8 @@ class Instance:
 
     @property
     def is_source(self) -> bool:
-        return not self.nulls
+        # a value's first field is its tag, 0 for a constant
+        return not any(map(operator.itemgetter(0), self.values))
 
     def with_facts(self, facts: Iterable[Fact]) -> "Instance":
         return Instance(self.schema, self.facts | frozenset(facts))

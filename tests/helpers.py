@@ -15,7 +15,6 @@ from dx.laconify import (
     BlockType,
     SideCondition,
     _order_type,
-    _precon_prime,
     _proper_instantiation,
     generate_block_types,
     side_condition,
@@ -1140,8 +1139,9 @@ def ref_naive_chase(m, inst: Instance) -> Instance:
 # ---------------------------------------------------------------------------
 # Reference compile steps: the product loop over branch choices that the
 # depth-first `certain.unfold` replaced, on its own dict-based unifier
-# (a fresh one per choice, sharing no code with unfold's trail), and the
-# per-type precondition that rebuilt `_precon_prime` for every pair of
+# (a fresh one per choice, sharing no code with unfold's trail), the
+# precondition prime with a null-null collapse per ordered pair of nulls,
+# and the per-type precondition that rebuilt the prime for every pair of
 # types, kept as oracles.
 
 class RefUnifier:
@@ -1347,13 +1347,44 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     return UnfoldedRewriting(free, tuple(disjuncts))
 
 
+def ref_precon_parts(t: BlockType, m: SchemaMapping) -> list:
+    """The conjuncts of t's precondition prime with one null-null
+    collapse per ordered pair of nulls, each with its label: ("real",),
+    ("nulls", i, j) for null i replaced by null j (i != j), ("const", i)
+    for null i replaced by a constant."""
+    ys = t.null_vars
+    parts = [(("real",), Certain(t.query(), m))]
+    for i, yi in enumerate(ys):
+        rest = tuple(y for y in ys if y != yi)
+        for j, yj in enumerate(ys):
+            if i != j:
+                collapsed = conj(substitute(a, {yi: Var(yj)}) for a in t.atoms)
+                parts.append((("nulls", i, j), Not(Certain(exists_all(rest, collapsed), m))))
+    taken = t.const_vars + ys
+    w = next(w for w in (f"xc{k or ''}" for k in itertools.count()) if w not in taken)
+    for i, yi in enumerate(ys):
+        rest = tuple(y for y in ys if y != yi)
+        collapsed = conj(substitute(a, {yi: Var(w)}) for a in t.atoms)
+        parts.append((("const", i), Not(Exists(w, Certain(exists_all(rest, collapsed), m)))))
+    return parts
+
+
+def ref_precon_prime(t: BlockType, m: SchemaMapping) -> Formula:
+    """t's precondition prime: `ref_precon_parts` without the null-null
+    collapses for i > j, each the (j, i) one up to renaming."""
+    return conj(
+        f for label, f in ref_precon_parts(t, m)
+        if label[0] != "nulls" or label[1] < label[2]
+    )
+
+
 def ref_precondition(t: BlockType, types, m: SchemaMapping, up_to_symmetry: bool = False) -> Formula:
     """Formula over the source (free variables: t's constant variables)
     holding at exactly the tuples where t is realized in the core
     universal solution: one guard per strict embedding of t into a type
     t2.  With `up_to_symmetry`, of the embeddings that automorphisms of
     t2 map onto each other only the first is guarded."""
-    base = _precon_prime(t, m)
+    base = ref_precon_prime(t, m)
     guards = []
     for t2 in types:
         embeddings = [e for e in ref_embeddings_between(t, t2) if e.strict]
@@ -1362,7 +1393,7 @@ def ref_precondition(t: BlockType, types, m: SchemaMapping, up_to_symmetry: bool
         autos = ref_renamings_between(t2, t2) if up_to_symmetry else []
         seen = set()
         fresh = {x: Var(f"v{k + 1}") for k, x in enumerate(t2.const_vars)}
-        prime = substitute(_precon_prime(t2, m), fresh)
+        prime = substitute(ref_precon_prime(t2, m), fresh)
         for emb in embeddings:
             ren = emb.as_dict()
             if tuple(sorted(ren.items())) in seen:

@@ -9,6 +9,7 @@ from helpers import (
     overlap_mapping,
     ref_eval_formula,
     ref_unfold,
+    star_blowup_mapping,
 )
 
 from dx.certain import (
@@ -286,13 +287,15 @@ def test_eval_formula_chases_each_certain_base_once(monkeypatch):
     base mapping; one evaluation chases that base once and shares it."""
     import dx.chase as chase_mod
 
-    m = overlap_mapping()
+    m = star_blowup_mapping(3)
     lm = laconify(m)
     tgd = max(lm.tgds, key=lambda t: len(_certain_nodes(t.antecedent, {})))
     nodes = _certain_nodes(tgd.antecedent, {})
     assert len(nodes) >= 10 and {n.base for n in nodes} == {m}
-    i = inst(m.source, ("P", "a"), ("Q", "a"), ("Q", "b"))
+    # a's block is R(a, y): a satisfies every P_i; b's keeps a P_2 and a P_3 null
+    i = inst(m.source, ("Q", "a"), ("P1", "a"), ("P2", "a"), ("P3", "a"), ("Q", "b"), ("P1", "b"))
     want = ref_eval_formula(tgd.antecedent, i, tgd.universal_vars)
+    assert want == {(Const("a"),)}
     chased = []
     chase = chase_mod.naive_chase
 

@@ -128,6 +128,18 @@ def test_star_4_eliminated_mapping_digest(tmp_path):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (78_564, STAR_4_ELIMINATE_SHA256)
 
 
+# star_4's laconic mapping before elimination: its types have up to 5
+# nulls, so 10 null-null collapse conjuncts each, one per unordered pair,
+# renamed into every guard against the type.
+STAR_4_LACONIFY_SHA256 = "c9d1d4a4c5fd9dab85d9a1230a3fac5f5bad94603b906d7a169be635d4f83a1c"
+
+
+def test_star_4_laconic_mapping_digest(tmp_path):
+    code, out = run_case("star_4", "laconify", tmp_path)
+    assert code == 0
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (91_695, STAR_4_LACONIFY_SHA256)
+
+
 # ---------------------------------------------------------------------------
 # Chase and core outputs, pinned by digest.
 

@@ -17,6 +17,8 @@ from helpers import (
     pair,
     ref_embeddings_between,
     ref_least_form,
+    ref_precon_parts,
+    ref_precon_prime,
     ref_precondition,
     ref_renamings_between,
     ref_separable_for,
@@ -41,6 +43,7 @@ from dx.lang import (
     Var,
     conj,
     decompose,
+    exists_all,
     format_formula,
     substitute,
 )
@@ -49,6 +52,7 @@ from dx.laconify import (
     _encode_type,
     _guard_target,
     _maps,
+    _precon_prime,
     _separable_for,
     _twin_least,
     _twins,
@@ -67,6 +71,7 @@ from dx.model import (
     is_core,
 )
 from dx.parser import parse_formula, parse_mapping
+from dx.plan import Normaliser
 from dx.verify import random_mapping, random_source_instance
 
 
@@ -485,6 +490,49 @@ def test_preconditions_match_reference_on_compile_families(name):
 def test_preconditions_match_reference_on_random_mappings():
     for seed in range(50):
         _check_preconditions(random_mapping(seed))
+
+
+def _prefix_keys(norm, f) -> set:
+    """The `Normaliser.rename` keys of the query of a null-null collapse
+    conjunct, `not certain[exists ys: phi]`, one per order of ys."""
+    q = f.body.query
+    ys = []
+    while isinstance(q, Exists):
+        ys.append(q.var)
+        q = q.body
+    return {
+        norm.rename(norm.formula(exists_all(order, q)), {}).key
+        for order in itertools.permutations(ys)
+    }
+
+
+def _check_precon_prime(m):
+    """The prime is the ordered-pair reference minus exactly the
+    null-null collapses with i > j, and each of those equals its kept
+    (j, i) partner up to the names and order of its quantified nulls."""
+    md = decompose(m)
+    for t in generate_block_types(md):
+        assert _precon_prime(t, md) == ref_precon_prime(t, md)
+        parts = ref_precon_parts(t, md)
+        dropped = {label: f for label, f in parts if label[0] == "nulls" and label[1] > label[2]}
+        n = len(t.null_vars)
+        assert len(dropped) == n * (n - 1) // 2
+        by_label = dict(parts)
+        norm = Normaliser()
+        for (_kind, i, j), f in dropped.items():
+            partner = by_label["nulls", j, i]
+            partner_key = norm.rename(norm.formula(partner.body.query), {}).key
+            assert partner_key in _prefix_keys(norm, f), (t, i, j)
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_FAMILIES))
+def test_precon_prime_keeps_one_collapse_per_unordered_pair_on_compile_families(name):
+    _check_precon_prime(COMPILE_FAMILIES[name]())
+
+
+def test_precon_prime_keeps_one_collapse_per_unordered_pair_on_random_mappings():
+    for seed in range(50):
+        _check_precon_prime(random_mapping(seed))
 
 
 def test_laconify_builds_each_precon_prime_once(monkeypatch):
