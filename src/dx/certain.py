@@ -36,6 +36,7 @@ from dx.lang import (
     conj,
     disj,
     exists_all,
+    format_formula,
     free_vars,
     is_false,
     is_true,
@@ -72,7 +73,7 @@ def cq_parts(q: Formula):
         elif isinstance(f, TrueF):
             pass
         else:
-            raise MappingError(f"not a conjunctive query: {q!r}")
+            raise MappingError(f"not a conjunctive query: {format_formula(q)}")
 
     walk(body)
     return tuple(exist), tuple(atoms), tuple(eqs)

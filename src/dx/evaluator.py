@@ -12,10 +12,11 @@ are hash joins, comparisons and domain checks filter, a copy adds a
 column, a negation is one anti-join against its body evaluated once on
 the distinct bound tuples, and a shared union is computed once per
 evaluation.  A `certain[...]` query runs, with its planner's one plan,
-on one evaluator over its base's chase; its answers are the all-constant
-rows.  Values bound from outside (by `holds`) or by `certain[...]` may
-lie outside the active domain, so the plan checks them before an
-equality copies them.  `holds` runs the plan on a one-row context.
+on one evaluator over its base's chase; like every variable, its answers
+range over the active domain, so its rows are the answers whose values
+all lie there (the chase of a null-free instance adds only nulls outside
+it, so these are constants).  `holds` substitutes its assignment into
+the formula and runs the plan of the resulting sentence.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class _Evaluator:
         if kind is Copy:
             get = _picker(node.term, ctx.vars)
             rows = {r + (get(r),) for r in ctx.rows}
-            if node.check:
+            if not isinstance(node.term, Var):
                 rows = {r for r in rows if r[-1] in self._in_dom}
             return _Rel(ctx.vars + (node.var,), rows)
         if kind is Proj:
@@ -133,13 +134,11 @@ class _Evaluator:
             idx = [ctx.vars.index(v) for v in node.key]
             bad = _project(self.run(node.body, _project(ctx, node.key)), node.key).rows
             return _Rel(ctx.vars, {r for r in ctx.rows if tuple(r[i] for i in idx) not in bad})
-        if kind is Union:  # every part extends a subset of ctx by node.vars
-            cols = ctx.vars + node.vars
+        if kind is Union:  # a filter: every part keeps a subset of ctx
             rows = set()
             for part in node.parts:
-                out = self.run(part, ctx)
-                rows |= out.rows if out.vars == cols else _project(out, cols).rows
-            return _Rel(cols, rows)
+                rows |= self.run(part, ctx).rows
+            return _Rel(ctx.vars, rows)
         raise TypeError(f"not a plan node: {node!r}")
 
     def _closed(self, node: Node) -> _Rel:
@@ -170,7 +169,7 @@ class _Evaluator:
             if sub is None:
                 sub = self._bases[f.base] = _Evaluator(naive_chase(f.base, self.inst))
             rows = _project(sub.run(plan, _UNIT), sorted(free_vars(f.query))).rows
-            return _Rel(node.vars, {r for r in rows if all(isinstance(v, Const) for v in r)})
+            return _Rel(node.vars, {r for r in rows if self._in_dom.issuperset(r)})
         if node.rel not in self.inst.schema:
             raise MappingError(f"undeclared relation {node.rel}")
         # equality checks for a repeated variable and for a constant,
@@ -229,11 +228,10 @@ def ground_answers(f: Formula, inst: Instance, free: Sequence[str]) -> set:
 
 
 def holds(f: Formula, inst: Instance, env: dict | None = None) -> bool:
-    """Satisfaction of f under an assignment of its free variables."""
+    """Satisfaction of f under an assignment of its free variables, which
+    is substituted into f."""
     env = env or {}
-    fv = tuple(sorted(free_vars(f)))
-    for v in fv:
+    for v in sorted(free_vars(f)):
         if v not in env:
             raise MappingError(f"unbound variable {v}")
-    ctx = _Rel(fv, {tuple(env[v] for v in fv)})
-    return bool(_Evaluator(inst).run(Planner().plan(f, bound=fv), ctx).rows)
+    return bool(_Evaluator(inst).run(Planner().plan(f, sub=env), _UNIT).rows)

@@ -30,10 +30,11 @@ variables without reading the domain), and repeats.  A variable that
 nothing binds reads the active domain.  A disjunction that binds new
 variables is planned once, with positional column names, as a closed
 union; equal unions are one node, which the evaluator computes once and
-SQL emits as one common table expression.  A closed union reads the
-bound variables it shares with the context from the active domain, so a
-disjunction sharing one whose value may lie outside it (from `holds` or
-`certain[...]`) runs each disjunct on the context instead.
+SQL emits as one common table expression.  Every variable a plan binds
+lies in the active domain: `holds` substitutes its assignment as values,
+and the evaluator keeps only the certain answers in the domain.  So a
+closed union may read the bound variables it shares with its context
+from the domain, and only a value, never a variable, needs a domain check.
 """
 
 from __future__ import annotations
@@ -61,20 +62,23 @@ from dx.model import Const
 # Normal form: a formula tree with its free variables and a canonical key.
 
 class _N:
-    __slots__ = ("kind", "a", "b", "parts", "fv", "key", "cert")
+    __slots__ = ("kind", "a", "b", "parts", "fv", "key")
 
-    def __init__(self, kind, key, fv, a=None, b=None, parts=(), cert=False):
+    def __init__(self, kind, key, fv, a=None, b=None, parts=()):
         self.kind = kind
         self.key = key
         self.fv = fv
         self.a = a
         self.b = b
         self.parts = parts
-        self.cert = cert
 
 
 def _tkey(t) -> str:
-    return t.name if isinstance(t, Var) else repr(t.text)
+    """A term's key: a variable's name, a constant's quoted text, or a
+    null value's repr (a value `holds` substitutes)."""
+    if isinstance(t, Var):
+        return t.name
+    return repr(t.text) if isinstance(t, Const) else repr(t)
 
 
 def _tfv(*terms) -> frozenset:
@@ -132,7 +136,6 @@ def _junction(kind, parts) -> _N:
         f"{sym}({','.join(keys)})",
         frozenset().union(*(p.fv for p in kids)),
         parts=kids,
-        cert=any(p.cert for p in kids),
     )
 
 
@@ -176,7 +179,7 @@ class Normaliser:
             return n.parts[0]
         if n.kind == "or":
             return self.junction("and", [self.not_(p) for p in n.parts])
-        return _N("not", "!" + n.key, n.fv, parts=(n,), cert=n.cert)
+        return _N("not", "!" + n.key, n.fv, parts=(n,))
 
     def junction(self, kind: str, parts) -> _N:
         n = _junction(kind, parts)
@@ -230,7 +233,7 @@ class Normaliser:
         if outside:
             inside = self.junction("and", [p for p in parts if v in p.fv])
             return self.junction("and", outside + [self.exists(v, inside)])
-        return _N("exists", f"E{v}:{body.key}", body.fv - {v}, v, parts=(body,), cert=body.cert)
+        return _N("exists", f"E{v}:{body.key}", body.fv - {v}, v, parts=(body,))
 
     def subst(self, n: _N, sub: dict) -> _N:
         """n with free variables replaced by terms.  Quantified variables
@@ -271,10 +274,13 @@ class Normaliser:
         so evaluating it elsewhere never meets ours; `names` maps the
         query's free variables to terms.  A constant is substituted into
         the query, and of two variables given one name the second becomes
-        the first."""
+        the first.  Certain answers are constants, so a null makes the
+        node false."""
         query, pairs, fix = node.query, {}, {}
         for qv in sorted(free_vars(query)):
             t = names.get(qv, Var(qv))
+            if not isinstance(t, (Var, Const)):
+                return FALSE_N
             first = next((q for q, o in pairs.items() if isinstance(t, Var) and o == t.name), None)
             if isinstance(t, Const) or first is not None:
                 fix[qv] = t if first is None else Var(first)
@@ -282,7 +288,7 @@ class Normaliser:
                 pairs[qv] = t.name
         node, b = Certain(substitute(query, fix), node.base), tuple(pairs.items())
         num = self._certs.setdefault(node, len(self._certs))
-        return _N("certain", f"C{num}:{b}", frozenset(pairs.values()), node, b, cert=True)
+        return _N("certain", f"C{num}:{b}", frozenset(pairs.values()), node, b)
 
     def rename(self, n: _N, sub: dict, depth: int = 1) -> _N:
         """n with free variables replaced by `sub` and each quantified
@@ -367,14 +373,14 @@ class Member(Node):
 
 
 class Copy(Node):
-    """A new column equal to a bound term; `check` keeps only rows where
-    that term is in the active domain (not known for a constant or a
-    value from outside)."""
+    """A new column equal to a bound term.  A variable is bound in the
+    active domain; for a value, only the rows where it lies there too are
+    kept."""
 
-    __slots__ = ("var", "term", "check")
+    __slots__ = ("var", "term")
 
-    def __init__(self, var: str, term, check: bool):
-        self.var, self.term, self.check = var, term, check
+    def __init__(self, var: str, term):
+        self.var, self.term = var, term
         self.vars = (var,)
 
 
@@ -410,9 +416,9 @@ class Anti(Node):
 
 class Union(Node):
     """A disjunction.  Shared through a `Ref`, it is closed: every part
-    binds exactly the columns `cols` from nothing.  Otherwise every part
-    runs on the context and adds the columns `cols` (none for a filter),
-    and a row is kept when one of them yields it."""
+    binds exactly the columns `cols` from nothing.  Otherwise it is a
+    filter on bound variables: every part runs on the context, and a row
+    is kept when one of them keeps it."""
 
     __slots__ = ("parts",)
 
@@ -458,12 +464,11 @@ class Planner:
         self._queries: dict = {}  # certain[...] node -> the plan of its query
         self.norm = Normaliser()
 
-    def plan(self, f: Formula, want=(), bound=()) -> Node:
-        """The plan of f in a context binding `bound` (values that may lie
-        outside the active domain); every variable of `want` is bound in
-        its output."""
-        n = self.norm.formula(f)
-        return self.conj(n.parts if n.kind == "and" else (n,), bound, (), want)
+    def plan(self, f: Formula, want=(), sub=None) -> Node:
+        """The plan of f with the free variables in `sub` replaced by its
+        values; every variable of `want` is bound in its output."""
+        n = self.norm.formula(f, sub)
+        return self.conj(n.parts if n.kind == "and" else (n,), (), want)
 
     def query(self, node: Certain) -> Node:
         """The plan of a certain[...] node's query, binding its sorted free
@@ -476,7 +481,7 @@ class Planner:
             self._queries[node] = self.plan(node.query, sorted(free_vars(node.query)))
         return self._queries[node]
 
-    def node(self, n: _N, bound, indom) -> Node:
+    def node(self, n: _N, bound) -> Node:
         k = n.kind
         if k == "atom":
             return Scan(n.a, n.b)
@@ -486,28 +491,16 @@ class Planner:
             return UNIT
         if k == "or":
             if n.fv <= bound:
-                return Union(tuple(self.node(p, bound, indom) for p in n.parts))
-            if n.fv & bound - indom:
-                # a closed union reads such a value from the domain, and a
-                # disjunct that ignores it would miss one outside it
-                new = tuple(sorted(n.fv - bound))
-                return Union(
-                    tuple(
-                        self.conj(p.parts if p.kind == "and" else (p,), bound, indom, new)
-                        for p in n.parts
-                    ),
-                    new,
-                )
+                return Union(tuple(self.node(p, bound) for p in n.parts))
             return self.union(n)
         if k == "exists":
             body = n.parts[0]
             parts = body.parts if body.kind == "and" else (body,)
-            return Proj(self.conj(parts, bound, indom, (n.a,)), n.a)
+            return Proj(self.conj(parts, bound, (n.a,)), n.a)
         if k == "dom":
             if not n.fv <= bound:
                 return Dom(n.a.name)
-            known = isinstance(n.a, Var) and n.a.name in indom
-            return UNIT if known else Member(n.a)
+            return UNIT if isinstance(n.a, Var) else Member(n.a)
         if n.fv <= bound and k in ("eq", "lt"):
             return Cmp("=" if k == "eq" else "<", n.a, n.b, False)
         if n.fv <= bound and k == "not":
@@ -515,28 +508,27 @@ class Planner:
             if body.kind in ("eq", "lt"):
                 return Cmp("=" if body.kind == "eq" else "<", body.a, body.b, True)
             key = tuple(sorted(body.fv))
-            return Anti(self.node(body, frozenset(key), indom & body.fv), key)
-        return self.conj(n.parts if k == "and" else (n,), bound, indom, ())
+            return Anti(self.node(body, frozenset(key)), key)
+        return self.conj(n.parts if k == "and" else (n,), bound, ())
 
-    def conj(self, parts, bound, indom, want) -> Node:
+    def conj(self, parts, bound, want) -> Node:
         """Filters first, then binding equalities, then generators."""
-        bound, indom = set(bound), set(indom)
+        bound = set(bound)
         pending = list(parts)
         steps = []
         while pending:
             ready = [p for p in pending if p.fv <= bound]
             if ready:
                 ready.sort(key=lambda p: _FILTER_RANK.get(p.kind, 2))
-                fb, fi = frozenset(bound), frozenset(indom)
-                steps.extend(self.node(p, fb, fi) for p in ready)
+                fb = frozenset(bound)
+                steps.extend(self.node(p, fb) for p in ready)
                 pending = [p for p in pending if not p.fv <= bound]
                 continue
             copy = self._binding(pending, bound)
             if copy is not None:
                 p, v, t = copy
-                steps.append(Copy(v, t, not (isinstance(t, Var) and t.name in indom)))
+                steps.append(Copy(v, t))
                 bound.add(v)
-                indom.add(v)
                 pending.remove(p)
                 continue
             # a generator that binds its variables without reading the
@@ -549,15 +541,12 @@ class Planner:
             ]
             if gens:
                 p = pending.pop(min(gens)[-1])
-                steps.append(self.node(p, frozenset(bound), frozenset(indom)))
-                if not p.cert:
-                    indom |= p.fv - bound
+                steps.append(self.node(p, frozenset(bound)))
                 bound |= p.fv
                 continue
             v = min(pending[0].fv - bound)
             steps.append(Dom(v))
             bound.add(v)
-            indom.add(v)
         for v in want:
             if v not in bound:
                 steps.append(Dom(v))
@@ -586,7 +575,7 @@ class Planner:
                     v.name
                     for p in eqs
                     for v, t in ((p.a, p.b), (p.b, p.a))
-                    if isinstance(v, Var) and (isinstance(t, Const) or t.name in out)
+                    if isinstance(v, Var) and (not isinstance(t, Var) or t.name in out)
                 }
                 if more <= out:
                     break
@@ -605,7 +594,7 @@ class Planner:
                 if (
                     isinstance(v, Var)
                     and v.name not in bound
-                    and (isinstance(t, Const) or t.name in bound)
+                    and (not isinstance(t, Var) or t.name in bound)
                 ):
                     return p, v.name, t
         return None
@@ -624,7 +613,7 @@ class Planner:
             disjuncts = canon.parts if canon.kind == "or" else (canon,)
             node = Union(
                 tuple(
-                    self.conj(p.parts if p.kind == "and" else (p,), (), (), names)
+                    self.conj(p.parts if p.kind == "and" else (p,), (), names)
                     for p in disjuncts
                 ),
                 names,

@@ -326,7 +326,7 @@ class _SqlBuilder:
             sel.where.append(self._in_dom(self.term(node.term, env)))
         elif kind is Copy:
             expr = self.term(node.term, env)
-            if node.check:
+            if not isinstance(node.term, Var):
                 sel.where.append(self._in_dom(expr))
             self._bind(node.var, expr, sel, env)
         elif kind is Proj:
@@ -340,8 +340,6 @@ class _SqlBuilder:
             self.into(node.body, sub, dict(env))
             sel.where.append("NOT " + sub.condition())
         elif kind is Union:  # a filter on bound variables
-            if node.vars:  # planned only for values bound from outside
-                raise TypeError(f"not a filter: {node!r}")
             conds = []
             for part in node.parts:
                 sub = _Select()

@@ -989,8 +989,12 @@ class _RefEvaluator:
         if isinstance(f, (Eq, Lt)):
             return self._filter_rel(f)
         if isinstance(f, Certain):
+            # an answer's values range over `dom`, as every variable's
+            # do in `holds`; a head constant may be a certain answer
+            # outside it
             fv = tuple(sorted(free_vars(f.query)))
-            return _RefRel(fv, set(self._certain(f)))
+            dom = set(self.dom)
+            return _RefRel(fv, {r for r in self._certain(f) if dom.issuperset(r)})
         if isinstance(f, And):
             return self._and_rel(f.parts)
         if isinstance(f, Or):

@@ -1,4 +1,5 @@
 import re
+import sqlite3
 
 import pytest
 from helpers import (
@@ -8,6 +9,7 @@ from helpers import (
     inst,
     overlap_mapping,
     ref_eval_formula,
+    ref_holds,
     ref_unfold,
     star_blowup_mapping,
 )
@@ -20,12 +22,27 @@ from dx.certain import (
     eliminate_mapping,
     unfold,
 )
-from dx.chase import naive_chase
-from dx.evaluator import eval_formula
+from dx.chase import naive_chase, to_term_interpretation
+from dx.evaluator import eval_formula, holds
 from dx.laconify import laconify
-from dx.lang import And, Certain, Exists, Forall, Not, Or, RelAtom, Var, format_formula, free_vars
-from dx.model import Const, Fact, FreshNull, Instance, MappingError, SkolemNull
+from dx.lang import (
+    TGD,
+    And,
+    Certain,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    RelAtom,
+    SchemaMapping,
+    Var,
+    exists_all,
+    format_formula,
+    free_vars,
+)
+from dx.model import Const, Fact, FreshNull, Instance, MappingError, Schema, SkolemNull
 from dx.parser import parse_formula, parse_mapping
+from dx.sqlgen import interpretation_to_sql, load_instance, read_target, run_artifact
 from dx.verify import random_cq, random_mapping, random_source_instance
 
 A, B, C = Const("a"), Const("b"), Const("c")
@@ -345,6 +362,65 @@ def test_certain_node_evaluation_rejects_what_certain_answers_rejects(laconic_ba
     node = Certain(parse_formula(query, m.target), base)
     with pytest.raises(MappingError, match=re.escape(message)):
         eval_formula(node, inst(m.source, ("P", "a")), ("x",))
+
+
+# Bases whose heads carry constants (c, d) that a source instance may lack.
+HEAD_CONSTANT_BASES = [
+    "source P/1. target T/1. tgd: P(y) -> T('c').",
+    "source R/2. target S/2. tgd: R(x,y) -> exists z: S(x,z) & S(z,'c').",
+    "source P/1, R/2. target S/2, T/1. tgd: P(x) -> S(x,'d') & T('c'). "
+    "tgd: R(x,y) -> exists z: S(y,z) & T(z).",
+]
+
+
+@pytest.mark.parametrize("facts", [("a",), ("a", "c")])
+def test_certain_antecedent_chases_agree_on_a_head_constant(facts):
+    """certain[T(x)] answers only values of the source's active domain,
+    like every variable, so the chase of `certain[T(x)] -> U(x)` equals
+    the chase of its elimination and the SQL route, c in the source or
+    not."""
+    base = parse_mapping(HEAD_CONSTANT_BASES[0])
+    node = Certain(RelAtom("T", (Var("x"),)), base)
+    m = SchemaMapping(base.source, Schema({"U": 1}), (TGD(node, (), (RelAtom("U", (Var("x"),)),)),))
+    flat = eliminate_mapping(m)
+    i = inst(m.source, *[("P", c) for c in facts])
+    conn = sqlite3.connect(":memory:")
+    load_instance(conn, i)
+    run_artifact(conn, interpretation_to_sql(to_term_interpretation(flat)))
+    got = naive_chase(m, i)
+    assert got == naive_chase(flat, i) == read_target(conn, m.target)
+    assert got == inst(m.target, *[("U", c) for c in facts if c == "c"])
+
+
+@pytest.mark.parametrize("text", HEAD_CONSTANT_BASES)
+def test_certain_nodes_agree_with_their_elimination_on_head_constants(text):
+    base = parse_mapping(text)
+    for seed in range(10):
+        q = random_cq(base.target, seed)
+        node = Certain(q, base)
+        flat = eliminate(node)
+        fv = tuple(sorted(free_vars(q)))
+        for k in range(3):
+            i = random_source_instance(base.source, f"hc:{seed}:{k}", 4, 6)
+            got = eval_formula(node, i, fv)
+            assert got == eval_formula(flat, i, fv) == ref_eval_formula(node, i, fv)
+            assert holds(exists_all(fv, node), i) == holds(exists_all(fv, flat), i) == bool(got)
+
+
+def test_holds_substitutes_its_assignment_into_certain_nodes():
+    """A constant outside the active domain is substituted into the query;
+    a null makes the node false (certain answers are constants), though
+    the base's chase holds T of it."""
+    base = parse_mapping(HEAD_CONSTANT_BASES[0])
+    node = Certain(RelAtom("T", (Var("x"),)), base)
+    i = inst(base.source, ("P", "a"))
+    assert holds(node, i, {"x": C}) and holds(eliminate(node), i, {"x": C})
+    assert ref_holds(node, i, {"x": C})
+    base = parse_mapping("source P/1. target T/1. tgd: P(y) -> exists z: T(z).")
+    node = Certain(RelAtom("T", (Var("x"),)), base)
+    null = SkolemNull("f1_1", (A,))
+    assert Fact("T", (null,)) in naive_chase(base, i).facts
+    assert not holds(node, i, {"x": null}) and not ref_holds(node, i, {"x": null})
 
 
 def _bound(uf, node):

@@ -253,6 +253,26 @@ def test_certain_rejects_non_cq(capsys, overlap_map, p_a):
     assert code == 2
 
 
+def test_certain_prints_a_head_constant_missing_from_the_source(capsys):
+    """`dx certain` answers over the target: c is an answer though the
+    source lacks it, and the nulls that T also holds are not."""
+    code, out, _ = run(
+        capsys, "certain", "-m", str(DEMO / "constant_head.map"),
+        "-i", str(DEMO / "constant_head.facts"), "-q", "T(x)",
+    )
+    assert code == 0
+    assert out == "# answer variables: (x)\n(c)\n"
+
+
+def test_certain_prints_a_non_cq_query_as_dsl_text(capsys):
+    code, out, err = run(
+        capsys, "certain", "-m", str(DEMO / "constant_head.map"),
+        "-i", str(DEMO / "constant_head.facts"), "-q", "S(x,y) | T(x)",
+    )
+    assert code == 2 and out == ""
+    assert err == "dx: not a conjunctive query: S(x, y) | T(x)\n"
+
+
 def test_verify_equivalent_requires_against(capsys, double_map):
     assert main(["verify", "equivalent", "-m", double_map, "--samples", "3"]) == 2
 
