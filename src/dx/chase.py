@@ -42,6 +42,8 @@ from dx.model import (
     MappingError,
     Schema,
     SkolemNull,
+    facts_of,
+    skolem_nulls,
 )
 from dx.plan import Planner
 
@@ -97,7 +99,7 @@ def _compile_heads(rule: Rule):
     """The rule's heads over its parameter rows, each distinct term
     valued once per row.  A row is extended by `fixed`, the rule's
     constants, then by one value per distinct Skolem term, arguments
-    before the terms over them: `skolems` lists (symbol, getter of its
+    before the terms over them: `skolems` lists (symbol, positions of its
     arguments).  `heads` lists (relation, positions in the extended row).
     """
     fixed = tuple(dict.fromkeys(_consts(t for _rel, terms in rule.heads for t in terms)))
@@ -108,9 +110,9 @@ def _compile_heads(rule: Rule):
     def place(t) -> int:
         i = pos.get(t)
         if i is None:
-            get = row_getter([place(a) for a in t.args])
+            args = [place(a) for a in t.args]
             i = pos[t] = len(pos)
-            skolems.append((t.symbol, get))
+            skolems.append((t.symbol, args))
         return i
 
     heads = [(rel, [place(t) for t in terms]) for rel, terms in rule.heads]
@@ -119,7 +121,7 @@ def _compile_heads(rule: Rule):
 
 def _extend(row: tuple, skolems: list) -> tuple:
     """The row, extended by the rule's constants, extended by its Skolem
-    values."""
+    values; `skolems` lists (symbol, getter of its arguments)."""
     for symbol, get in skolems:
         row += (SkolemNull(symbol, get(row)),)
     return row
@@ -173,6 +175,7 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
     built = Encoding()  # `facts`, indexed for the consequent checks
     for rule, answers in zip(pi.rules, _answers(pi, inst)):
         fixed, skolems, heads = _compile_heads(rule)
+        skolems = [(symbol, row_getter(ps)) for symbol, ps in skolems]
         base = len(rule.params) + len(fixed)
         # a Skolem value is a search variable; any other value fills a
         # slot with its code
@@ -199,12 +202,29 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
 
 
 def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
-    """The target instance generated by a term interpretation."""
+    """The target instance generated by a term interpretation.
+
+    Each rule fires a column at a time, with no Python call per row: its
+    Skolem values and head facts are made by `map` over the answer rows,
+    or over `zip`s of columns where a term lies outside them (a constant,
+    a Skolem value).  An argument tuple that is a whole answer row is that
+    row, shared, not a copy.  The rows are a set, iterated unchanged, so
+    every column and every `map` over them follows one order."""
     facts = set()
     for rule, rows in zip(pi.rules, _answers(pi, inst)):
+        if not rows:
+            continue
         fixed, skolems, heads = _compile_heads(rule)
-        heads = [(rel, row_getter(ps)) for rel, ps in heads]
-        for row in rows:
-            row = _extend(row + fixed, skolems)
-            facts.update([Fact(rel, get(row)) for rel, get in heads])
+        width, n = len(rule.params), len(rows)
+        columns = [*zip(*rows), *([c] * n for c in fixed)]
+
+        def tuples(ps):
+            if all(p < width for p in ps):
+                return map(row_getter(ps), rows)
+            return zip(*[columns[p] for p in ps])
+
+        for symbol, ps in skolems:
+            columns.append(list(skolem_nulls(symbol, tuples(ps))))
+        for rel, ps in heads:
+            facts.update(facts_of(rel, tuples(ps)))
     return Instance(pi.target, facts)

@@ -20,8 +20,8 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
+from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional
 
 from dx import kernel
@@ -109,6 +109,14 @@ class SkolemNull(tuple):
 
 Value = Const | FreshNull | SkolemNull
 
+_new_skolem = partial(tuple.__new__, SkolemNull)
+
+
+def skolem_nulls(symbol: str, arg_tuples: Iterable[tuple]) -> Iterator[SkolemNull]:
+    """SkolemNull(symbol, args) for each args, made in C: no Python call
+    per value."""
+    return map(_new_skolem, zip(repeat(2), repeat(symbol), arg_tuples))
+
 
 def is_null(v: Value) -> bool:
     return not isinstance(v, Const)
@@ -129,6 +137,16 @@ class Fact(tuple):
 
     def __repr__(self):
         return f"Fact(rel={self[0]!r}, args={self[1]!r})"
+
+
+_new_fact = partial(tuple.__new__, Fact)
+_REL = operator.itemgetter(0)
+_ARGS = operator.itemgetter(1)
+
+
+def facts_of(rel: str, arg_tuples: Iterable[tuple]) -> Iterator[Fact]:
+    """Fact(rel, args) for each args, made in C: no Python call per fact."""
+    return map(_new_fact, zip(repeat(rel), arg_tuples))
 
 
 class Schema:
@@ -180,7 +198,7 @@ class Instance:
     def __init__(self, schema: Schema, facts: Iterable[Fact]):
         fs = frozenset(facts)
         # each distinct (relation, argument count) is checked once
-        shapes = set(zip(map(operator.itemgetter(0), fs), map(len, map(operator.itemgetter(1), fs))))
+        shapes = set(zip(map(_REL, fs), map(len, map(_ARGS, fs))))
         for rel, n in sorted(shapes):
             if rel not in schema:
                 raise MappingError(f"fact over undeclared relation {rel}")
@@ -215,12 +233,18 @@ class Instance:
 
     @cached_property
     def facts_sorted(self) -> tuple:
-        return tuple(sorted(self.facts))
+        """The facts in canonical order, that of `sorted(self.facts)`:
+        relations by name, and each relation's facts sorted apart from the
+        others by their argument tuples, so no comparison reads a name."""
+        groups: dict = {}
+        for f in self.facts:
+            groups.setdefault(f[0], []).append(f)
+        return tuple(chain.from_iterable(sorted(groups[rel], key=_ARGS) for rel in sorted(groups)))
 
     @cached_property
     def values(self) -> frozenset:
         """The active domain, in no order."""
-        return frozenset(chain.from_iterable(map(operator.itemgetter(1), self.facts)))
+        return frozenset(chain.from_iterable(map(_ARGS, self.facts)))
 
     @cached_property
     def dom(self) -> tuple:
@@ -792,10 +816,17 @@ def format_value(v: Value) -> str:
 
 
 def format_facts(inst: Instance) -> str:
-    # each distinct value is formatted once; the order comes from facts_sorted
+    """One line per fact, in canonical order.  Each relation's lines are
+    one `%` format of its line template, repeated, over its facts' value
+    texts, so no per-line string is made; each distinct value's text is
+    made once."""
     text = _Texts().__getitem__
-    lines = [f"{rel}({', '.join(map(text, args))}).\n" for rel, args in inst.facts_sorted]
-    return "".join(lines)
+    out = []
+    for rel, group in groupby(inst.facts_sorted, _REL):
+        group = list(group)
+        line = rel.replace("%", "%%") + "(" + ", ".join(["%s"] * len(group[0][1])) + ").\n"
+        out.append((line * len(group)) % tuple(map(text, chain.from_iterable(map(_ARGS, group)))))
+    return "".join(out)
 
 
 class _Consts(dict):

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from dx.certain import Disjunct, UnfoldedRewriting, cq_parts, unfold
-from dx.chase import App, to_term_interpretation
-from dx.evaluator import eval_formula
+from dx.chase import App, _answers, _compile_heads, _extend, to_term_interpretation
+from dx.evaluator import eval_formula, row_getter
 from dx.laconify import (
     BlockType,
     SideCondition,
@@ -51,6 +51,7 @@ from dx.lang import (
 from dx.model import (
     _FACT_TOKEN,
     _FRESH,
+    _Texts,
     Const,
     Fact,
     FreshNull,
@@ -410,6 +411,36 @@ def ref_value_key(v):
 
 def ref_fact_key(f: Fact):
     return (f.rel, tuple(ref_value_key(a) for a in f.args))
+
+
+# ---------------------------------------------------------------------------
+# Reference bulk write path: one sort of whole facts, one formatted string
+# per line, and rules fired a row at a time, which the per-relation sort,
+# the per-relation line templates and column-wise firing replaced.
+
+def ref_facts_sorted(inst: Instance) -> tuple:
+    return tuple(sorted(inst.facts))
+
+
+def ref_format_facts(inst: Instance) -> str:
+    # each distinct value is formatted once; the order comes from ref_facts_sorted
+    text = _Texts().__getitem__
+    lines = [f"{rel}({', '.join(map(text, args))}).\n" for rel, args in ref_facts_sorted(inst)]
+    return "".join(lines)
+
+
+def ref_eval_interpretation(pi, inst: Instance) -> Instance:
+    """The target instance generated by a term interpretation, each rule
+    fired on one answer row at a time."""
+    facts = set()
+    for rule, rows in zip(pi.rules, _answers(pi, inst)):
+        fixed, skolems, heads = _compile_heads(rule)
+        skolems = [(symbol, row_getter(ps)) for symbol, ps in skolems]
+        heads = [(rel, row_getter(ps)) for rel, ps in heads]
+        for row in rows:
+            row = _extend(row + fixed, skolems)
+            facts.update([Fact(rel, get(row)) for rel, get in heads])
+    return Instance(pi.target, facts)
 
 
 # ---------------------------------------------------------------------------

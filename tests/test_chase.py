@@ -6,6 +6,8 @@ from helpers import (
     overlap_mapping,
     pair,
     ref_homomorphic,
+    ref_eval_interpretation,
+    ref_format_facts,
     ref_naive_chase,
     ref_restricted_chase,
     split_pair_mapping,
@@ -14,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from dx.chase import (
     App,
+    Rule,
+    TermInterpretation,
     eval_interpretation,
     naive_chase,
     restricted_chase,
@@ -173,8 +177,9 @@ def test_restricted_chase_orders_each_consequent_check_once(monkeypatch):
 
 # Head shapes the compiled heads must each get right: an antecedent atom
 # that repeats a variable, constants in antecedents and heads, existential
-# variables shared across heads (one Skolem value for all of them), and
-# heads without a Skolem term beside heads with one.
+# variables shared across heads (one Skolem value for all of them), heads
+# without a Skolem term beside heads with one, a rule that never has an
+# answer, a rule without parameters, and a 0-ary head.
 HEAD_SHAPES = {
     "repeated_variable": """source R/3.
 target S/2, T/1.
@@ -198,6 +203,12 @@ target S/2, T/2.
 tgd: R(x,y) -> exists z: S(x,y) & T(y,z) & T(x,z).
 tgd: R(x,x) -> exists z: S(x,x) & T(x,z).
 """,
+    "no_answers_no_parameters": """source R/2.
+target S/2, Z/0.
+tgd: R(x,y) & x < y & y < x -> exists z: S(x,z).
+tgd: R('k','k') -> exists z: S(z,z) & Z().
+tgd: R(x,y) -> Z() & S(y,x).
+""",
 }
 
 
@@ -208,8 +219,24 @@ def test_chases_match_reference_on_head_shapes(name, data):
     ((rel, arity),) = m.source.rels
     rows = data.draw(st.lists(st.tuples(*[st.sampled_from("abkc")] * arity), max_size=12))
     i = Instance(m.source, [Fact(rel, tuple(map(Const, row))) for row in rows])
-    assert naive_chase(m, i) == ref_naive_chase(m, i)
+    j = naive_chase(m, i)
+    assert j == ref_naive_chase(m, i) == ref_eval_interpretation(to_term_interpretation(m), i)
+    assert format_facts(j) == ref_format_facts(j)
     assert restricted_chase(m, i) == ref_restricted_chase(m, i)
+
+
+def test_nested_skolem_terms_fire_as_row_at_a_time():
+    """Skolem terms over Skolem terms, and over a constant alone, which no
+    parsed mapping makes, fire column-wise as they do a row at a time."""
+    m = parse_mapping("source R/2. target S/2, T/1. tgd: R(x,y) -> S(x,y).")
+    f = App("f", (Var("x"),))
+    g = App("g", (f, Const("c")))
+    h = App("h", (Const("c"),))
+    heads = (("S", (g, Var("y"))), ("S", (h, f)), ("T", (g,)), ("T", (h,)))
+    pi = TermInterpretation(m.source, m.target, (Rule(m.tgds[0].antecedent, ("x", "y"), heads),))
+    for seed in range(10):
+        i = random_source_instance(m.source, f"nest:{seed}", 4, 8)
+        assert eval_interpretation(pi, i) == ref_eval_interpretation(pi, i)
 
 
 def test_shared_skolem_value_is_built_once():
@@ -269,7 +296,9 @@ def test_interpretation_equals_chase_exactly():
         m = random_mapping(seed)
         pi = to_term_interpretation(m)
         i = random_source_instance(m.source, f"pi:{seed}", 5, 9)
-        assert eval_interpretation(pi, i) == naive_chase(m, i)
+        j = eval_interpretation(pi, i)
+        assert j == naive_chase(m, i) == ref_eval_interpretation(pi, i)
+        assert format_facts(j) == ref_format_facts(j)
 
 
 def test_chase_isomorphic_under_tgd_reordering():

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import pathlib
@@ -302,6 +303,61 @@ def test_verify_rejects_bounds_out_of_range(capsys, double_map, flag, value, mes
 
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# -- the cyclic collector ------------------------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collecting(request):
+    """The collector's state on entry to `main`, restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _tail_3_cycle_map(tmp_path) -> str:
+    path = tmp_path / "tail_3_cycle.map"
+    path.write_text(
+        "source P/1. target S/2.\n"
+        "tgd: P(x) -> exists y0, y1, y2: S(y0,y1) & S(y1,y2) & S(y2,y0) & S(x,y0).\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+# Every way out of `main`: a command that succeeds, a ParseError (exit 2),
+# an argparse error (exit 2), and an exception that escapes `main`: the
+# tail-3-cycle's elimination raises RecursionError (ROADMAP item 1).
+@pytest.mark.parametrize("way_out", ["exit_0", "parse_error", "usage_error", "escaping_error"])
+def test_main_leaves_the_collector_as_it_found_it(
+    capsys, monkeypatch, tmp_path, double_map, p_a, collecting, way_out
+):
+    during = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda *a: during.append(gc.isenabled()) or emit(*a))
+    if way_out == "exit_0":
+        assert main(["chase", "-m", double_map, "-i", p_a]) == 0
+        assert during == [False]
+    elif way_out == "parse_error":
+        bad = tmp_path / "bad.facts"
+        bad.write_text("P(a", encoding="utf-8")
+        assert main(["chase", "-m", double_map, "-i", str(bad)]) == 2
+    elif way_out == "usage_error":
+        assert main(["chase", "--no-such-option"]) == 2
+    else:
+        with pytest.raises(RecursionError):
+            main(["laconify", "--eliminate-certain", "-m", _tail_3_cycle_map(tmp_path)])
+    assert gc.isenabled() is collecting
+
+
+def test_only_the_cli_imports_gc():
+    """The collector is paused in one place: no other dx module imports gc."""
+    imports_gc = re.compile(r"^\s*(?:import\s+(?:[\w.]+\s*,\s*)*gc\b|from\s+gc\s+import)", re.M)
+    src = pathlib.Path(cli.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py") if imports_gc.search(p.read_text("utf-8"))) == [
+        "cli.py"
+    ]
 
 
 # -- one-command parsers ------------------------------------------------------

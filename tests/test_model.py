@@ -13,6 +13,8 @@ from helpers import (
     inst,
     null_pattern,
     ref_fact_key,
+    ref_facts_sorted,
+    ref_format_facts,
     ref_homomorphic,
     ref_instances_isomorphic,
     ref_parse_facts,
@@ -120,6 +122,23 @@ def test_facts_sorted_is_the_reference_order(facts):
     i = Instance(Schema({"R": 2, "Q": 1}), facts)
     assert list(i.facts_sorted) == sorted(set(facts), key=ref_fact_key)
     assert list(i.dom) == sorted({a for f in facts for a in f.args}, key=ref_value_key)
+
+
+# Relation names that prefix one another, a 0-ary relation, and a name
+# holding `%`, which `format_facts`'s line templates must escape.
+_WRITE_SCHEMA = Schema({"R": 2, "R1": 1, "R_": 2, "Z": 0, "P%s": 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(["R", "R_"]), st.tuples(_order_values, _order_values)),
+    st.tuples(st.sampled_from(["R1", "P%s"]), st.tuples(_order_values)),
+    st.just(("Z", ())),
+), max_size=16))
+def test_facts_sorted_and_format_facts_match_the_reference(facts):
+    i = Instance(_WRITE_SCHEMA, [Fact(rel, args) for rel, args in facts])
+    assert i.facts_sorted == ref_facts_sorted(i)
+    assert format_facts(i) == ref_format_facts(i)
 
 
 @settings(max_examples=150, deadline=None)
