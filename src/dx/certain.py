@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from dx.chase import App, Rule, TermInterpretation, naive_chase, to_term_interpretation
+from dx.chase import Rule, TermInterpretation, naive_chase, to_term_interpretation
 from dx.evaluator import ground_answers
 from dx.lang import (
     And,
@@ -45,7 +45,7 @@ from dx.lang import (
     rename_bound,
     substitute,
 )
-from dx.model import Const, Instance, MappingError
+from dx.model import Instance, MappingError
 
 
 def cq_parts(q: Formula):
@@ -122,9 +122,9 @@ class _Unifier:
     """Union-find over integer nodes with term bindings, undone on a trail.
 
     A node is an int.  A class may be bound to a constant or to a
-    function term (symbol, args), a plain tuple whose arguments are again
-    nodes, constants or terms; a value is a tuple subclass, so `type(t)`
-    tells the three apart.  Each write goes to an unbound root and is
+    function term (symbol, args), a plain tuple whose arguments `unfold`
+    makes nodes; a value is a tuple subclass, so `type(t)` tells the
+    three apart.  Each write goes to an unbound root and is
     recorded on `trail`, so `undo(mark)` restores the state of `mark`
     entries; `find` does not compress paths, which undo could not restore.
     """
@@ -200,17 +200,6 @@ class _Unifier:
         return True
 
 
-def _term_to_internal(t, slot: dict):
-    """A head term over the nodes `slot` gives its rule's parameters."""
-    if isinstance(t, Var):
-        return slot[t.name]
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, App):
-        return (t.symbol, tuple(_term_to_internal(a, slot) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class _Branch:
     """A rule head compiled for the query atom at one depth: its terms
@@ -229,29 +218,31 @@ class _Heads:
     """The rule heads of a term interpretation, compiled for `unfold` by
     (depth, relation) on first use.  The branch variables of depth `idx`
     are nodes idx * width, ..., so a compiled head serves every query;
-    an elimination shares one per base mapping among its unfoldings."""
+    an elimination shares one per base mapping among its unfoldings.
+    A head position is a node, a constant or a Skolem term (symbol,
+    nodes)."""
 
     def __init__(self, pi: TermInterpretation):
         self.width = max((len(r.params) for r in pi.rules), default=0)
-        self.by_rel: dict = {}  # relation -> (rule index, rule, head terms)
+        self.by_rel: dict = {}  # relation -> (rule index, rule, head positions)
         for index, rule in enumerate(pi.rules):
-            for rel, terms in rule.heads:
-                self.by_rel.setdefault(rel, []).append((index, rule, terms))
+            for rel, ps in rule.heads:
+                self.by_rel.setdefault(rel, []).append((index, rule, ps))
         self.compiled: dict = {}
 
     def branches(self, idx: int, rel: str) -> list:
         out = self.compiled.get((idx, rel))
         if out is None:
             out = self.compiled[idx, rel] = []
-            base, params = idx * self.width, {}
-            for index, rule, terms in self.by_rel.get(rel, ()):
-                if index not in params:
-                    slot = {p: base + i for i, p in enumerate(rule.params)}
+            base, per_rule = idx * self.width, {}
+            for index, rule, ps in self.by_rel.get(rel, ()):
+                if index not in per_rule:
+                    nodes = tuple(range(base, base + len(rule.params)))
+                    terms = (*nodes, *rule.fixed, *((s, nodes) for s in rule.skolems))
                     reprs = tuple(repr(("b", idx, p)) for p in rule.params)
-                    params[index] = slot, tuple(slot.values()), reprs
-                slot, nodes, reprs = params[index]
-                internal = tuple(_term_to_internal(t, slot) for t in terms)
-                out.append(_Branch(rule, index, internal, nodes, reprs))
+                    per_rule[index] = nodes, terms, reprs
+                nodes, terms, reprs = per_rule[index]
+                out.append(_Branch(rule, index, tuple(terms[p] for p in ps), nodes, reprs))
         return out
 
 

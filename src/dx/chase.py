@@ -1,9 +1,11 @@
 """Chase procedures and term interpretations.
 
 `to_term_interpretation` compiles a mapping once: one rule per
-dependency, whose existential variables become Skolem terms
-f<d>_<i>(a...) over its universal variables, each rule planned once on
-first use.  Both chases, `dx.sqlgen` and `dx.verify` read this form.
+dependency, each planned once on first use, its heads compiled into
+positions (see `Rule`).  An existential variable becomes a Skolem term
+f<d>_<i>(a...), its symbol over all of the rule's parameters.  Both
+chases, `dx.certain.unfold`, `dx.sqlgen` and `dx.verify` read this
+form, each giving a head position its own kind of value.
 
 The naive chase is the evaluation of the term interpretation: every
 rule fires on every satisfying tuple, so its output is literally equal
@@ -48,22 +50,20 @@ from dx.model import (
 from dx.plan import Planner
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    """A function symbol applied to terms."""
-
-    symbol: str
-    args: tuple
-
-
 @dataclass(frozen=True)
 class Rule:
     """One Skolemized dependency: its antecedent with parameters `params`
-    (sorted free variables) and a term tuple per consequent atom."""
+    (sorted free variables), and its heads compiled once.  `fixed` lists
+    the head constants; `skolems` one symbol f<d>_<i> per existential
+    variable a head uses, applied to the whole parameter row; `heads`
+    (relation, positions) per consequent atom, a position indexing the
+    parameters, then `fixed`, then the Skolem values."""
 
     condition: Formula
     params: tuple
-    heads: tuple  # (relation, terms); a term is a Var, Const or App
+    fixed: tuple
+    skolems: tuple
+    heads: tuple
 
 
 @dataclass(frozen=True)
@@ -86,47 +86,6 @@ def _skolem_symbol(tgd_index: int, var_index: int) -> str:
     return f"f{tgd_index + 1}_{var_index + 1}"
 
 
-def _consts(terms):
-    """The constants among terms and their subterms, in order."""
-    for t in terms:
-        if isinstance(t, App):
-            yield from _consts(t.args)
-        elif isinstance(t, Const):
-            yield t
-
-
-def _compile_heads(rule: Rule):
-    """The rule's heads over its parameter rows, each distinct term
-    valued once per row.  A row is extended by `fixed`, the rule's
-    constants, then by one value per distinct Skolem term, arguments
-    before the terms over them: `skolems` lists (symbol, positions of its
-    arguments).  `heads` lists (relation, positions in the extended row).
-    """
-    fixed = tuple(dict.fromkeys(_consts(t for _rel, terms in rule.heads for t in terms)))
-    pos = {Var(p): i for i, p in enumerate(rule.params)}
-    pos.update((c, len(rule.params) + i) for i, c in enumerate(fixed))
-    skolems = []
-
-    def place(t) -> int:
-        i = pos.get(t)
-        if i is None:
-            args = [place(a) for a in t.args]
-            i = pos[t] = len(pos)
-            skolems.append((t.symbol, args))
-        return i
-
-    heads = [(rel, [place(t) for t in terms]) for rel, terms in rule.heads]
-    return fixed, skolems, heads
-
-
-def _extend(row: tuple, skolems: list) -> tuple:
-    """The row, extended by the rule's constants, extended by its Skolem
-    values; `skolems` lists (symbol, getter of its arguments)."""
-    for symbol, get in skolems:
-        row += (SkolemNull(symbol, get(row)),)
-    return row
-
-
 def to_term_interpretation(m: SchemaMapping) -> TermInterpretation:
     """Compile m: one rule per dependency, each existential variable
     replaced by a function term over the dependency's universal
@@ -140,14 +99,15 @@ def to_term_interpretation(m: SchemaMapping) -> TermInterpretation:
                 "without further certain[...] nodes"
             )
         params = tgd.universal_vars
-        skolem: dict = {
-            Var(y): App(_skolem_symbol(d, i), tuple(Var(x) for x in params))
-            for i, y in enumerate(tgd.exist_vars)
-        }
-        heads = tuple(
-            (atom.rel, tuple(skolem.get(a, a) for a in atom.args)) for atom in tgd.consequent
-        )
-        rules.append(Rule(tgd.antecedent, params, heads))
+        args = [a for atom in tgd.consequent for a in atom.args]
+        fixed = tuple(dict.fromkeys(a for a in args if isinstance(a, Const)))
+        pos = {t: i for i, t in enumerate((*map(Var, params), *fixed))}
+        base = len(pos)
+        for a in args:  # each existential variable a head uses, in order
+            pos.setdefault(a, len(pos))
+        skolems = tuple(_skolem_symbol(d, tgd.exist_vars.index(y.name)) for y in list(pos)[base:])
+        heads = tuple((atom.rel, tuple(pos[a] for a in atom.args)) for atom in tgd.consequent)
+        rules.append(Rule(tgd.antecedent, params, fixed, skolems, heads))
     return TermInterpretation(m.source, m.target, tuple(rules))
 
 
@@ -174,27 +134,26 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
     facts: set = set()
     built = Encoding()  # `facts`, indexed for the consequent checks
     for rule, answers in zip(pi.rules, _answers(pi, inst)):
-        fixed, skolems, heads = _compile_heads(rule)
-        skolems = [(symbol, row_getter(ps)) for symbol, ps in skolems]
+        fixed, skolems = rule.fixed, rule.skolems
         base = len(rule.params) + len(fixed)
         # a Skolem value is a search variable; any other value fills a
         # slot with its code
         slots: dict = {}
         check = kernel.order_pattern([
             (rel, tuple(base - 1 - p if p >= base else slots.setdefault(p, len(slots)) for p in ps))
-            for rel, ps in heads
+            for rel, ps in rule.heads
         ])
         values = row_getter(list(slots))
-        heads = [(rel, row_getter(ps)) for rel, ps in heads]
+        heads = [(rel, row_getter(ps)) for rel, ps in rule.heads]
         for row in sorted(answers):
-            row += fixed
-            codes = list(map(built.code, values(row)))
+            extended = row + fixed
+            codes = list(map(built.code, values(extended)))
             pattern = [(rel, tuple(a if a < 0 else codes[a] for a in args)) for rel, args in check]
             if kernel.find_hom(pattern, built, len(skolems)) is not None:
                 continue
-            row = _extend(row, skolems)
+            extended += tuple(SkolemNull(symbol, row) for symbol in skolems)
             for rel, get in heads:
-                fact = Fact(rel, get(row))
+                fact = Fact(rel, get(extended))
                 if fact not in facts:
                     facts.add(fact)
                     built.add(fact)
@@ -214,17 +173,15 @@ def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
     for rule, rows in zip(pi.rules, _answers(pi, inst)):
         if not rows:
             continue
-        fixed, skolems, heads = _compile_heads(rule)
         width, n = len(rule.params), len(rows)
-        columns = [*zip(*rows), *([c] * n for c in fixed)]
+        columns = [*zip(*rows), *([c] * n for c in rule.fixed)]
+        columns += (list(skolem_nulls(symbol, rows)) for symbol in rule.skolems)
 
         def tuples(ps):
             if all(p < width for p in ps):
                 return map(row_getter(ps), rows)
             return zip(*[columns[p] for p in ps])
 
-        for symbol, ps in skolems:
-            columns.append(list(skolem_nulls(symbol, tuples(ps))))
-        for rel, ps in heads:
+        for rel, ps in rule.heads:
             facts.update(facts_of(rel, tuples(ps)))
     return Instance(pi.target, facts)

@@ -44,6 +44,7 @@ from dx.model import (
     blocks,
     is_core,
     least_form,
+    match_pattern,
     twin_classes,
 )
 
@@ -250,8 +251,8 @@ def _separable_for(tgd: TGD, kept_atoms, kept_nulls) -> bool:
         for a in tgd.consequent
         if a not in kept_set and any(v.name in kept_nulls for v in a.args)
     ]
-    target = Encoding(Fact(a.rel, tuple(value(v) for v in a.args)) for a in kept_atoms)
-    return target.search(touching) is not None
+    target = [Fact(a.rel, tuple(value(v) for v in a.args)) for a in kept_atoms]
+    return match_pattern(touching, target) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -386,22 +386,6 @@ class Encoding:
                 col.setdefault(row[pos], {})[row] = None
         return col
 
-    def search(self, pattern, *, injective=False) -> Optional[dict]:
-        """`match_pattern` against the facts added so far: one kernel
-        search, `injective` asking for pairwise-distinct values."""
-        var_ids: dict = {}
-        pat = []
-        for rel, args in pattern:
-            pat.append((rel, tuple(
-                -1 - var_ids.setdefault(a, len(var_ids))
-                if isinstance(a, PatternVar) else self.code(a)
-                for a in args
-            )))
-        asn = kernel.find_hom(kernel.order_pattern(pat), self, len(var_ids), injective)
-        if asn is None:
-            return None
-        return {var: self.values[asn[idx]] for var, idx in var_ids.items() if asn[idx] >= 0}
-
 
 def match_pattern(
     pattern: Iterable[tuple[str, tuple]],
@@ -415,8 +399,21 @@ def match_pattern(
 
     `target_facts` come in canonical order (an instance's
     `facts_sorted`), so the search and its result are deterministic.
+    One kernel search, `injective` asking for pairwise-distinct values.
     """
-    return Encoding(target_facts).search(pattern, injective=injective)
+    target = Encoding(target_facts)
+    var_ids: dict = {}
+    pat = []
+    for rel, args in pattern:
+        pat.append((rel, tuple(
+            -1 - var_ids.setdefault(a, len(var_ids))
+            if isinstance(a, PatternVar) else target.code(a)
+            for a in args
+        )))
+    asn = kernel.find_hom(kernel.order_pattern(pat), target, len(var_ids), injective)
+    if asn is None:
+        return None
+    return {var: target.values[asn[idx]] for var, idx in var_ids.items() if asn[idx] >= 0}
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +906,7 @@ def parse_facts(text: str, schema: Schema) -> Instance:
         tokens = split(body)
         if len(tokens) != arity.get(rel):
             break
-        facts.append(Fact(rel, tuple(map(consts.__getitem__, tokens))))
+        facts.append(_new_fact((rel, tuple(map(consts.__getitem__, tokens)))))
         pos = m.end()
     if pos < len(text):
         _read_facts(Lexer(text, _FACT_TOKEN, pos), schema, consts, facts)

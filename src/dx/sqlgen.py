@@ -15,7 +15,10 @@ the bound variables, and a closed union a UNION subquery, or a CTE when
 the statement reads it more than once.  A target view computes each
 dependency condition once, as a CTE that every consequent atom's branch
 reads; the active domain is read, through one `dom` CTE, only for a
-variable nothing else binds and to check a constant.
+variable nothing else binds and to check a constant.  A branch selects
+its rule's compiled head positions (`dx.chase.Rule`): a parameter is a
+CTE column, a constant a literal, and a Skolem term, its symbol over
+the rule's parameters, one concatenation built once per rule.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import os
 import re
 from dataclasses import dataclass
 
-from dx.chase import App, TermInterpretation
-from dx.lang import Formula, Var, free_vars
+from dx.chase import TermInterpretation
+from dx.lang import Var
 from dx.model import Const, Fact, Instance, MappingError, Schema, SkolemNull, Value
-from dx.plan import Anti, Cert, Cmp, Copy, Dom, Member, Node, Planner, Proj, Ref, Scan, Seq, Union
+from dx.plan import Anti, Cert, Cmp, Copy, Dom, Member, Node, Proj, Ref, Scan, Seq, Union
 
 
 # Inside a null's arguments a constant's `\`, `,`, `(` and `)` get a
@@ -106,6 +109,21 @@ def decode_value(text: str) -> Value:
 
 def _sql_quote(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
+
+
+def _skolem_sql(symbol: str, args) -> str:
+    """SQL for the encoding of the null `symbol` over `args`, SQL
+    expressions of source values, hence constants: each is escaped as
+    `_encode_arg` escapes a constant."""
+    pieces = [_sql_quote("@" + symbol + "(")]
+    for i, sql in enumerate(args):
+        if i:
+            pieces.append(_sql_quote(","))
+        for ch, esc in _ESCAPES:
+            sql = f"replace({sql}, {_sql_quote(ch)}, {_sql_quote(esc)})"
+        pieces.append(sql)
+    pieces.append(_sql_quote(")"))
+    return " || ".join(pieces)
 
 
 def _ident(name: str) -> str:
@@ -226,23 +244,6 @@ class _SqlBuilder:
                 raise MappingError(f"unbound variable {t.name}") from None
         if isinstance(t, Const):
             return _sql_quote(t.text)
-        if isinstance(t, App):
-            pieces = [_sql_quote("@" + t.symbol + "(")]
-            for i, a in enumerate(t.args):
-                if i:
-                    pieces.append(_sql_quote(","))
-                if isinstance(a, Const):
-                    pieces.append(_sql_quote(_encode_arg(a)))
-                elif isinstance(a, App):
-                    pieces.append(self.term(a, env))
-                else:
-                    # a source value, hence a constant: escape as _encode_arg
-                    sql = self.term(a, env)
-                    for ch, esc in _ESCAPES:
-                        sql = f"replace({sql}, {_sql_quote(ch)}, {_sql_quote(esc)})"
-                    pieces.append(sql)
-            pieces.append(_sql_quote(")"))
-            return " || ".join(pieces)
         raise TypeError(f"not a term: {t!r}")
 
     def count(self, node: Node):
@@ -359,27 +360,6 @@ class _SqlBuilder:
             raise TypeError(f"not a plan node: {node!r}")
 
 
-def formula_to_sql(f: Formula, schema: Schema, free=None) -> str:
-    """SELECT statement whose rows are the formula's answers.
-
-    The statement prints the formula's plan (`dx.plan`); a free variable
-    that nothing binds ranges over the active domain (the adom view, read
-    through the `dom` CTE).  The result agrees with the in-memory
-    evaluator row for row.
-    """
-    if free is None:
-        free = tuple(sorted(free_vars(f)))
-    missing = free_vars(f) - set(free)
-    if missing:
-        raise MappingError(f"unbound free variables: {sorted(missing)}")
-    free = tuple(free)
-    builder = _SqlBuilder(schema)
-    plan = Planner().plan(f, want=free)
-    builder.count(plan)
-    body = builder.query(plan, free, [_ident(v) for v in free])
-    return builder.with_clause() + body
-
-
 def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
     """DDL, adom view, and one view per target relation computing the
     interpretation's output under the text encoding of values.
@@ -399,7 +379,7 @@ def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
         uses = [
             (rule, plan)
             for rule, plan in zip(pi.rules, pi.plans)
-            if any(head == rel for head, _terms in rule.heads)
+            if any(head == rel for head, _ps in rule.heads)
         ]
         if not uses:
             empty_cols = ", ".join(f"'' AS c{i + 1}" for i in range(arity))
@@ -411,12 +391,15 @@ def interpretation_to_sql(pi: TermInterpretation) -> SqlArtifact:
         branch_sqls = []
         for k, (rule, plan) in enumerate(uses, 1):
             builder.ctes.append((f"k{k}", builder.query(plan, rule.params)))
-            env = {v: f"k{k}.c{i + 1}" for i, v in enumerate(rule.params)}
-            for head, terms in rule.heads:
+            params = [f"k{k}.c{i + 1}" for i in range(len(rule.params))]
+            terms = [
+                *params,
+                *(_sql_quote(c.text) for c in rule.fixed),
+                *(_skolem_sql(symbol, params) for symbol in rule.skolems),
+            ]
+            for head, ps in rule.heads:
                 if head == rel:
-                    cols = ", ".join(
-                        f"{builder.term(t, env)} AS c{i + 1}" for i, t in enumerate(terms)
-                    )
+                    cols = ", ".join(f"{terms[p]} AS c{i + 1}" for i, p in enumerate(ps))
                     branch_sqls.append(f"SELECT {cols} FROM k{k}")
         outer_cols = ", ".join(f"c{i + 1}" for i in range(arity))
         union = "\nUNION ALL\n".join(branch_sqls)

@@ -15,11 +15,8 @@ from dx.chase import eval_interpretation, to_term_interpretation
 from dx.evaluator import holds
 from dx.lang import (
     Eq,
-    Formula,
-    Lt,
     RelAtom,
     SchemaMapping,
-    TGD,
     Var,
     conj,
     disj,
@@ -144,64 +141,6 @@ def random_source_instance(
         rel, arity = rng.choice(rels)
         facts.append(Fact(rel, tuple(rng.choice(consts) for _ in range(arity))))
     return Instance(schema, facts)
-
-
-_RANDOM_SOURCE = Schema({"P": 1, "R": 2})
-_RANDOM_TARGET = Schema({"S": 2, "T": 1})
-
-
-def random_mapping(seed, *, lav: bool = False) -> SchemaMapping:
-    """Small random mapping over fixed schemas P/1, R/2 -> S/2, T/1."""
-    rng = random.Random(f"map:{seed}")
-    tgds = []
-    for _ in range(rng.randint(1, 3)):
-        uvars = ["x1", "x2", "x3"][: rng.randint(1, 3)]
-        if lav:
-            rel, arity = rng.choice(_RANDOM_SOURCE.rels)
-            atoms = [RelAtom(rel, tuple(Var(rng.choice(uvars)) for _ in range(arity)))]
-        else:
-            atoms = []
-            for _ in range(rng.randint(1, 2)):
-                rel, arity = rng.choice(_RANDOM_SOURCE.rels)
-                atoms.append(
-                    RelAtom(rel, tuple(Var(rng.choice(uvars)) for _ in range(arity)))
-                )
-        used = sorted({v.name for a in atoms for v in a.args})
-        ante_parts: list = list(atoms)
-        if len(used) >= 2 and rng.random() < 0.3:
-            u, v = rng.sample(used, 2)
-            ante_parts.append(Lt(Var(u), Var(v)))
-        antecedent = conj(ante_parts)
-        evars = ["y1", "y2"][: rng.randint(0, 2)]
-        cons = []
-        pool = used + evars
-        for _ in range(rng.randint(1, 2)):
-            rel, arity = rng.choice(_RANDOM_TARGET.rels)
-            cons.append(RelAtom(rel, tuple(Var(rng.choice(pool)) for _ in range(arity))))
-        used_e = tuple(
-            y for y in evars if any(Var(y) in a.args for a in cons)
-        )
-        tgds.append(TGD(antecedent, used_e, tuple(cons)))
-    return SchemaMapping(_RANDOM_SOURCE, _RANDOM_TARGET, tuple(tgds))
-
-
-def random_cq(target: Schema, seed, max_atoms: int = 2) -> Formula:
-    """Random conjunctive query over the target schema."""
-    rng = random.Random(f"cq:{seed}")
-    n = rng.randint(1, max_atoms)
-    freevars = ["u1", "u2"]
-    evars = ["w1", "w2"]
-    atoms = []
-    for _ in range(n):
-        rel, arity = rng.choice(target.rels)
-        atoms.append(
-            RelAtom(
-                rel,
-                tuple(Var(rng.choice(freevars + evars)) for _ in range(arity)),
-            )
-        )
-    used = {v.name for a in atoms for v in a.args}
-    return exists_all([w for w in evars if w in used], conj(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Shared fixtures: the example mapping pairs, small builders, and
-independent brute-force oracles used to cross-check the engine.
+"""Shared fixtures: the example mapping pairs, small builders, seeded
+random mappings and queries, and independent brute-force oracles used to
+cross-check the engine.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from dx.certain import Disjunct, UnfoldedRewriting, cq_parts, unfold
-from dx.chase import App, _answers, _compile_heads, _extend, to_term_interpretation
+from dx.chase import _answers, _skolem_symbol, to_term_interpretation
 from dx.evaluator import eval_formula, row_getter
 from dx.laconify import (
     BlockType,
@@ -64,7 +66,8 @@ from dx.model import (
     match_pattern,
 )
 from dx.parser import parse_mapping
-from dx.plan import Normaliser
+from dx.plan import Normaliser, Planner
+from dx.sqlgen import _SqlBuilder, _ident
 
 # Non-laconic mappings paired with hand-written equivalent laconic ones.
 PAIR_SOURCES = {
@@ -212,6 +215,93 @@ def inst(schema: Schema, *facts) -> Instance:
             Fact(rel, tuple(Const(a) if isinstance(a, str) else a for a in args))
         )
     return Instance(schema, out)
+
+
+# ---------------------------------------------------------------------------
+# Seeded generators of small random mappings and target queries.  Their
+# random streams are fixed: every seeded test sees the same mappings.
+
+_RANDOM_SOURCE = Schema({"P": 1, "R": 2})
+_RANDOM_TARGET = Schema({"S": 2, "T": 1})
+
+
+def random_mapping(seed, *, lav: bool = False) -> SchemaMapping:
+    """Small random mapping over fixed schemas P/1, R/2 -> S/2, T/1."""
+    rng = random.Random(f"map:{seed}")
+    tgds = []
+    for _ in range(rng.randint(1, 3)):
+        uvars = ["x1", "x2", "x3"][: rng.randint(1, 3)]
+        if lav:
+            rel, arity = rng.choice(_RANDOM_SOURCE.rels)
+            atoms = [RelAtom(rel, tuple(Var(rng.choice(uvars)) for _ in range(arity)))]
+        else:
+            atoms = []
+            for _ in range(rng.randint(1, 2)):
+                rel, arity = rng.choice(_RANDOM_SOURCE.rels)
+                atoms.append(
+                    RelAtom(rel, tuple(Var(rng.choice(uvars)) for _ in range(arity)))
+                )
+        used = sorted({v.name for a in atoms for v in a.args})
+        ante_parts: list = list(atoms)
+        if len(used) >= 2 and rng.random() < 0.3:
+            u, v = rng.sample(used, 2)
+            ante_parts.append(Lt(Var(u), Var(v)))
+        antecedent = conj(ante_parts)
+        evars = ["y1", "y2"][: rng.randint(0, 2)]
+        cons = []
+        pool = used + evars
+        for _ in range(rng.randint(1, 2)):
+            rel, arity = rng.choice(_RANDOM_TARGET.rels)
+            cons.append(RelAtom(rel, tuple(Var(rng.choice(pool)) for _ in range(arity))))
+        used_e = tuple(
+            y for y in evars if any(Var(y) in a.args for a in cons)
+        )
+        tgds.append(TGD(antecedent, used_e, tuple(cons)))
+    return SchemaMapping(_RANDOM_SOURCE, _RANDOM_TARGET, tuple(tgds))
+
+
+def random_cq(target: Schema, seed, max_atoms: int = 2) -> Formula:
+    """Random conjunctive query over the target schema."""
+    rng = random.Random(f"cq:{seed}")
+    n = rng.randint(1, max_atoms)
+    freevars = ["u1", "u2"]
+    evars = ["w1", "w2"]
+    atoms = []
+    for _ in range(n):
+        rel, arity = rng.choice(target.rels)
+        atoms.append(
+            RelAtom(
+                rel,
+                tuple(Var(rng.choice(freevars + evars)) for _ in range(arity)),
+            )
+        )
+    used = {v.name for a in atoms for v in a.args}
+    return exists_all([w for w in evars if w in used], conj(atoms))
+
+
+# ---------------------------------------------------------------------------
+# A formula's answers as one SQL statement, printed from its plan by the
+# builder that prints the target views.
+
+def formula_to_sql(f: Formula, schema: Schema, free=None) -> str:
+    """SELECT statement whose rows are the formula's answers.
+
+    The statement prints the formula's plan (`dx.plan`); a free variable
+    that nothing binds ranges over the active domain (the adom view, read
+    through the `dom` CTE).  The result agrees with the in-memory
+    evaluator row for row.
+    """
+    if free is None:
+        free = tuple(sorted(free_vars(f)))
+    missing = free_vars(f) - set(free)
+    if missing:
+        raise MappingError(f"unbound free variables: {sorted(missing)}")
+    free = tuple(free)
+    builder = _SqlBuilder(schema)
+    plan = Planner().plan(f, want=free)
+    builder.count(plan)
+    body = builder.query(plan, free, [_ident(v) for v in free])
+    return builder.with_clause() + body
 
 
 def total_relation_instance(schema: Schema, rel: str, consts) -> Instance:
@@ -434,13 +524,47 @@ def ref_eval_interpretation(pi, inst: Instance) -> Instance:
     fired on one answer row at a time."""
     facts = set()
     for rule, rows in zip(pi.rules, _answers(pi, inst)):
-        fixed, skolems, heads = _compile_heads(rule)
-        skolems = [(symbol, row_getter(ps)) for symbol, ps in skolems]
-        heads = [(rel, row_getter(ps)) for rel, ps in heads]
+        heads = [(rel, row_getter(ps)) for rel, ps in rule.heads]
         for row in rows:
-            row = _extend(row + fixed, skolems)
-            facts.update([Fact(rel, get(row)) for rel, get in heads])
+            extended = row + rule.fixed + tuple(SkolemNull(s, row) for s in rule.skolems)
+            facts.update([Fact(rel, get(extended)) for rel, get in heads])
     return Instance(pi.target, facts)
+
+
+@dataclass(frozen=True, slots=True)
+class App:
+    """A function symbol applied to terms."""
+
+    symbol: str
+    args: tuple
+
+
+def ref_rule_heads(m: SchemaMapping) -> list:
+    """Per dependency, its heads as (relation, terms), each existential
+    variable an `App` over the universal variables, built straight from
+    the TGDs: the oracle for the positions `to_term_interpretation`
+    compiles."""
+    out = []
+    for d, tgd in enumerate(m.tgds):
+        params = tgd.universal_vars
+        skolem: dict = {
+            Var(y): App(_skolem_symbol(d, i), tuple(Var(x) for x in params))
+            for i, y in enumerate(tgd.exist_vars)
+        }
+        heads = tuple(
+            (atom.rel, tuple(skolem.get(a, a) for a in atom.args)) for atom in tgd.consequent
+        )
+        out.append(heads)
+    return out
+
+
+def rule_head_terms(rule) -> tuple:
+    """A compiled rule's heads with each position resolved to its term: a
+    parameter's Var, a constant, or an `App` of a Skolem symbol over all
+    the parameters."""
+    params = tuple(Var(x) for x in rule.params)
+    terms = (*params, *rule.fixed, *(App(s, params) for s in rule.skolems))
+    return tuple((rel, tuple(terms[p] for p in ps)) for rel, ps in rule.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -1156,8 +1280,6 @@ def ref_holds(f: Formula, inst: Instance, env: dict | None = None) -> bool:
 
 def ref_naive_chase(m, inst: Instance) -> Instance:
     """The naive chase with its antecedents evaluated by ref_eval_formula."""
-    from dx.chase import _skolem_symbol
-
     facts = set()
     for d, tgd in enumerate(m.tgds):
         params = tgd.universal_vars
@@ -1268,14 +1390,12 @@ class RefUnifier:
         return type(t) is tuple and bool(t) and t[0] == "app"
 
 
-def ref_term_to_internal(t, branch_idx):
-    if isinstance(t, Var):
-        return ("b", branch_idx, t.name)
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, App):
-        return ("app", t.symbol, tuple(ref_term_to_internal(a, branch_idx) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
+def ref_term_to_internal(rule, p: int, branch_idx):
+    """The term at head position p of a compiled rule, over the nodes
+    of branch branch_idx."""
+    params = [("b", branch_idx, x) for x in rule.params]
+    terms = [*params, *rule.fixed, *(("app", s, tuple(params)) for s in rule.skolems)]
+    return terms[p]
 
 
 def ref_build_disjunct(uf: RefUnifier, free, choice):
@@ -1336,7 +1456,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
     rules = to_term_interpretation(m).rules
     per_atom = []
     for atom in atoms:
-        branches = [(r, terms) for r in rules for head, terms in r.heads if head == atom.rel]
+        branches = [(r, ps) for r in rules for head, ps in r.heads if head == atom.rel]
         per_atom.append(branches)
     disjuncts: list = []
     seen = set()
@@ -1350,10 +1470,10 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                 ok = False
                 break
         if ok:
-            for idx, (atom, (_rule, terms)) in enumerate(zip(atoms, choice)):
-                for arg, term in zip(atom.args, terms):
+            for idx, (atom, (rule, ps)) in enumerate(zip(atoms, choice)):
+                for arg, p in zip(atom.args, ps):
                     qterm = ("q", arg.name) if isinstance(arg, Var) else arg
-                    if not uf.unify(qterm, ref_term_to_internal(term, idx)):
+                    if not uf.unify(qterm, ref_term_to_internal(rule, p, idx)):
                         ok = False
                         break
                 if not ok:
@@ -1366,7 +1486,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                 ok = False
                 break
         if ok:
-            for idx, (rule, _terms) in enumerate(choice):
+            for idx, (rule, _ps) in enumerate(choice):
                 for p in rule.params:
                     if uf.term_is_proper(("b", idx, p)):
                         ok = False
@@ -1375,7 +1495,7 @@ def ref_unfold(m: SchemaMapping, q: Formula) -> UnfoldedRewriting:
                     break
         if not ok:
             continue
-        d = ref_build_disjunct(uf, free, tuple(rule for rule, _terms in choice))
+        d = ref_build_disjunct(uf, free, tuple(rule for rule, _ps in choice))
         if d is not None and d not in seen:
             seen.add(d)
             disjuncts.append(d)

@@ -19,6 +19,8 @@ from helpers import (
     inst,
     overlap_mapping,
     pair,
+    random_cq,
+    random_mapping,
     ref_self_maps,
     split_pair_mapping,
     star_blowup_mapping,
@@ -46,8 +48,6 @@ from dx.verify import (
     check_cq_equivalent,
     check_disjunctive_preservation,
     check_laconic,
-    random_cq,
-    random_mapping,
     random_source_instance,
 )
 from dx.sqlgen import (

@@ -8,6 +8,8 @@ from helpers import (
     cycle_mapping,
     inst,
     overlap_mapping,
+    random_cq,
+    random_mapping,
     ref_eval_formula,
     ref_holds,
     ref_unfold,
@@ -43,7 +45,7 @@ from dx.lang import (
 from dx.model import Const, Fact, FreshNull, Instance, MappingError, Schema, SkolemNull
 from dx.parser import parse_formula, parse_mapping
 from dx.sqlgen import interpretation_to_sql, load_instance, read_target, run_artifact
-from dx.verify import random_cq, random_mapping, random_source_instance
+from dx.verify import random_source_instance
 
 A, B, C = Const("a"), Const("b"), Const("c")
 
@@ -181,7 +183,6 @@ def test_certain_node_evaluation_delegates():
 
 def test_certain_answers_invariant_under_laconic_rewriting():
     from dx.laconify import laconify
-    from dx.verify import random_cq
 
     m = parse_mapping(
         "source R/2. target S/2. tgd: R(x,y) -> exists z: S(x,z) & S(y,z)."

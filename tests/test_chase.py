@@ -1,30 +1,35 @@
+import pathlib
 import random
 
 import pytest
 from helpers import (
+    COMPILE_FAMILIES,
+    fan_mapping,
     inst,
     overlap_mapping,
     pair,
+    random_mapping,
     ref_homomorphic,
     ref_eval_interpretation,
     ref_format_facts,
     ref_naive_chase,
     ref_restricted_chase,
+    ref_rule_heads,
+    rule_head_terms,
     split_pair_mapping,
+    star_blowup_mapping,
 )
 from hypothesis import given, settings, strategies as st
 
 from dx.chase import (
-    App,
-    Rule,
-    TermInterpretation,
     eval_interpretation,
     naive_chase,
     restricted_chase,
     to_term_interpretation,
 )
+from dx.certain import eliminate_mapping
 from dx.laconify import laconify
-from dx.lang import Var, format_mapping
+from dx.lang import TGD, RelAtom, SchemaMapping, Var, format_mapping
 from dx.model import (
     Const,
     Fact,
@@ -36,7 +41,7 @@ from dx.model import (
     is_core,
 )
 from dx.parser import parse_mapping
-from dx.verify import random_mapping, random_source_instance
+from dx.verify import random_source_instance
 
 A, B, C = Const("a"), Const("b"), Const("c")
 
@@ -225,18 +230,71 @@ def test_chases_match_reference_on_head_shapes(name, data):
     assert restricted_chase(m, i) == ref_restricted_chase(m, i)
 
 
-def test_nested_skolem_terms_fire_as_row_at_a_time():
-    """Skolem terms over Skolem terms, and over a constant alone, which no
-    parsed mapping makes, fire column-wise as they do a row at a time."""
-    m = parse_mapping("source R/2. target S/2, T/1. tgd: R(x,y) -> S(x,y).")
-    f = App("f", (Var("x"),))
-    g = App("g", (f, Const("c")))
-    h = App("h", (Const("c"),))
-    heads = (("S", (g, Var("y"))), ("S", (h, f)), ("T", (g,)), ("T", (h,)))
-    pi = TermInterpretation(m.source, m.target, (Rule(m.tgds[0].antecedent, ("x", "y"), heads),))
-    for seed in range(10):
-        i = random_source_instance(m.source, f"nest:{seed}", 4, 8)
-        assert eval_interpretation(pi, i) == ref_eval_interpretation(pi, i)
+DEMO = pathlib.Path(__file__).resolve().parents[1] / "demo"
+
+# Heads with a constant, with a repeated term, with two existential
+# variables shared across atoms, and, built by hand since the parser drops
+# it, with an unused existential variable y1: it gets no Skolem symbol but
+# keeps its number, so y2's symbol is f5_2.
+HAND_HEADS = """source P/1. target S/2, T/1.
+tgd: P(x) -> exists y: S(x,'c') & S(y,'c') & T('d').
+tgd: P(x) -> exists y: S(y,y) & S(x,x).
+tgd: P(x) -> exists y1, y2: S(x,y1) & S(y1,y2) & S(y2,x) & T(y2).
+tgd: P(x) -> T('c') & S(x,'c') & S('c',x).
+"""
+
+
+def _hand_heads() -> SchemaMapping:
+    m = parse_mapping(HAND_HEADS)
+    x, y2 = Var("x"), Var("y2")
+    unused = TGD(RelAtom("P", (x,)), ("y1", "y2"), (RelAtom("S", (x, y2)), RelAtom("T", (y2,))))
+    return SchemaMapping(m.source, m.target, m.tgds + (unused,))
+
+
+HEAD_FAMILIES = {
+    **{f"demo/{p.stem}": (lambda p=p: parse_mapping(p.read_text("utf-8"))) for p in DEMO.glob("*.map")},
+    **COMPILE_FAMILIES,
+    "fan_5": lambda: fan_mapping(5),
+    "star_4": lambda: star_blowup_mapping(4),
+    "hand_heads": _hand_heads,
+}
+
+
+def _check_compiled_heads(m: SchemaMapping) -> None:
+    """Every head position of m's compiled rules resolves to the term the
+    `App` compilation gives it."""
+    rules = to_term_interpretation(m).rules
+    assert [rule_head_terms(r) for r in rules] == ref_rule_heads(m)
+    for r in rules:
+        assert len(set(r.fixed)) == len(r.fixed) and len(set(r.skolems)) == len(r.skolems)
+
+
+def test_hand_built_heads_compile_to_positions():
+    pi = to_term_interpretation(_hand_heads())
+    assert [(r.fixed, r.skolems, r.heads) for r in pi.rules] == [
+        ((Const("c"), Const("d")), ("f1_1",), (("S", (0, 1)), ("S", (3, 1)), ("T", (2,)))),
+        ((), ("f2_1",), (("S", (1, 1)), ("S", (0, 0)))),
+        ((), ("f3_1", "f3_2"), (("S", (0, 1)), ("S", (1, 2)), ("S", (2, 0)), ("T", (2,)))),
+        ((Const("c"),), (), (("T", (1,)), ("S", (0, 1)), ("S", (1, 0)))),
+        ((), ("f5_2",), (("S", (0, 1)), ("T", (1,)))),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_FAMILIES))
+def test_compiled_heads_resolve_to_app_terms_on_families(name):
+    m = HEAD_FAMILIES[name]()
+    _check_compiled_heads(m)
+    if any(isinstance(a, Const) for t in m.tgds for atom in t.consequent for a in atom.args):
+        return  # the laconic rewriting takes variable-only consequents
+    lm = laconify(m)
+    _check_compiled_heads(lm)
+    if name != "tail_3_cycle":  # its elimination raises RecursionError (ROADMAP item 1)
+        _check_compiled_heads(eliminate_mapping(lm))
+
+
+def test_compiled_heads_resolve_to_app_terms_on_random_mappings():
+    for seed in range(400):
+        _check_compiled_heads(random_mapping(seed))
 
 
 def test_shared_skolem_value_is_built_once():
@@ -267,18 +325,19 @@ def test_term_interpretation_shape():
     m = split_pair_mapping()
     pi = to_term_interpretation(m)
     first, second = pi.rules
-    f = App("f1_1", (Var("x1"), Var("x2")))
-    assert first.params == ("x1", "x2")
-    assert first.heads == (("S", (Var("x1"), f)), ("T", (Var("x2"), f)))
-    assert second.params == ("x",)
-    assert second.heads == (("S", (Var("x"), Var("x"))),)
+    # positions: the parameters, then the constants, then f1_1(x1, x2)
+    assert (first.params, first.fixed, first.skolems) == (("x1", "x2"), (), ("f1_1",))
+    assert first.heads == (("S", (0, 2)), ("T", (1, 2)))
+    assert (second.params, second.fixed, second.skolems) == (("x",), (), ())
+    assert second.heads == (("S", (0, 0)),)
 
 
 def test_full_tgd_interpretation():
     m = parse_mapping("source R/2. target S/2. tgd: R(x,y) -> S(x,y).")
     pi = to_term_interpretation(m)
     (rule,) = pi.rules
-    assert rule.heads == (("S", (Var("x"), Var("y"))),)
+    assert (rule.params, rule.fixed, rule.skolems) == (("x", "y"), (), ())
+    assert rule.heads == (("S", (0, 1)),)
 
 
 def test_eval_interpretation_examples():

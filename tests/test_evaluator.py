@@ -5,11 +5,11 @@ formulas and instances past the 6/12 bounds."""
 import sqlite3
 
 import pytest
-from helpers import ref_eval_formula, ref_ground_answers, ref_holds
+from helpers import formula_to_sql, ref_eval_formula, ref_ground_answers, ref_holds
 from hypothesis import given, settings, strategies as st
 
 from dx.evaluator import eval_formula, ground_answers, holds
-from dx.sqlgen import adom_view_sql, formula_to_sql, load_instance
+from dx.sqlgen import adom_view_sql, load_instance
 from dx.lang import And, Eq, Exists, Forall, Lt, Not, Or, RelAtom, TRUE, Var
 from dx.model import Const, Fact, FreshNull, Instance, MappingError, Schema, SkolemNull
 

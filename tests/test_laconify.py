@@ -15,6 +15,7 @@ from helpers import (
     inst,
     overlap_mapping,
     pair,
+    random_mapping,
     ref_embeddings_between,
     ref_least_form,
     ref_precon_parts,
@@ -72,7 +73,7 @@ from dx.model import (
 )
 from dx.parser import parse_formula, parse_mapping
 from dx.plan import Normaliser
-from dx.verify import random_mapping, random_source_instance
+from dx.verify import random_source_instance
 
 
 def _type_by_rels(types, *rels):
@@ -855,8 +856,6 @@ def test_laconify_handles_antecedent_constants():
 
 @pytest.mark.parametrize("seed", range(50))
 def test_laconify_random_lav_mappings(seed):
-    from dx.verify import random_mapping
-
     m = random_mapping(f"lav{seed}", lav=True)
     lac = laconify(m)
     for k in range(6):
@@ -869,8 +868,6 @@ def test_laconify_random_lav_mappings(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_laconify_random_general_mappings(seed):
-    from dx.verify import random_mapping
-
     m = random_mapping(f"gen{seed}")
     lac = laconify(m)
     for k in range(6):
@@ -955,8 +952,6 @@ def test_relaconify_of_eliminated_output():
 
 
 def test_stripped_side_conditions_on_random_mappings():
-    from dx.verify import random_mapping
-
     for seed in range(40):
         m = random_mapping(f"rs{seed}")
         stripped = laconify(m, side_conditions=False)

@@ -588,7 +588,8 @@ def test_decompose_examples():
 def test_decompose_preserves_cores(seed):
     from dx.chase import naive_chase
     from dx.model import compute_core, instances_isomorphic
-    from dx.verify import random_mapping, random_source_instance
+    from dx.verify import random_source_instance
+    from helpers import random_mapping
 
     m = random_mapping(seed)
     d = decompose(m)

@@ -692,6 +692,22 @@ def test_mixed_demo_facts_take_both_readers(monkeypatch):
     assert Fact("R", (Const("it's"), Const("back\\slash"))) in got.facts
 
 
+@pytest.mark.parametrize("name", ["pairs_2000", "quoted_pairs"])
+def test_flat_reader_matches_token_reader_on_files(name):
+    """The flat reader's facts, made by the C-level constructor, equal the
+    token reader's and format alike: on 2,000 generated flat facts and on
+    demo/quoted_pairs.facts."""
+    if name == "pairs_2000":
+        keys = random.Random(1).sample(range(700 * 700), 2000)
+        text = "".join(f"R(c{k // 700}, c{k % 700}).\n" for k in sorted(keys))
+    else:
+        path = pathlib.Path(__file__).resolve().parents[1] / "demo" / f"{name}.facts"
+        text = path.read_text(encoding="utf-8")
+    got, want = parse_facts(text, R2), ref_parse_facts(text, R2)
+    assert got == want and all(type(f) is Fact for f in got.facts)
+    assert format_facts(got) == format_facts(want)
+
+
 def test_random_source_instance_deterministic():
     a = random_source_instance(R2, 7, 4, 8)
     b = random_source_instance(R2, 7, 4, 8)

@@ -59,7 +59,7 @@ def test_no_module_keeps_a_process_wide_cache():
 _REIMPORT = """
 import gc, importlib, sys, weakref
 import dx
-refs = [weakref.ref(c) for c in (dx.lang.Var, dx.model.Const, dx.chase.App)]
+refs = [weakref.ref(c) for c in (dx.lang.Var, dx.model.Const, dx.chase.Rule)]
 for name in [n for n in sys.modules if n == "dx" or n.startswith("dx.")]:
     del sys.modules[name]
 dx = importlib.import_module("dx")

@@ -8,10 +8,12 @@ from helpers import (
     COMPILE_FAMILIES,
     SQL_NAME_CLASHES,
     fan_mapping,
+    formula_to_sql,
     guard_keys,
     inst,
     overlap_mapping,
     pair,
+    random_mapping,
     ref_decode_value,
     ref_laconify,
     ref_naive_chase,
@@ -22,7 +24,7 @@ from helpers import (
 from hypothesis import example, given, settings, strategies as st
 
 from dx.certain import eliminate_mapping
-from dx.chase import App, eval_interpretation, naive_chase, to_term_interpretation
+from dx.chase import eval_interpretation, naive_chase, restricted_chase, to_term_interpretation
 from dx.evaluator import eval_formula
 from dx.lang import TGD, And, Exists, Lt, Not, Or, RelAtom, SchemaMapping, Var
 from dx.laconify import laconify
@@ -37,13 +39,13 @@ from dx.model import (
     compute_core,
     format_facts,
     instances_isomorphic,
+    parse_facts,
 )
 from dx.parser import parse_mapping
 from dx.sqlgen import (
     adom_view_sql,
     decode_value,
     encode_value,
-    formula_to_sql,
     interpretation_to_sql,
     load_instance,
     read_source_csv,
@@ -317,8 +319,6 @@ def test_interpretation_sql_empty_relation():
 
 @pytest.mark.parametrize("seed", range(30))
 def test_interpretation_sql_matches_evaluator(seed):
-    from dx.verify import random_mapping
-
     m = random_mapping(seed)
     pi = to_term_interpretation(m)
     art = interpretation_to_sql(pi)
@@ -342,9 +342,9 @@ def test_equal_antecedents_stay_two_rules():
         ),
     )
     pi = to_term_interpretation(m)
-    assert [r.heads[0][1] for r in pi.rules] == [
-        (Var("x"), App("f1_1", (Var("x"),))),
-        (App("f2_1", (Var("x"),)), Var("x")),
+    assert [(r.skolems, r.heads) for r in pi.rules] == [
+        (("f1_1",), (("S", (0, 1)),)),
+        (("f2_1",), (("S", (1, 0)),)),
     ]
     ((_rel, stmt),) = interpretation_to_sql(pi).queries
     assert re.findall(r"^(?:WITH |, )(k\d+) AS \($", stmt, re.M) == ["k1", "k2"]
@@ -369,15 +369,37 @@ def test_sql_output_equals_chase_with_structural_characters(mapping):
 
 
 def test_sql_term_matches_encode_value():
-    from dx.chase import App
-    from dx.sqlgen import _SqlBuilder
+    """`_skolem_sql` over source values gives their null's encoding, also
+    over no values, where it has nothing to escape."""
+    from dx.sqlgen import _skolem_sql
 
-    t = App("g", (Const("x,y"), App("f", (Var("v"), Const("\\")))))
-    sql = _SqlBuilder(PR).term(t, {"v": "'a(b)'"})
-    got = sqlite3.connect(":memory:").execute(f"SELECT {sql}").fetchone()[0]
-    want = SkolemNull("g", (Const("x,y"), SkolemNull("f", (Const("a(b)"), Const("\\")))))
-    assert got == encode_value(want)
-    assert decode_value(got) == want
+    conn = sqlite3.connect(":memory:")
+    for args in [(), ("a(b)",), ("x,y", "\\", "p\\,q)", "'")]:
+        sql = _skolem_sql("g", ["?"] * len(args))
+        got = conn.execute(f"SELECT {sql}", args).fetchone()[0]
+        want = SkolemNull("g", tuple(map(Const, args)))
+        assert got == encode_value(want)
+        assert decode_value(got) == want
+
+
+@pytest.mark.parametrize("laconic", [False, True])
+def test_sentence_head_routes_agree(laconic):
+    """A dependency without parameters has a Skolem term without
+    arguments: both chases and the SQL route give one null for it."""
+    import pathlib
+
+    demo = pathlib.Path(__file__).resolve().parents[1] / "demo"
+    m = parse_mapping((demo / "sentence_head.map").read_text("utf-8"))
+    if laconic:
+        m = eliminate_mapping(laconify(m))
+    i = parse_facts((demo / "sentence_head.facts").read_text("utf-8"), m.source)
+    j = naive_chase(m, i)
+    ((null,),) = [f.args for f in j.facts if f.rel == "T"]
+    assert isinstance(null, SkolemNull) and null.args == () and len(j) == 3
+    conn = sqlite3.connect(":memory:")
+    load_instance(conn, i)
+    run_artifact(conn, interpretation_to_sql(to_term_interpretation(m)))
+    assert restricted_chase(m, i) == j == read_target(conn, m.target)
 
 
 def test_read_target_decodes_each_cell_text_once(monkeypatch):
@@ -545,8 +567,6 @@ def test_orbit_guards_give_the_all_embeddings_sql(name):
 
 
 def test_orbit_guards_give_the_all_embeddings_sql_on_random_mappings():
-    from dx.verify import random_mapping
-
     for seed in range(50):
         _check_orbit_guards(random_mapping(seed), 3)
 

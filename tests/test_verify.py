@@ -2,7 +2,7 @@ import json
 from collections import Counter
 
 import pytest
-from helpers import inst, pair, ref_eval_disjunctive, star_blowup_mapping
+from helpers import inst, pair, random_mapping, ref_eval_disjunctive, star_blowup_mapping
 
 from dx.certain import eliminate_mapping
 from dx.chase import naive_chase
@@ -19,7 +19,6 @@ from dx.verify import (
     check_laconic,
     eval_disjunctive,
     random_disjunctive,
-    random_mapping,
     random_source_instance,
     separating_dependency,
     separating_dependency_holds,
