@@ -2,10 +2,10 @@
 
 Subcommands: chase, core, laconify, blocks, emit-sql, certain, verify.
 `COMMANDS` holds each one's help, arguments and handler, and `main`
-builds the parser of the one command its argv names: argparse pays for
-every argument it adds, and a `dx` call runs one command.  An empty
-argv, a leading option or an unknown command gets the parser of all of
-them, which prints the top-level help and errors.
+builds one `ArgumentParser`, for the one command its argv names: argparse
+pays for every parser and argument it makes.  The parser of all commands
+is built only for the top-level help and errors (an empty argv, a leading
+option or an unknown command) and to print a usage error after a command.
 All outputs are plain text (fact files, mapping DSL, SQL) so runs can be
 diffed.  Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 
@@ -131,14 +131,13 @@ def _cmd_certain(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise DxError(f"--samples must not be negative, not {args.samples}")
+    if args.kind == "equivalent" and not args.against:
+        raise DxError("verify equivalent requires --against")
     bounds = verify_mod.Bounds(args.max_consts, args.max_facts)
     m = _load_mapping(args.mapping)
     if args.kind == "laconic":
         report = verify_mod.check_laconic(m, args.samples, args.seed, bounds)
     elif args.kind == "equivalent":
-        if not args.against:
-            print("verify equivalent requires --against", file=sys.stderr)
-            return 2
         m2 = _load_mapping(args.against)
         if (m.source, m.target) != (m2.source, m2.target):
             raise MappingError(
@@ -202,24 +201,40 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, for an argv that starts with the command.
+    The parser of all commands prints its errors: some are its own."""
+
+    def parse_args(self, argv):
+        self.argv = argv
+        return super().parse_args(argv[1:])
+
+    def error(self, message):
+        _parser(None).parse_args(self.argv)  # prints the error and exits
+        super().error(message)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `dx` parser with every command of `COMMANDS`, or with `command`
-    alone.  A one-command parser fixes its commands' metavar to the full
-    list, so the top-level usage line it prints (for an unrecognized
-    argument after the command) is the full parser's."""
-    ap = argparse.ArgumentParser(
-        prog="dx",
-        description="Data exchange engine: chase, cores, laconic rewriting, SQL",
-    )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    """The `dx` parser with every command of `COMMANDS`, or the parser of
+    `command` alone (prog `dx <command>`), which prints what the first
+    prints for the same argv."""
+    return _parser(command)
+
+
+def _parser(command):
+    if command is None:
+        ap = argparse.ArgumentParser(
+            prog="dx",
+            description="Data exchange engine: chase, cores, laconic rewriting, SQL",
+        )
+        sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS if command is None else (command,):
         summary, handler, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=summary)
+        p = _CommandParser(prog=f"dx {name}") if command else sub.add_parser(name, help=summary)
         for flags, keywords in arguments:
             p.add_argument(*flags, **keywords)
         p.set_defaults(func=handler)
-    return ap
+    return p if command else ap
 
 
 def main(argv=None) -> int:
@@ -244,10 +259,7 @@ def _run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except DxError as exc:
-        print(f"dx: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DxError, OSError) as exc:
         print(f"dx: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@
 This is the hot inner loop of the whole engine: a backtracking search
 that maps a pattern (a set of facts whose arguments are integer codes,
 negative codes standing for variables) into a target fact set.  Every
-homomorphism, retraction and core question reduces to calls into
+homomorphism, retraction and core question reduces to `homs` or
 `find_hom`.  The symmetry searches of the laconic rewriting (embeddings
 and automorphisms) are not made here: `laconify._type_homs` gives
 values variable by variable, so that its answers come out sorted and
@@ -150,21 +150,12 @@ def order_pattern(pattern):
     original position, so the result is deterministic).  This keeps the
     backtracking search shallow on chain- and star-shaped patterns.
     """
-    remaining = list(enumerate(pattern))
+    remaining = list(pattern)
     ordered = []
     seen = set()
-    while remaining:
-        best = None
-        best_score = None
-        for idx, (orig, (rel, args)) in enumerate(remaining):
-            known = sum(1 for a in args if a >= 0 or a in seen)
-            score = (-known, orig)
-            if best_score is None or score < best_score:
-                best_score = score
-                best = idx
-        orig, fact = remaining.pop(best)
+    while len(remaining) > 1:
+        known = [sum(a >= 0 or a in seen for a in args) for _rel, args in remaining]
+        fact = remaining.pop(known.index(max(known)))  # the first of equal counts
         ordered.append(fact)
-        for a in fact[1]:
-            if a < 0:
-                seen.add(a)
-    return ordered
+        seen.update(a for a in fact[1] if a < 0)
+    return ordered + remaining

@@ -18,26 +18,60 @@ from dx.model import Const, MappingError, Schema, quote
 
 class _Node:
     """Slots for what a node computes once: its hash and, on a compound
-    formula, its free variables.  Unset until first used; `==` and repr
+    formula, its free variables.  None until first used; `==` and repr
     do not read them."""
 
     __slots__ = ("_hash", "_free")
 
 
+_set_hash, _set_free = _Node._hash.__set__, _Node._free.__set__
+
+
 def _node(cls):
     """Make a `_Node` subclass a frozen, slotted dataclass whose hash is
-    a hash of its fields, computed once."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    key = attrgetter(*(f.name for f in fields(cls)))
+    a hash of its fields, computed once.  Its `__init__` sets the fields
+    through their slots and presets the caches to None; a copy or an
+    unpickled node gets them from it too, through `__reduce__`."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = tuple(f.name for f in fields(cls))
+    key = attrgetter(*names)
+    puts = tuple(getattr(cls, n).__set__ for n in names)
+    post = getattr(cls, "__post_init__", None)
+    if post is None and len(puts) == 1:  # formula nodes, made by the thousand
+        (put,) = puts
+
+        def __init__(self, value):
+            put(self, value)
+            _set_hash(self, None)
+            _set_free(self, None)
+    elif post is None and len(puts) == 2:
+        put, put2 = puts
+
+        def __init__(self, value, value2):
+            put(self, value)
+            put2(self, value2)
+            _set_hash(self, None)
+            _set_free(self, None)
+    else:
+        def __init__(self, *values):
+            for put, value in zip(puts, values, strict=True):
+                put(self, value)
+            _set_hash(self, None)
+            _set_free(self, None)
+            if post is not None:
+                post(self)
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
+        h = self._hash
         if h is None:
             h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
-    cls.__hash__ = __hash__
+    def __reduce__(self):
+        return cls, tuple(getattr(self, n) for n in names)
+
+    cls.__init__, cls.__hash__, cls.__reduce__ = __init__, __hash__, __reduce__
     return cls
 
 
@@ -178,7 +212,7 @@ def _free_vars(f: Formula, sets: dict) -> frozenset:
         return _term_vars(f.left) | _term_vars(f.right)
     if isinstance(f, TrueF):
         return frozenset()
-    out = getattr(f, "_free", None)
+    out = f._free
     if out is not None:
         return out
     if isinstance(f, (And, Or)):
@@ -192,7 +226,7 @@ def _free_vars(f: Formula, sets: dict) -> frozenset:
     else:
         raise TypeError(f"not a formula: {f!r}")
     out = sets.setdefault(out, out)
-    object.__setattr__(f, "_free", out)
+    _set_free(f, out)
     return out
 
 

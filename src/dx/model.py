@@ -167,6 +167,9 @@ class Schema:
     def __setattr__(self, name, value):
         raise AttributeError("Schema is immutable")
 
+    def __reduce__(self):
+        return Schema, (self.rels,)
+
     def arity(self, name: str) -> int:
         try:
             return self._arity[name]
@@ -432,16 +435,26 @@ def _block_fold(block, rows, enc, null) -> Optional[dict]:
     image misses at least one row of the block, or None.
 
     `block` lists positions into `rows`; `enc` holds the instance's
-    rows per relation in canonical order.
+    rows per relation in canonical order.  The fold is the first map
+    that misses the block's first missable row.  One search lists the
+    maps, skipping those onto the block's rows; at the first other map,
+    only the rows before the first it misses are tried again.
     """
     var: dict = {}
+    own = [rows[p] for p in block]
     pattern = kernel.order_pattern([
         (rel, tuple(-1 - var.setdefault(c, len(var)) if null[c] else c for c in row))
-        for rel, row in (rows[p] for p in block)
+        for rel, row in own
     ])
-    for p in block:
-        asn = kernel.find_hom(pattern, enc, len(var), exclude=rows[p])
-        if asn is not None:
+    identity = list(var)  # each variable's own code, by variable number
+    for asn in kernel.homs(pattern, enc, len(var)):
+        if asn == identity:
+            continue
+        image = {(rel, tuple(asn[-1 - a] if a < 0 else a for a in args)) for rel, args in pattern}
+        if not image.issuperset(own):
+            k = next(k for k, row in enumerate(own) if row not in image)
+            earlier = (kernel.find_hom(pattern, enc, len(var), exclude=row) for row in own[:k])
+            asn = next((h for h in earlier if h is not None), asn)
             return {c: asn[v] for c, v in var.items()}
     return None
 

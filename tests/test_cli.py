@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -278,6 +279,12 @@ def test_verify_equivalent_requires_against(capsys, double_map):
     assert main(["verify", "equivalent", "-m", double_map, "--samples", "3"]) == 2
 
 
+def test_verify_equivalent_without_against_fails_before_reading_the_mapping(capsys, tmp_path):
+    missing = str(tmp_path / "missing.map")
+    code, out, err = run(capsys, "verify", "equivalent", "-m", missing, "--samples", "3")
+    assert (code, out, err) == (2, "", "dx: verify equivalent requires --against\n")
+
+
 def test_verify_equivalent_rejects_other_schemas(capsys, double_map, overlap_map):
     code, out, err = run(
         capsys, "verify", "equivalent", "-m", double_map, "--against", overlap_map
@@ -436,6 +443,21 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, built, double_map
     monkeypatch.setattr(sys, "argv", ["dx", "core", "-m", double_map, "-i", p_a, "--bogus"])
     assert main(None) == 2
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["chase", "core"])
+def test_a_command_builds_one_argument_parser(capsys, monkeypatch, double_map, p_a, command):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    code, out, err = run(capsys, command, "-m", double_map, "-i", p_a)
+    assert (code, err) == (0, "") and out.count("R(a,") >= 1
+    assert made == [f"dx {command}"]
 
 
 def test_outputs_deterministic(capsys, tmp_path, overlap_map, p_a):

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     overlap_mapping,
     pair,
+    ref_block_fold,
     ref_blocks,
     ref_compute_core,
     ref_is_core,
@@ -22,6 +23,9 @@ from dx.model import (
     FreshNull,
     Instance,
     Schema,
+    _block_fold,
+    _encoded,
+    _null_blocks,
     blocks,
     compute_core,
     format_facts,
@@ -167,3 +171,63 @@ def test_symmetric_join_core_at_scale_matches_closed_form():
     core, _retr = compute_core(naive_chase(m, source))
     assert len(core) == 2 * len(pairs) + len(lone)
     assert is_core(core)
+
+
+def _folds(j):
+    """`_block_fold` on each block of j that holds a null, as a dict of
+    values, next to the reference's fold of that block."""
+    enc, rows, null = _encoded(j)
+    vals = enc.values
+    for block in _null_blocks(rows, null):
+        fold = _block_fold(block, rows, enc, null)
+        piece = Instance(j.schema, [Fact(rows[p][0], tuple(vals[c] for c in rows[p][1])) for p in block])
+        got = None if fold is None else {vals[c]: vals[d] for c, d in fold.items()}
+        yield got, ref_block_fold(piece, j.facts_sorted)
+
+
+def test_block_fold_matches_reference_block_by_block():
+    rng = random.Random("core-oracle-folds")
+    vals = [Const("c0"), Const("c1")] + [FreshNull(i) for i in range(1, 5)]
+    folded = unfolded = 0
+    for _ in range(1500):
+        j = Instance(FG, [
+            Fact(rng.choice("FG"), (rng.choice(vals), rng.choice(vals)))
+            for _ in range(rng.randint(1, 10))
+        ])
+        for got, want in _folds(j):
+            assert got == want
+            folded += got is not None
+            unfolded += got is None
+    assert folded > 100 and unfolded > 100
+
+
+def test_block_fold_takes_the_fold_of_the_first_row_that_can_be_missed():
+    # The search's first map that is not onto the block sends ?N4 to ?N3
+    # and misses row 1, but row 0 can be missed too (?N3 to ?N4), and the
+    # fold is the first map that misses row 0.
+    j = parse_facts("G(?N1, ?N3). G(?N1, ?N4).", FG)
+    n1, n3, n4 = FreshNull(1), FreshNull(3), FreshNull(4)
+    assert list(_folds(j)) == [({n1: n1, n3: n4, n4: n4},) * 2]
+    core, retr = compute_core(j)
+    ref_core, ref_retr = ref_compute_core(j)
+    assert format_facts(core) == format_facts(ref_core) == "G(?N1, ?N4).\n"
+    assert _retraction(retr) == _retraction(ref_retr)
+
+
+def _nulls(k):
+    return [FreshNull(i) for i in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("j", [
+    Instance(Schema({"R": 2}), [Fact("R", (a, b)) for a, b in zip(_nulls(12), _nulls(12)[1:] + _nulls(1))]),
+    Instance(Schema({"R": 2}), [Fact("R", (a, b)) for a in _nulls(5) for b in _nulls(5) if a != b]),
+], ids=["12-cycle", "5-clique"])
+def test_symmetric_null_cores_match_reference(j):
+    # Every map of the block into itself is onto it, so one search lists
+    # them all and none folds.
+    core, retr = compute_core(j)
+    ref_core, ref_retr = ref_compute_core(j)
+    assert format_facts(core) == format_facts(ref_core) == format_facts(j)
+    assert _retraction(retr) == _retraction(ref_retr)
+    assert is_core(j) and ref_is_core(j)
+    assert [got for got, _want in _folds(j)] == [None]

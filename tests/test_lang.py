@@ -1,11 +1,14 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 
 import pytest
-from helpers import inst, ref_holds
+from helpers import OVERLAP_SOURCE, inst, ref_holds
 from hypothesis import given, settings, strategies as st
 
-from dx.certain import eliminate
+from dx.certain import eliminate, eliminate_mapping
 from dx.evaluator import eval_formula, ground_answers, holds
 from dx.lang import (
     And,
@@ -30,6 +33,7 @@ from dx.lang import (
     rename_bound,
     substitute,
 )
+from dx.laconify import laconify
 from dx.model import Const, Fact, FreshNull, Instance, MappingError, ParseError, Schema
 from dx.parser import parse_formula, parse_mapping
 
@@ -456,6 +460,42 @@ def test_two_parses_hash_alike():
         assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2), text
         for t1, t2 in zip(m1.tgds, m2.tgds):
             assert t1 == t2 and hash(t1) == hash(t2), text
+
+
+def _mapping_nodes(m):
+    yield m
+    for tgd in m.tgds:
+        yield tgd
+        yield from _subformulas(tgd.antecedent)
+        for atom in tgd.consequent:
+            yield from _subformulas(atom)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copied_nodes_keep_equality_hash_and_free_vars(duplicate):
+    m = parse_mapping(OVERLAP_SOURCE)
+    for mapping in (m, laconify(m), eliminate_mapping(laconify(m))):
+        for node in _mapping_nodes(mapping):
+            for _ in range(2):  # copy before and after the caches are filled
+                twin = duplicate(node)
+                assert twin == node and repr(twin) == repr(node)
+                assert hash(twin) == hash(node)
+                if not isinstance(node, (SchemaMapping, TGD)):
+                    assert free_vars(twin) == free_vars(node) == _walked_free_vars(node)
+    atom = RelAtom("P", (Var("x"),))
+    tgd = duplicate(TGD(atom, (), (atom, atom)))
+    assert tgd.consequent == (atom,) and hash(tgd) == hash(TGD(atom, (), (atom,)))
+    for node, field in [(atom, "rel"), (tgd, "consequent"), (duplicate(Not(atom)), "body")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, None)
+    with pytest.raises(MappingError, match="^dependency consequent must be nonempty$"):
+        TGD(atom, (), ())
+    with pytest.raises(MappingError, match=re.escape("source and target schemas overlap: ['P']")):
+        SchemaMapping(Schema({"P": 1}), Schema({"P": 1}), ())
 
 
 # -- shared subformulas --------------------------------------------------------
