@@ -89,11 +89,11 @@ def _cmd_blocks(args) -> int:
     for i, (t, pre) in enumerate(zip(types, preconditions(types, md)), start=1):
         atoms = " & ".join(format_formula(a) for a in t.atoms)
         side = side_condition(t)
-        lines.append(f"type t{i}({', '.join(t.const_vars)}; {', '.join(t.null_vars)})")
-        lines.append(f"  atoms:          {atoms}")
-        lines.append(f"  precondition:   {format_formula(pre)}")
-        lines.append(f"  side condition: {format_formula(side)}")
-    _emit("\n".join(lines) + "\n", args.output)
+        lines.append(f"type t{i}({', '.join(t.const_vars)}; {', '.join(t.null_vars)})\n")
+        lines.append(f"  atoms:          {atoms}\n")
+        lines.append(f"  precondition:   {format_formula(pre)}\n")
+        lines.append(f"  side condition: {format_formula(side)}\n")
+    _emit("".join(lines), args.output)
     return 0
 
 

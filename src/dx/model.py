@@ -806,17 +806,26 @@ _FLAT_FACT = re.compile(
 
 class _Texts(dict):
     """Each value's fact-file text, made on first lookup; a Skolem
-    null's text is built from its arguments' texts."""
+    null's text is built from its arguments' texts.  `plain` stays true
+    while every text made is a bare constant or a Skolem null whose
+    symbol is an ASCII identifier, as the fact reader reads them."""
 
-    __slots__ = ()
+    plain = True
 
     def __missing__(self, v: Value) -> str:
         if v[0] == 0:
-            t = v[1] if _BARE.match(v[1]) else quote(v[1])
-        elif v[0] == 1:
-            t = f"?N{v[1]}"
-        else:
+            if _BARE.match(v[1]):
+                t = v[1]
+            else:
+                t = quote(v[1])
+                self.plain = False
+        elif v[0] == 2:
             t = f"?{v[1]}({', '.join(map(self.__getitem__, v[2]))})"
+            if not (v[1].isascii() and v[1].isidentifier()):
+                self.plain = False
+        else:
+            t = f"?N{v[1]}"
+            self.plain = False
         self[v] = t
         return t
 
@@ -825,17 +834,46 @@ def format_value(v: Value) -> str:
     return _Texts()[v]
 
 
+def _lines(group: tuple, cells: tuple) -> str:
+    """The lines of a group (relation, rows), in the order of its rows:
+    one `%` format of its line template, repeated, over the cells, the
+    rows' value texts."""
+    rel, rows = group
+    line = rel.replace("%", "%%") + "(" + ", ".join(["%s"] * len(rows[0])) + ").\n"
+    return (line * len(rows)) % cells
+
+
 def format_facts(inst: Instance) -> str:
-    """One line per fact, in canonical order.  Each relation's lines are
-    one `%` format of its line template, repeated, over its facts' value
-    texts, so no per-line string is made; each distinct value's text is
-    made once."""
-    text = _Texts().__getitem__
+    """One line per fact, in canonical order; each distinct value's text
+    is made once.  Relations come in name order, and each relation's
+    value texts are first made in no order.
+
+    When every relation name is bare and every text plain (see
+    `_Texts`), a relation's lines sorted as strings, with `?` read as
+    `\\x7f`, are in canonical order: identifier characters lie above
+    `(`, `)` and `,`, so a constant or symbol comes before those it
+    prefixes and a shorter argument list before a longer one, and
+    `\\x7f` lies above them all, so constants come before nulls; plain
+    texts are injective.  Any other output sorts each relation's
+    argument tuples, as `facts_sorted` does."""
+    texts = _Texts()
+    text = texts.__getitem__
+    groups = [(rel, list(map(_ARGS, g))) for rel, g in groupby(sorted(inst.facts, key=_REL), _REL)]
+    cells = [tuple(map(text, chain.from_iterable(rows))) for _rel, rows in groups]
+    if not texts.plain or not all(_BARE.match(rel) for rel, _rows in groups):
+        for _rel, rows in groups:
+            rows.sort()
+        cells = [tuple(map(text, chain.from_iterable(rows))) for _rel, rows in groups]
+        return "".join(map(_lines, groups, cells))
+    # drop the texts: each is freed with the last cells that hold it,
+    # before its relation's lines are split
+    del texts, text
+    cells.reverse()
     out = []
-    for rel, group in groupby(inst.facts_sorted, _REL):
-        group = list(group)
-        line = rel.replace("%", "%%") + "(" + ", ".join(["%s"] * len(group[0][1])) + ").\n"
-        out.append((line * len(group)) % tuple(map(text, chain.from_iterable(map(_ARGS, group)))))
+    for group in groups:
+        lines = _lines(group, cells.pop()).replace("?", "\x7f").splitlines(True)
+        lines.sort()
+        out.append("".join(lines).replace("\x7f", "?"))
     return "".join(out)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,7 +54,6 @@ from dx.lang import (
 from dx.model import (
     _FACT_TOKEN,
     _FRESH,
-    _Texts,
     Const,
     Fact,
     FreshNull,
@@ -512,10 +512,20 @@ def ref_facts_sorted(inst: Instance) -> tuple:
     return tuple(sorted(inst.facts))
 
 
+def ref_value_text(v) -> str:
+    """A value's fact-file text, written out apart from `dx.model`."""
+    if isinstance(v, Const):
+        if re.fullmatch(r"[A-Za-z0-9_]+", v.text):
+            return v.text
+        return "'" + v.text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    if isinstance(v, FreshNull):
+        return f"?N{v.id}"
+    return f"?{v.symbol}({', '.join(map(ref_value_text, v.args))})"
+
+
 def ref_format_facts(inst: Instance) -> str:
-    # each distinct value is formatted once; the order comes from ref_facts_sorted
-    text = _Texts().__getitem__
-    lines = [f"{rel}({', '.join(map(text, args))}).\n" for rel, args in ref_facts_sorted(inst)]
+    # the order comes from ref_facts_sorted
+    lines = [f"{rel}({', '.join(map(ref_value_text, args))}).\n" for rel, args in ref_facts_sorted(inst)]
     return "".join(lines)
 
 

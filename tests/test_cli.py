@@ -74,6 +74,16 @@ def test_blocks_table(capsys, overlap_map):
     assert "precondition:" in out and "side condition:" in out
 
 
+def test_blocks_without_block_types_prints_nothing(capsys, tmp_path):
+    # like the chase of an empty instance, which prints no line at all
+    mp = tmp_path / "m.map"
+    mp.write_text("source R/2. target S/2.\n", encoding="utf-8")
+    facts = tmp_path / "i.facts"
+    facts.write_text("", encoding="utf-8")
+    assert run(capsys, "chase", "-m", str(mp), "-i", str(facts)) == (0, "", "")
+    assert run(capsys, "blocks", "-m", str(mp)) == (0, "", "")
+
+
 def test_laconify_output_reparses_after_elimination(capsys, tmp_path, overlap_map):
     out_path = tmp_path / "out.map"
     code = main(

@@ -141,6 +141,58 @@ def test_facts_sorted_and_format_facts_match_the_reference(facts):
     assert format_facts(i) == ref_format_facts(i)
 
 
+# Plain values: bare constants, and Skolem nulls over them whose symbols
+# prefix one another.  `format_facts` sorts their lines as strings.
+_plain_leaves = st.one_of(
+    st.sampled_from(["10", "9", "A", "a", "_", "c1", "c10"]),
+    st.text(alphabet="aAzZ09_", min_size=1, max_size=3),
+).map(Const)
+
+
+def _plain_nest(children):
+    return st.one_of(_plain_leaves, st.builds(
+        SkolemNull,
+        st.sampled_from(["f", "f1", "f1_1", "g"]),
+        st.lists(children, max_size=3).map(tuple),
+    ))
+
+
+_plain_values = _plain_nest(_plain_nest(_plain_nest(_plain_leaves)))
+_PLAIN_SCHEMA = Schema({"R": 2, "R1": 1, "R_": 2, "Z": 0})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(["R", "R_"]), st.tuples(_plain_values, _plain_values)),
+    st.tuples(st.just("R1"), st.tuples(_plain_values)),
+    st.just(("Z", ())),
+), max_size=16))
+def test_format_facts_sorts_plain_lines_as_strings(facts):
+    i = Instance(_PLAIN_SCHEMA, [Fact(rel, args) for rel, args in facts])
+    assert format_facts(i) == ref_format_facts(i)
+    assert "facts_sorted" not in i.__dict__
+
+
+def test_format_facts_reads_a_null_as_above_every_constant():
+    # `?` lies below `c`: sorted as written, the null's line comes first
+    i = parse_facts("S(c1, ?f1_1(c1, c2)).\nS(c1, c1).\n", S2)
+    assert format_facts(i) == "S(c1, c1).\nS(c1, ?f1_1(c1, c2)).\n"
+    assert "facts_sorted" not in i.__dict__
+
+
+@pytest.mark.parametrize("schema, facts", [
+    (S2, [("S", (Const("a b"), Const("a"))), ("S", (Const("a"), Const("a")))]),
+    (S2, [("S", (Const("a"), FreshNull(3))), ("S", (Const("a"), Const("b")))]),
+    (Schema({"P%s": 1, "P": 1}), [("P%s", (Const("b"),)), ("P%s", (Const("a"),)), ("P", (Const("c"),))]),
+    # sorted as written, `?f a(` comes before `?f(`
+    (S2, [("S", (Const("c"), SkolemNull("f a", (Const("c"),)))),
+          ("S", (Const("c"), SkolemNull("f", (Const("c"),))))]),
+], ids=["quoted-constant", "fresh-null", "percent-relation", "spaced-symbol"])
+def test_format_facts_falls_back_to_the_canonical_order(schema, facts):
+    i = Instance(schema, [Fact(rel, args) for rel, args in facts])
+    assert format_facts(i) == ref_format_facts(i)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_order_values, _order_values)
 def test_values_are_equal_exactly_when_their_reference_keys_are(a, b):
