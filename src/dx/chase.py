@@ -24,8 +24,10 @@ order, tuples sorted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from dx import kernel
 from dx.evaluator import row_getter, run_plans
@@ -44,10 +46,16 @@ from dx.model import (
     MappingError,
     Schema,
     SkolemNull,
+    all_bare,
+    fact_lines,
     facts_of,
+    format_facts,
     skolem_nulls,
+    sort_plain_lines,
 )
 from dx.plan import Planner
+
+_TEXT = operator.itemgetter(1)  # a constant's text
 
 
 @dataclass(frozen=True)
@@ -160,28 +168,70 @@ def restricted_chase(m: SchemaMapping, inst: Instance) -> Instance:
     return Instance(m.target, facts)
 
 
-def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
-    """The target instance generated by a term interpretation.
+def _fire(rule: Rule, rows, columns: list, fixed, skolems):
+    """(relation, argument tuples) per head of `rule`, fired a column at a
+    time over `rows`, its answer rows, with columns `columns`: no Python
+    call per row.  A head constant of `fixed` is a column too, and so is a
+    Skolem symbol's `skolems(symbol, rows)`; an argument tuple that
+    is a whole row is that row, shared.  `rows` must keep one order."""
+    width, n = len(rule.params), len(rows)
+    if not n:
+        return
+    columns = [*columns, *([c] * n for c in fixed)]
+    columns += (list(skolems(symbol, rows)) for symbol in rule.skolems)
+    for rel, ps in rule.heads:
+        if all(p < width for p in ps):
+            yield rel, map(row_getter(ps), rows)
+        else:
+            yield rel, zip(*[columns[p] for p in ps])
 
-    Each rule fires a column at a time, with no Python call per row: its
-    Skolem values and head facts are made by `map` over the answer rows,
-    or over `zip`s of columns where a term lies outside them (a constant,
-    a Skolem value).  An argument tuple that is a whole answer row is that
-    row, shared, not a copy.  The rows are a set, iterated unchanged, so
-    every column and every `map` over them follows one order."""
+
+def eval_interpretation(pi: TermInterpretation, inst: Instance) -> Instance:
+    """The target instance generated by a term interpretation: each rule
+    fired a column at a time (`_fire`) over its answer rows, a set,
+    iterated unchanged, its Skolem values made by `map`."""
     facts = set()
     for rule, rows in zip(pi.rules, _answers(pi, inst)):
-        if not rows:
-            continue
-        width, n = len(rule.params), len(rows)
-        columns = [*zip(*rows), *([c] * n for c in rule.fixed)]
-        columns += (list(skolem_nulls(symbol, rows)) for symbol in rule.skolems)
-
-        def tuples(ps):
-            if all(p < width for p in ps):
-                return map(row_getter(ps), rows)
-            return zip(*[columns[p] for p in ps])
-
-        for rel, ps in rule.heads:
-            facts.update(facts_of(rel, tuples(ps)))
+        for rel, tuples in _fire(rule, rows, list(zip(*rows)), rule.fixed, skolem_nulls):
+            facts.update(facts_of(rel, tuples))
     return Instance(pi.target, facts)
+
+
+def _skolem_texts(symbol: str, rows: list) -> list:
+    """The texts of a Skolem symbol's nulls over rows of argument texts."""
+    text = f"?{symbol}(" + ", ".join(["%s"] * len(rows[0])) + ")\n"
+    return ((text * len(rows)) % tuple(chain.from_iterable(rows))).splitlines()
+
+
+def naive_chase_text(m: SchemaMapping, inst: Instance) -> str:
+    """`format_facts(naive_chase(m, inst))`, the canonical universal
+    solution as a fact file.  If it is plain, as read off the source and
+    the rules before any antecedent runs (every source constant, head
+    constant and target relation name bare; Skolem symbols always are),
+    it is printed straight from each rule's answer texts, fired by
+    `_fire`, and never built: a Skolem column is one `%` format over the
+    rows, each head's lines one more; a relation's lines, deduplicated as
+    strings (exact, as plain texts are injective), are sorted by
+    `sort_plain_lines`.  Other input takes `naive_chase`."""
+    pi = to_term_interpretation(m)
+    fixed = chain.from_iterable(rule.fixed for rule in pi.rules)
+    texts = chain(map(_TEXT, inst.values), map(_TEXT, fixed), pi.target.names())
+    if not (inst.is_source and all_bare(texts)):
+        return format_facts(naive_chase(m, inst))
+    lines = _plain_lines(pi, inst)  # each set is freed once joined
+    return "".join(sort_plain_lines("".join(lines.pop(rel))) for rel in sorted(lines))
+
+
+def _plain_lines(pi: TermInterpretation, inst: Instance) -> dict:
+    """relation -> its distinct fact lines, each rule fired over the texts
+    of its answer rows, which hold constants only."""
+    lines: dict = {}
+    for rule, rows in zip(pi.rules, _answers(pi, inst)):
+        columns = [list(map(_TEXT, col)) for col in zip(*rows)]
+        texts = list(zip(*columns)) if columns else list(rows)  # no parameters: [()]
+        fixed = list(map(_TEXT, rule.fixed))
+        for rel, tuples in _fire(rule, texts, columns, fixed, _skolem_texts):
+            cells = tuple(chain.from_iterable(tuples))
+            text = fact_lines(rel, pi.target.arity(rel), len(texts), cells)
+            lines.setdefault(rel, set()).update(text.splitlines(True))
+    return lines

@@ -27,7 +27,7 @@ import sys
 from dx import sqlgen
 from dx import verify as verify_mod
 from dx.certain import certain_answers, eliminate_mapping
-from dx.chase import naive_chase, restricted_chase, to_term_interpretation
+from dx.chase import naive_chase, naive_chase_text, restricted_chase, to_term_interpretation
 from dx.laconify import generate_block_types, laconify, preconditions, side_condition
 from dx.lang import decompose, format_formula, format_mapping, free_vars
 from dx.model import (
@@ -56,11 +56,8 @@ def _load_mapping(path: str):
 def _cmd_chase(args) -> int:
     m = _load_mapping(args.mapping)
     inst = parse_facts(_read(args.instance), m.source)
-    if args.restricted:
-        out = restricted_chase(m, inst)
-    else:
-        out = naive_chase(m, inst)
-    _emit(format_facts(out), args.output)
+    text = format_facts(restricted_chase(m, inst)) if args.restricted else naive_chase_text(m, inst)
+    _emit(text, args.output)
     return 0
 
 

@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional
 
 from dx import kernel
@@ -789,19 +789,13 @@ _FACT_TOKEN = re.compile(
 )
 _FRESH = re.compile(r"N([0-9]+)\Z")
 
-# A flat fact's argument: a bare token, or a quoted one that reads as a
-# constant (neither empty nor starting with `@`).
-_FLAT_ARG = r"[A-Za-z0-9_]+|'(?!@)(?:[^'\\]|\\.)+'"
-_FLAT_ARGS = re.compile(_FLAT_ARG)
+# A flat fact's argument, captured: a bare token, or a quoted one that
+# reads as a constant (neither empty nor starting with `@`), and the
+# space after it.
+_FLAT_ARG = r"([A-Za-z0-9_]+|'(?!@)(?:[^'\\]|\\.)+')\s*"
 # Whitespace and comments between facts, one character or one whole
 # comment per step, so a failed match never backtracks into a comment.
 _FACT_GAP = re.compile(r"(?:\s|\#[^\n]*(?![^\n]))*")
-# A flat fact, comment-free, and the gap after it: its relation name and
-# the text of its arguments.
-_FLAT_FACT = re.compile(
-    rf"([A-Za-z0-9_]+)\s*\(\s*((?:(?:{_FLAT_ARG})\s*(?:,\s*(?:{_FLAT_ARG})\s*)*)?)\)\s*\."
-    + _FACT_GAP.pattern
-)
 
 
 class _Texts(dict):
@@ -834,13 +828,30 @@ def format_value(v: Value) -> str:
     return _Texts()[v]
 
 
-def _lines(group: tuple, cells: tuple) -> str:
-    """The lines of a group (relation, rows), in the order of its rows:
-    one `%` format of its line template, repeated, over the cells, the
-    rows' value texts."""
-    rel, rows = group
-    line = rel.replace("%", "%%") + "(" + ", ".join(["%s"] * len(rows[0])) + ").\n"
-    return (line * len(rows)) % cells
+def all_bare(texts: Iterable[str]) -> bool:
+    """True iff every text is bare: a fact file writes it as it is."""
+    return all(map(_BARE.match, texts))
+
+
+def fact_lines(rel: str, arity: int, n: int, cells: tuple) -> str:
+    """n lines of facts of `rel`: one `%` format of its line template,
+    repeated, over the cells, the n rows' argument texts in row order."""
+    line = rel.replace("%", "%%") + "(" + ", ".join(["%s"] * arity) + ").\n"
+    return (line * n) % cells
+
+
+def sort_plain_lines(lines: str) -> str:
+    """A bare relation's distinct fact lines, every text plain (see
+    `_Texts`), sorted into canonical order.
+
+    Sorted as strings, with `?` read as `\\x7f`, they are in canonical
+    order: identifier characters lie above `(`, `)` and `,`, so a
+    constant or symbol comes before those it prefixes and a shorter
+    argument list before a longer one, and `\\x7f` lies above them all,
+    so constants come before nulls; plain texts are injective."""
+    out = lines.replace("?", "\x7f").splitlines(True)
+    out.sort()
+    return "".join(out).replace("\x7f", "?")
 
 
 def format_facts(inst: Instance) -> str:
@@ -848,33 +859,24 @@ def format_facts(inst: Instance) -> str:
     is made once.  Relations come in name order, and each relation's
     value texts are first made in no order.
 
-    When every relation name is bare and every text plain (see
-    `_Texts`), a relation's lines sorted as strings, with `?` read as
-    `\\x7f`, are in canonical order: identifier characters lie above
-    `(`, `)` and `,`, so a constant or symbol comes before those it
-    prefixes and a shorter argument list before a longer one, and
-    `\\x7f` lies above them all, so constants come before nulls; plain
-    texts are injective.  Any other output sorts each relation's
-    argument tuples, as `facts_sorted` does."""
+    When every relation name is bare and every text plain, a relation's
+    lines are sorted as strings (`sort_plain_lines`).  Any other output
+    sorts each relation's argument tuples, as `facts_sorted` does."""
     texts = _Texts()
     text = texts.__getitem__
     groups = [(rel, list(map(_ARGS, g))) for rel, g in groupby(sorted(inst.facts, key=_REL), _REL)]
     cells = [tuple(map(text, chain.from_iterable(rows))) for _rel, rows in groups]
-    if not texts.plain or not all(_BARE.match(rel) for rel, _rows in groups):
+    plain = texts.plain and all_bare(rel for rel, _rows in groups)
+    if not plain:
         for _rel, rows in groups:
             rows.sort()
         cells = [tuple(map(text, chain.from_iterable(rows))) for _rel, rows in groups]
-        return "".join(map(_lines, groups, cells))
     # drop the texts: each is freed with the last cells that hold it,
     # before its relation's lines are split
     del texts, text
     cells.reverse()
-    out = []
-    for group in groups:
-        lines = _lines(group, cells.pop()).replace("?", "\x7f").splitlines(True)
-        lines.sort()
-        out.append("".join(lines).replace("\x7f", "?"))
-    return "".join(out)
+    lines = (fact_lines(rel, len(rows[0]), len(rows), cells.pop()) for rel, rows in groups)
+    return "".join(map(sort_plain_lines, lines) if plain else lines)
 
 
 class _Consts(dict):
@@ -941,24 +943,33 @@ def parse_facts(text: str, schema: Schema) -> Instance:
     """Read a fact file into an instance over the given schema.
 
     Flat facts, comment-free facts of bare and quoted constants, are read
-    one regex match each.  At the first text that match cannot take (a
-    null, a comment inside a fact, an undeclared relation, an arity
-    mismatch, a quoted token that is no constant, or malformed input)
-    the token reader takes over to the end of the file: it alone reads
-    nulls and raises ParseError.  Both share one table of constants.
+    with one `findall` of a pattern built from the schema: one
+    alternative per arity, listing its bare relation names, then a last
+    group that takes the rest of the text from the first place no
+    alternative matches (a null, a comment inside a fact, an undeclared
+    relation, an arity mismatch, a quoted token that is no constant, or
+    malformed input).  Each arity's facts are built a column at a time.
+    The token reader reads the rest: it alone reads nulls and raises
+    ParseError.  Both share one table of constants.
     """
     consts = _Consts()
-    arity = schema._arity
-    match, split = _FLAT_FACT.match, _FLAT_ARGS.findall
-    facts = []
+    facts: list = []
     pos = _FACT_GAP.match(text).end()
-    while (m := match(text, pos)) is not None:
-        rel, body = m.groups()
-        tokens = split(body)
-        if len(tokens) != arity.get(rel):
-            break
-        facts.append(_new_fact((rel, tuple(map(consts.__getitem__, tokens)))))
-        pos = m.end()
+    names: dict = {}  # arity -> its bare relation names
+    for rel, n in schema.rels:
+        if _BARE.match(rel):
+            names.setdefault(n, []).append(rel)
+    if names and pos < len(text):
+        alts = ["(" + "|".join(rels) + r")\s*\(\s*" + r",\s*".join([_FLAT_ARG] * n) + r"\)\s*\."
+                for n, rels in names.items()]
+        found = re.compile(rf"(?:{'|'.join(alts)}){_FACT_GAP.pattern}|([\s\S]+)").findall(text, pos)
+        columns = list(zip(*found))
+        pos = len(text) - len(columns.pop()[-1])
+        get = consts.__getitem__
+        for n in names:
+            rels, args, columns = columns[0], columns[1:n + 1], columns[n + 1:]
+            rows = zip(*[map(get, compress(col, rels)) for col in args]) if n else repeat(())
+            facts += map(_new_fact, zip(compress(rels, rels), rows))
     if pos < len(text):
         _read_facts(Lexer(text, _FACT_TOKEN, pos), schema, consts, facts)
     return Instance(schema, facts)

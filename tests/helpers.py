@@ -1855,7 +1855,7 @@ def _ref_read_value(lex: Lexer, consts: dict):
 
 def ref_parse_facts(text: str, schema: Schema) -> Instance:
     """Oracle for `model.parse_facts`: the token reader alone, from the
-    first character, with no regex match per flat fact."""
+    first character, with no flat-fact pattern."""
     lex = Lexer(text, _FACT_TOKEN)
     consts: dict = {}
     facts = []

@@ -1,5 +1,7 @@
 import pathlib
 import random
+import tempfile
+from unittest import mock
 
 import pytest
 from helpers import (
@@ -28,6 +30,7 @@ from dx.chase import (
     to_term_interpretation,
 )
 from dx.certain import eliminate_mapping
+from dx.cli import main
 from dx.laconify import laconify
 from dx.lang import TGD, RelAtom, SchemaMapping, Var, format_mapping
 from dx.model import (
@@ -39,6 +42,7 @@ from dx.model import (
     instances_isomorphic,
     format_facts,
     is_core,
+    parse_facts,
 )
 from dx.parser import parse_mapping
 from dx.verify import random_source_instance
@@ -380,3 +384,121 @@ def test_chase_output_is_universal():
         j = naive_chase(m, i)
         bigger = j.with_facts([Fact("S", (A, B))])
         assert ref_homomorphic(j, bigger)
+
+
+# ---------------------------------------------------------------------------
+# `dx chase` prints plain output straight from the rules' answer columns
+# (`naive_chase_text`); `format_facts(naive_chase(m, i))` is its oracle.
+# The two share `sort_plain_lines`, so `ref_format_facts` checks the order.
+
+# Bare constants whose byte order is not the obvious one
+_PLAIN_CONSTS = st.sampled_from(["a", "b", "c", "k", "A", "Z", "_u", "9", "10", "010", "c1", "c10"])
+
+
+def _dx_chase(mapping_text: str, facts_text: str, route: str) -> bytes:
+    """The bytes `dx chase` writes, with the route other than `route`
+    ("text" or "fallback") made to raise."""
+    import dx.chase as chase
+
+    other = {"text": "naive_chase", "fallback": "_plain_lines"}[route]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        chase, other, side_effect=AssertionError(f"{other} ran")
+    ):
+        m, i, out = (pathlib.Path(tmp) / name for name in ("m.map", "i.facts", "out"))
+        m.write_text(mapping_text, encoding="utf-8")
+        i.write_text(facts_text, encoding="utf-8")
+        assert main(["chase", "-m", str(m), "-i", str(i), "-o", str(out)]) == 0
+        return out.read_bytes()
+
+
+def _chase_bytes(m: SchemaMapping, i: Instance) -> bytes:
+    """The oracle's bytes, which the reference formatter prints too."""
+    j = naive_chase(m, i)
+    text = format_facts(j)
+    assert text == ref_format_facts(j)
+    return text.encode()
+
+
+def _plain_source(data, schema) -> Instance:
+    """Facts over a few of the plain constants, so that rows repeat values."""
+    pool = st.sampled_from(data.draw(st.lists(_PLAIN_CONSTS, min_size=1, max_size=5, unique=True)))
+    rels = data.draw(st.lists(st.sampled_from(schema.rels), max_size=24))
+    return Instance(schema, [
+        Fact(rel, tuple(data.draw(st.lists(pool.map(Const), min_size=n, max_size=n))))
+        for rel, n in rels
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 199), st.data())
+def test_dx_chase_prints_plain_output_as_the_oracle(seed, data):
+    m = random_mapping(seed)
+    i = _plain_source(data, m.source)
+    want = _chase_bytes(m, i)
+    assert _dx_chase(format_mapping(m), format_facts(i), "text") == want
+
+
+# A head constant, a rule without parameters, a 0-ary head, a repeated
+# head variable, and two heads and two rules that print the same line;
+# HEAD_SHAPES adds constants in antecedents and rules without answers.
+TEXT_SHAPES = {
+    **HEAD_SHAPES,
+    "sentence_head": (DEMO / "sentence_head.map").read_text(encoding="utf-8"),
+    "nullary": (DEMO / "nullary.map").read_text(encoding="utf-8"),
+    "same_lines": """source R/2.
+target S/2, T/1.
+tgd: R(x,y) -> S(x,y) & S(y,x) & T('k').
+tgd: R(x,x) -> exists z: S(x,x) & S(z,x) & T('k') & T(x).
+tgd: R(y,x) -> S(x,y).
+""",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(TEXT_SHAPES)), st.data())
+def test_dx_chase_prints_plain_head_shapes_as_the_oracle(name, data):
+    m = parse_mapping(TEXT_SHAPES[name])
+    i = _plain_source(data, m.source)
+    want = _chase_bytes(m, i)
+    assert _dx_chase(TEXT_SHAPES[name], format_facts(i), "text") == want
+
+
+@pytest.mark.parametrize("name, facts", [
+    ("symmetric_join", "r_pairs"), ("split_pair", "split_pair"), ("nullary", "nullary"),
+    ("sentence_head", "sentence_head"), ("constant_head", "constant_head"),
+])
+def test_dx_chase_prints_plain_demos_as_the_oracle(name, facts):
+    """split_pair.facts puts constants and Skolem nulls in one column."""
+    mapping = (DEMO / f"{name}.map").read_text(encoding="utf-8")
+    text = (DEMO / f"{facts}.facts").read_text(encoding="utf-8")
+    m = parse_mapping(mapping)
+    want = _chase_bytes(m, parse_facts(text, m.source))
+    assert _dx_chase(mapping, text, "text") == want
+
+
+SYMMETRIC_JOIN = "source R/2. target S/2.\ntgd: R(x,y) -> exists z: S(x,z) & S(y,z).\n"
+
+
+@pytest.mark.parametrize("mapping, facts", [
+    (SYMMETRIC_JOIN, "R('c 1', a).\nR(a, b).\nR(b, 'c 1').\n"),
+    ("source R/2. target S/2.\ntgd: R(x,y) -> S(x,'k 1') & S(y,x).\n", "R(a, b).\n"),
+    ("source R/2, P/1. target S/2.\ntgd: R(x,y) -> S(x,y).\n", "R(a, b).\nP('x y').\n"),
+], ids=["quoted_source_constant", "quoted_head_constant", "quoted_constant_never_printed"])
+def test_dx_chase_formats_the_chase_of_other_input(mapping, facts):
+    m = parse_mapping(mapping)
+    want = _chase_bytes(m, parse_facts(facts, m.source))
+    assert _dx_chase(mapping, facts, "fallback") == want
+
+
+@pytest.mark.parametrize("facts", ["R(a, b).\nR(b, c).\n", "R('c 1', a).\nR(a, b).\n"])
+def test_dx_chase_evaluates_the_antecedents_once(facts, monkeypatch, tmp_path):
+    import dx.chase as chase
+
+    calls = []
+    answers = chase._answers
+    monkeypatch.setattr(chase, "_answers", lambda pi, inst: calls.append(inst) or answers(pi, inst))
+    m, i = tmp_path / "m.map", tmp_path / "i.facts"
+    m.write_text(SYMMETRIC_JOIN, encoding="utf-8")
+    i.write_text(facts, encoding="utf-8")
+    assert main(["chase", "-m", str(m), "-i", str(i), "-o", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1

@@ -168,6 +168,7 @@ EXCHANGE_INPUTS = {
     "double_witness/p_a": (MAPPINGS["double_witness"], _demo("p_a.facts")),
     "cycle_8/p_a": (MAPPINGS["pure_8_cycle"], _demo("p_a.facts")),
     "split_pair/split_pair": (_demo("split_pair.map"), _demo("split_pair.facts")),
+    "nullary/nullary": (_demo("nullary.map"), _demo("nullary.facts")),
     "symmetric_join/2000x700": (MAPPINGS["symmetric_join"], pairs_text(1, 2000, 700)),
     "overlap/2000x1600": (MAPPINGS["overlap"], unary_text(2, 2000, 1600)),
     "split_pair/2000x700": (SPLIT_PAIR_SOURCE, pairs_text(3, 2000, 700)),
@@ -217,6 +218,9 @@ CHASE_DIGESTS = {
     "split_pair/split_pair/chase": (396, "11449d1a562313430e460cc10849b4739a98794d226fb89ed9f7a1b211d108a3"),
     "split_pair/split_pair/restricted": (396, "11449d1a562313430e460cc10849b4739a98794d226fb89ed9f7a1b211d108a3"),
     "split_pair/split_pair/core": (396, "11449d1a562313430e460cc10849b4739a98794d226fb89ed9f7a1b211d108a3"),
+    "nullary/nullary/chase": (192, "8d63ef26cb75ceba6643e4ccfc0b4e30c42843d0e094ca46840a995df9f5de82"),
+    "nullary/nullary/restricted": (173, "614a20e86b4113952b73d74ca02bdb08c5dac2aa8396e190b93c89436ebc56c1"),
+    "nullary/nullary/core": (173, "614a20e86b4113952b73d74ca02bdb08c5dac2aa8396e190b93c89436ebc56c1"),
     "symmetric_join/2000x700/chase": (110063, "7aa3080a09bb10d5e79bfefecd1840af4fdb2c6500b324fa76c416353e28f1cb"),
     "symmetric_join/2000x700/restricted": (109901, "2ca036793a3b82607a628c87466721ff4fe99addd1dc999a3a68052b9fdfd385"),
     "symmetric_join/2000x700/core": (109901, "95e156617f066484edeb1008d68c631407e87395cd9dabe78629c37d1b97704f"),

@@ -658,8 +658,9 @@ def test_fact_file_comments_and_quotes():
 # Fact texts for the reader oracle: flat facts beside facts that hold
 # nulls, comments inside them, quoted tokens that are no constant ('' and
 # '@...'), undeclared relations and arity mismatches, then at times one
-# character deleted, inserted or replaced.
-SP = Schema({"S": 2, "P": 1})
+# character deleted, inserted or replaced.  The schema holds a 0-ary
+# relation and a name that extends another's at another arity.
+SP = Schema({"S": 2, "P": 1, "PQ": 2, "Z": 0})
 _value_text = st.recursive(
     st.one_of(
         st.sampled_from(["a", "b", "c1", "_x", "010"]),
@@ -680,7 +681,9 @@ _gap_between = st.sampled_from(["\n", "", " ", "\n\n", "  # between\n", "#\n"])
 def _fact_texts(draw):
     parts = [draw(_gap_between)]
     for _ in range(draw(st.integers(0, 5))):
-        rel, arity = draw(st.sampled_from([("S", 2), ("S", 2), ("P", 1), ("Q", 1)]))
+        rel, arity = draw(st.sampled_from([
+            ("S", 2), ("S", 2), ("P", 1), ("Q", 1), ("Z", 0), ("PQ", 2),
+        ]))
         n = draw(st.one_of(st.just(arity), st.integers(0, 3)))
         args = draw(st.lists(_value_text, min_size=n, max_size=n))
         tokens = [rel, "("]
@@ -707,10 +710,14 @@ def _fact_texts(draw):
 @example("P(a).\nQ(b).\n")
 @example("S(a, b) # c\n.S(c, ?N0).")
 @example("S(a, 'b\\\nc').")
+@example("Z().")
+@example("Z ( ) .")
+@example("PQ(a, b).\nP(a).")
+@example("S(a, ?N1).\nZ().\n")
 def test_fact_reader_matches_token_reader(text):
-    """Flat facts read one match each, then the token reader from the
-    first text that match cannot take, give the instance the token
-    reader alone gives, or its ParseError, message and position alike."""
+    """Flat facts read by one `findall`, then the token reader from the
+    first text no flat fact takes, give the instance the token reader
+    alone gives, or its ParseError, message and position alike."""
     from dx.model import ParseError
 
     try:
