@@ -800,26 +800,17 @@ _FACT_GAP = re.compile(r"(?:\s|\#[^\n]*(?![^\n]))*")
 
 class _Texts(dict):
     """Each value's fact-file text, made on first lookup; a Skolem
-    null's text is built from its arguments' texts.  `plain` stays true
-    while every text made is a bare constant or a Skolem null whose
-    symbol is an ASCII identifier, as the fact reader reads them."""
+    null's text is built from its arguments' texts."""
 
-    plain = True
+    __slots__ = ()
 
     def __missing__(self, v: Value) -> str:
         if v[0] == 0:
-            if _BARE.match(v[1]):
-                t = v[1]
-            else:
-                t = quote(v[1])
-                self.plain = False
-        elif v[0] == 2:
-            t = f"?{v[1]}({', '.join(map(self.__getitem__, v[2]))})"
-            if not (v[1].isascii() and v[1].isidentifier()):
-                self.plain = False
-        else:
+            t = v[1] if _BARE.match(v[1]) else quote(v[1])
+        elif v[0] == 1:
             t = f"?N{v[1]}"
-            self.plain = False
+        else:
+            t = f"?{v[1]}({', '.join(map(self.__getitem__, v[2]))})"
         self[v] = t
         return t
 
@@ -841,8 +832,9 @@ def fact_lines(rel: str, arity: int, n: int, cells: tuple) -> str:
 
 
 def sort_plain_lines(lines: str) -> str:
-    """A bare relation's distinct fact lines, every text plain (see
-    `_Texts`), sorted into canonical order.
+    """A bare relation's distinct fact lines, sorted into canonical order.
+    The lines must be plain: every constant bare, every Skolem symbol an
+    ASCII identifier, and no `?N` null.
 
     Sorted as strings, with `?` read as `\\x7f`, they are in canonical
     order: identifier characters lie above `(`, `)` and `,`, so a
@@ -855,28 +847,17 @@ def sort_plain_lines(lines: str) -> str:
 
 
 def format_facts(inst: Instance) -> str:
-    """One line per fact, in canonical order; each distinct value's text
-    is made once.  Relations come in name order, and each relation's
-    value texts are first made in no order.
-
-    When every relation name is bare and every text plain, a relation's
-    lines are sorted as strings (`sort_plain_lines`).  Any other output
-    sorts each relation's argument tuples, as `facts_sorted` does."""
-    texts = _Texts()
-    text = texts.__getitem__
-    groups = [(rel, list(map(_ARGS, g))) for rel, g in groupby(sorted(inst.facts, key=_REL), _REL)]
-    cells = [tuple(map(text, chain.from_iterable(rows))) for _rel, rows in groups]
-    plain = texts.plain and all_bare(rel for rel, _rows in groups)
-    if not plain:
-        for _rel, rows in groups:
-            rows.sort()
-        cells = [tuple(map(text, chain.from_iterable(rows))) for _rel, rows in groups]
-    # drop the texts: each is freed with the last cells that hold it,
-    # before its relation's lines are split
-    del texts, text
-    cells.reverse()
-    lines = (fact_lines(rel, len(rows[0]), len(rows), cells.pop()) for rel, rows in groups)
-    return "".join(map(sort_plain_lines, lines) if plain else lines)
+    """One line per fact, in canonical order: relations in name order,
+    each relation's argument tuples sorted apart from the others, as in
+    `facts_sorted`, which is neither read nor cached.  Each distinct
+    value's text is made once, and each relation's lines are one
+    `fact_lines` format."""
+    text = _Texts().__getitem__
+    groups = [(rel, sorted(map(_ARGS, g))) for rel, g in groupby(sorted(inst.facts, key=_REL), _REL)]
+    return "".join(
+        fact_lines(rel, len(rows[0]), len(rows), tuple(map(text, chain.from_iterable(rows))))
+        for rel, rows in groups
+    )
 
 
 class _Consts(dict):

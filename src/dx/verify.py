@@ -39,6 +39,8 @@ from dx.model import (
 )
 
 _CONST_POOL = "abcdefghijkl"
+# random dependencies tried on each sample of `check_disjunctive_preservation`
+_DEPS_PER_SAMPLE = 3
 
 
 def _check_bounds(max_consts: int, max_facts: int) -> None:
@@ -318,7 +320,6 @@ def check_disjunctive_preservation(
     samples: int = 100,
     seed: int = 0,
     bounds: Bounds = Bounds(),
-    deps_per_sample: int = 3,
 ) -> CheckReport:
     """On samples whose canonical solution is not a core: random
     dependencies true on the canonical solution must be true on the
@@ -341,7 +342,7 @@ def check_disjunctive_preservation(
             continue
         found += 1
         diagnosis = None
-        for k in range(deps_per_sample):
+        for k in range(_DEPS_PER_SAMPLE):
             dep = random_disjunctive(m.target, f"{sample_seed}:{k}")
             if eval_disjunctive(dep, j_prime) and not eval_disjunctive(dep, core):
                 diagnosis = "dependency true on canonical but false on core"

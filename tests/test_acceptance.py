@@ -234,9 +234,7 @@ def test_criterion_08_disjunctive_preservation():
     total = 0
     for name in ("double_witness", "loop_absorbs_null", "symmetric_join"):
         m, _ = pair(name)
-        rep = check_disjunctive_preservation(
-            m, samples=34, seed=81, bounds=BOUNDS, deps_per_sample=3
-        )
+        rep = check_disjunctive_preservation(m, samples=34, seed=81, bounds=BOUNDS)
         assert rep.passed, (name, rep.render())
         total += rep.samples
     assert total >= 100

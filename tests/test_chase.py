@@ -388,8 +388,9 @@ def test_chase_output_is_universal():
 
 # ---------------------------------------------------------------------------
 # `dx chase` prints plain output straight from the rules' answer columns
-# (`naive_chase_text`); `format_facts(naive_chase(m, i))` is its oracle.
-# The two share `sort_plain_lines`, so `ref_format_facts` checks the order.
+# (`naive_chase_text`), its lines sorted by `sort_plain_lines`;
+# `format_facts(naive_chase(m, i))`, which sorts argument tuples, is its
+# oracle, and `ref_format_facts` checks the oracle's order.
 
 # Bare constants whose byte order is not the obvious one
 _PLAIN_CONSTS = st.sampled_from(["a", "b", "c", "k", "A", "Z", "_u", "9", "10", "010", "c1", "c10"])

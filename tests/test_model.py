@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from helpers import (
@@ -44,6 +45,7 @@ from dx.model import (
     match_pattern,
     parse_facts,
     quote,
+    sort_plain_lines,
 )
 from dx.parser import _TOKEN, parse_formula, parse_mapping
 from dx.verify import random_source_instance
@@ -142,7 +144,9 @@ def test_facts_sorted_and_format_facts_match_the_reference(facts):
 
 
 # Plain values: bare constants, and Skolem nulls over them whose symbols
-# prefix one another.  `format_facts` sorts their lines as strings.
+# prefix one another.  Their lines, sorted as strings by `sort_plain_lines`,
+# are in the order `format_facts` gets by sorting argument tuples.  The
+# nested Skolem values here are ones `dx chase` never prints.
 _plain_leaves = st.one_of(
     st.sampled_from(["10", "9", "A", "a", "_", "c1", "c10"]),
     st.text(alphabet="aAzZ09_", min_size=1, max_size=3),
@@ -169,8 +173,12 @@ _PLAIN_SCHEMA = Schema({"R": 2, "R1": 1, "R_": 2, "Z": 0})
 ), max_size=16))
 def test_format_facts_sorts_plain_lines_as_strings(facts):
     i = Instance(_PLAIN_SCHEMA, [Fact(rel, args) for rel, args in facts])
-    assert format_facts(i) == ref_format_facts(i)
+    want = ref_format_facts(i)
+    assert format_facts(i) == want
     assert "facts_sorted" not in i.__dict__
+    for _rel, group in groupby(want.splitlines(True), lambda line: line[:line.index("(")]):
+        lines = list(group)
+        assert sort_plain_lines("".join(reversed(lines))) == "".join(lines)
 
 
 def test_format_facts_reads_a_null_as_above_every_constant():
